@@ -3,6 +3,13 @@
 Exit codes: 0 when every requested check passes, 1 on a certificate
 violation (the witness lands in the report), 2 on usage errors.  Every build
 subcommand verifies its own output in-process before writing it.
+
+``COMMANDS`` maps each ``(command, kind)`` to the roles of its input files, in
+order, and to its handler; ``@_command`` fills it.  ``main`` checks the file
+count, reads and parses the files and calls ``handler(args, report, *inputs)``.
+Handlers and parsers reach library code through its module at call time
+(``graphs.gen_gnp(...)``), so that rebinding a module attribute reaches every
+call.
 """
 
 from __future__ import annotations
@@ -20,6 +27,32 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_SEED_ENV = "CSSLAB_SEED"
+
+# (command, kind) -> (input roles in order, handler)
+COMMANDS: dict = {}
+
+# input role -> parser of its text; a certificate on a graph is parsed
+# against ``g``, the kind's first input
+_PARSE = {
+    "graph": lambda text, g: formats.parse_graph(text),
+    "cuts": lambda text, g: formats.parse_cut_family(text),
+    "hgraph": lambda text, g: formats.parse_hypergraph(text),
+    "packing": lambda text, g: formats.parse_packing(text, g),
+    "covering": lambda text, g: formats.parse_covering(text, g),
+    "fooling": lambda text, g: formats.parse_fooling(text, g),
+    "ccp": lambda text, g: formats.parse_ccp(text),
+    "ccp-covering": lambda text, g: formats.parse_ccp_covering(text),
+    "stubborn": lambda text, g: formats.parse_stubborn(text),
+    "stubborn-covering": lambda text, g: formats.parse_stubborn_covering(text),
+}
+
+
+def _command(command: str, kind: str, *roles: str):
+    """Register the decorated handler for ``command kind`` with input ``roles``."""
+    def register(handler):
+        COMMANDS[command, kind] = (roles, handler)
+        return handler
+    return register
 
 
 def _default_seed() -> int:
@@ -52,252 +85,41 @@ def _finish(report: RunReport, ok: bool, out_text: str | None = None,
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
-# -- gen ------------------------------------------------------------------------
-
-
-def cmd_gen(args) -> int:
-    report = RunReport(f"gen {args.kind}")
-    if args.kind == "gnp":
-        g = graphs.gen_gnp(args.n, args.p, args.seed)
-    elif args.kind == "complete":
-        g = graphs.complete_graph(args.n)
-    elif args.kind == "cycle":
-        g = graphs.cycle_graph(args.n)
-    elif args.kind == "path":
-        g = graphs.path_graph(args.n)
-    elif args.kind == "net":
-        g = graphs.net_graph()
-    else:  # comparability-from-random-poset
-        g = graphs.comparability_from_random_poset(args.n, args.seed)
-    report.metric("vertices", g.n)
-    report.metric("edges", g.edge_count())
-    return _finish(report, True, formats.emit_graph(g), args.out)
-
-
-# -- build ----------------------------------------------------------------------
-
-
-def cmd_build(args) -> int:
-    report = RunReport(f"build {args.kind}")
-    if args.kind == "star-partition":
-        cert = packing.star_partition(args.n)
-        check = packing.verify_packing(cert)
-        report.metric("bicliques", len(cert.bicliques))
-        if not check.ok:
-            report.metric("violation", check.violation)
-            return _finish(report, False)
-        return _finish(report, True, formats.emit_packing(cert), args.out)
-
-    if args.kind == "quasipoly-covering":
-        inst = formats.parse_ccp(_read(args.instance, report))
-        tree = csp.build_quasipoly_covering(inst)
-        report.metric("leaf_count", tree.raw_leaf_count)
-        report.metric("tree_height", tree.height)
-        report.metric("assignments", len(tree.assignments))
-        if inst.n <= 8:
-            missed = csp.covering_covers(tree.assignments, csp.all_3ccp_solutions(inst))
-            report.metric("uncovered_solutions", len(missed))
-            if missed:
-                return _finish(report, False)
-        return _finish(report, True, formats.emit_ccp_covering(tree.assignments), args.out)
-
-    if args.graph is None:
-        raise SystemExit(f"build {args.kind} expects a graph file")
-    g = formats.parse_graph(_read(args.graph, report))
-    if args.kind == "random-separator":
-        try:
-            stats = {}
-            fam = separator.build_random_separator(g, args.p, args.seed,
-                                                   args.max_rounds, stats_out=stats)
-            report.metric("rounds", stats["rounds"])
-        except separator.SeparatorBuildError as exc:
-            report.metric("uncovered_pairs", exc.remaining)
-            report.metric("rounds", exc.rounds)
-            return _finish(report, False)
-    elif args.kind == "split-free":
-        pattern = graphs.net_graph() if args.pattern == "net" \
-            else formats.parse_graph(_read(args.pattern, report))
-        fam, reports = transversal.split_free_report(g, pattern)
-        report.metric("pairs", len(reports))
-        report.metric("tau_max", max((r.tau for r in reports), default=0))
-    elif args.kind == "pk-free":
-        try:
-            fam = transversal.build_pk_free_separator(g, args.k, args.tk)
-        except transversal.BicliquePairNotFound as exc:
-            report.metric("failed_level_size", len(exc.level_vertices))
-            report.metric("needed_pair_size", exc.needed)
-            return _finish(report, False)
-    elif args.kind == "fooling":
-        fs = packing.build_fooling_set(g)
-        check = packing.verify_fooling_set(fs)
-        report.metric("fooling_size", len(fs.pairs))
-        if not check.ok:
-            report.metric("violation", check.violation)
-            return _finish(report, False)
-        return _finish(report, True, formats.emit_fooling(fs), args.out)
-    else:
-        raise AssertionError(args.kind)
-
+def _separator_verdict(report: RunReport, g, fam) -> bool:
+    """Verify ``fam`` as a CS-separator of ``g``; report its size, the pairs
+    checked and, on failure, the first uncovered pair."""
     rep = separator.verify_cs_separator(g, fam)
     report.metric("family_size", len(fam))
     report.metric("pairs_checked", rep.pairs_checked)
     if not rep.ok:
         report.metric("witness_clique", " ".join(map(str, sorted(rep.witness[0]))))
         report.metric("witness_stable", " ".join(map(str, sorted(rep.witness[1]))))
+    return rep.ok
+
+
+def _write_separator(args, report: RunReport, g, fam) -> int:
+    """Tail of every separator builder: write the family only if it verifies."""
+    if not _separator_verdict(report, g, fam):
         return _finish(report, False)
     return _finish(report, True, formats.emit_cut_family(fam), args.out)
 
 
-# -- verify -----------------------------------------------------------------------
+def _uncovered_stubborn(report: RunReport, inst, covering) -> list:
+    """Maximal solutions of ``inst`` that no assignment of ``covering`` allows."""
+    maxsols = csp.all_maximal_stubborn_solutions(inst)
+    report.metric("maximal_solutions", len(maxsols))
+    return [s for s in maxsols
+            if not any(csp.stubborn_assignment_compatible(la, s) for la in covering)]
 
 
-def cmd_verify(args) -> int:
-    report = RunReport(f"verify {args.kind}")
-    if args.kind == "separator":
-        g = formats.parse_graph(_read(args.graph, report))
-        fam = formats.parse_cut_family(_read(args.certificate, report))
-        rep = separator.verify_cs_separator(g, fam)
-        report.metric("family_size", len(fam))
-        report.metric("pairs_checked", rep.pairs_checked)
-        if not rep.ok:
-            report.metric("witness_clique", " ".join(map(str, sorted(rep.witness[0]))))
-            report.metric("witness_stable", " ".join(map(str, sorted(rep.witness[1]))))
-        return _finish(report, rep.ok)
-
-    if args.kind in ("packing", "covering-t", "fooling"):
-        g = formats.parse_graph(_read(args.graph, report))
-        text = _read(args.certificate, report)
-        if args.kind == "packing":
-            check = packing.verify_packing(formats.parse_packing(text, g))
-        elif args.kind == "covering-t":
-            check = packing.verify_covering(formats.parse_covering(text, g))
-        else:
-            check = packing.verify_fooling_set(formats.parse_fooling(text, g))
-        if not check.ok:
-            report.metric("violation", check.violation)
-            report.metric("detail", " ".join(map(str, check.detail)))
-        return _finish(report, check.ok)
-
-    if args.kind == "ccp-covering":
-        inst = formats.parse_ccp(_read(args.instance, report))
-        covering = formats.parse_ccp_covering(_read(args.certificate, report))
-        if inst.n > 8:
-            raise SystemExit("exhaustive covering verification capped at 8 vertices")
-        sols = csp.all_3ccp_solutions(inst)
-        missed = csp.covering_covers(covering, sols)
-        report.metric("solutions", len(sols))
-        report.metric("assignments", len(covering))
-        report.metric("uncovered_solutions", len(missed))
-        return _finish(report, not missed)
-
-    if args.kind == "stubborn-covering":
-        inst = formats.parse_stubborn(_read(args.instance, report))
-        covering = formats.parse_stubborn_covering(_read(args.certificate, report))
-        if inst.graph.n > 8:
-            raise SystemExit("exhaustive covering verification capped at 8 vertices")
-        maxsols = csp.all_maximal_stubborn_solutions(inst)
-        missed = [s for s in maxsols
-                  if not any(csp.stubborn_assignment_compatible(la, s) for la in covering)]
-        report.metric("maximal_solutions", len(maxsols))
-        report.metric("assignments", len(covering))
-        report.metric("uncovered_solutions", len(missed))
-        return _finish(report, not missed)
-
-    raise AssertionError(args.kind)
-
-
-# -- reduce -----------------------------------------------------------------------
-
-
-def cmd_reduce(args) -> int:
-    report = RunReport(f"reduce {args.kind}")
-    if args.kind == "fooling-to-packing":
-        g = formats.parse_graph(_read(args.graph, report))
-        fs = formats.parse_fooling(_read(args.certificate, report), g)
-        cert = packing.fooling_to_packing(fs)
-        report.metric("host_size", cert.host.n)
-        report.metric("bicliques", len(cert.bicliques))
-        return _finish(report, True, formats.emit_packing(cert), args.out)
-
-    if args.kind == "packing-to-fooling":
-        g = formats.parse_graph(_read(args.graph, report))
-        cert = formats.parse_packing(_read(args.certificate, report), g)
-        aux, fs = packing.packing_to_fooling(cert)
-        report.metric("aux_vertices", aux.n)
-        report.metric("fooling_size", len(fs.pairs))
-        text = formats.emit_graph(aux) + formats.emit_fooling(fs)
-        return _finish(report, True, text, args.out)
-
-    if args.kind == "pairs-packing":
-        g = formats.parse_graph(_read(args.graph, report))
-        aux, pairs, cert = packing.pairs_packing(g)
-        colors = graphs.greedy_coloring(aux)
-        fam = packing.pair_coloring_to_separator(g, pairs, colors)
-        rep = separator.verify_cs_separator(g, fam)
-        report.metric("pairs", len(pairs))
-        report.metric("colors", len(set(colors)))
-        report.metric("family_size", len(fam))
-        if not rep.ok:
-            return _finish(report, False)
-        return _finish(report, True, formats.emit_cut_family(fam), args.out)
-
-    if args.kind == "separator-to-coloring":
-        g = formats.parse_graph(_read(args.graph, report))
-        cert = formats.parse_packing(_read(args.certificate, report), g)
-        fam_text = _read(args.cuts, report)
-        fam = formats.parse_cut_family(fam_text)
-        colors = packing.separator_to_coloring(g, cert, fam)
-        report.metric("colors", len(set(colors)))
-        text = " ".join(map(str, colors)) + "\n"
-        return _finish(report, True, text, args.out)
-
-    if args.kind == "ccp-to-separator":
-        g = formats.parse_graph(_read(args.graph, report))
-        covering = formats.parse_ccp_covering(_read(args.certificate, report))
-        fam = csp.ccp_covering_to_separator(g, covering)
-        rep = separator.verify_cs_separator(g, fam)
-        report.metric("family_size", len(fam))
-        if not rep.ok:
-            return _finish(report, False)
-        return _finish(report, True, formats.emit_cut_family(fam), args.out)
-
-    if args.kind == "separator-to-stubborn":
-        inst = formats.parse_stubborn(_read(args.instance, report))
-        fam = formats.parse_cut_family(_read(args.cuts, report))
-        covering = csp.separator_to_stubborn_covering(inst, fam)
-        report.metric("assignments", len(covering))
-        return _finish(report, True, formats.emit_stubborn_covering(covering), args.out)
-
-    if args.kind == "stubborn-to-ccp":
-        inst = formats.parse_ccp(_read(args.instance, report))
-        provider = _stubborn_covering_provider(args.seed)
-        covering = csp.full_3ccp_covering_via_stubborn(inst, args.vertex, provider)
-        report.metric("assignments", len(covering))
-        return _finish(report, True, formats.emit_ccp_covering(covering), args.out)
-
-    if args.kind == "refine-t":
-        g = formats.parse_graph(_read(args.graph, report))
-        cov = formats.parse_covering(_read(args.certificate, report), g)
-        refined = packing.refine_t_covering(g, cov)
-        bound = (2 * len(cov.bicliques)) ** cov.t
-        report.metric("classes", len(refined.partition.bicliques))
-        report.metric("class_bound", bound)
-        report.metric("exact_t_edges", refined.subgraph.edge_count())
-        ok = len(refined.partition.bicliques) <= bound
-        return _finish(report, ok, formats.emit_covering(refined.partition), args.out)
-
-    if args.kind == "square":
-        fam = formats.parse_cut_family(_read(args.cuts, report))
-        sq = csp.square_cut_family(fam)
-        report.metric("input_size", len(fam))
-        report.metric("output_size", len(sq))
-        ok = len(sq) <= len(fam) ** 2
-        return _finish(report, ok, formats.emit_cut_family(sq), args.out)
-
-    raise AssertionError(args.kind)
-
-
-# -- roundtrip ----------------------------------------------------------------------
+def _refine(report: RunReport, g, cov):
+    """Refine a t-covering into exact-multiplicity classes; report the class
+    count against the (2k)^t bound and return the refinement and the check."""
+    refined = packing.refine_t_covering(g, cov)
+    bound = (2 * len(cov.bicliques)) ** cov.t
+    report.metric("classes", len(refined.partition.bicliques))
+    report.metric("class_bound", bound)
+    return refined, len(refined.partition.bicliques) <= bound
 
 
 def _stubborn_covering_provider(seed: int):
@@ -311,23 +133,230 @@ def _stubborn_covering_provider(seed: int):
     return provider
 
 
-def cmd_roundtrip(args) -> int:
-    report = RunReport(f"roundtrip {args.kind}")
-    if args.kind == "theorem7":
-        g = formats.parse_graph(_read(args.graph, report))
-        fs = packing.build_fooling_set(g)
-        if not packing.verify_fooling_set(fs).ok:
-            return _finish(report, False)
-        cert = packing.fooling_to_packing(fs)
-        aux, fs2 = packing.packing_to_fooling(cert)
-        report.metric("fooling_size", len(fs.pairs))
-        report.metric("packing_host", cert.host.n)
-        report.metric("roundtrip_size", len(fs2.pairs))
-        ok = len(fs.pairs) == g.n + 1 and len(fs2.pairs) == len(fs.pairs)
-        return _finish(report, ok)
+def _gen(kind: str, make) -> None:
+    """Register ``gen kind``; ``make(args)`` returns the graph."""
+    @_command("gen", kind)
+    def handler(args, report):
+        g = make(args)
+        report.metric("vertices", g.n)
+        report.metric("edges", g.edge_count())
+        return _finish(report, True, formats.emit_graph(g), args.out)
 
-    # theorem16-loop
-    inst = formats.parse_stubborn(_read(args.instance, report))
+
+_gen("gnp", lambda a: graphs.gen_gnp(a.n, a.p, a.seed))
+_gen("complete", lambda a: graphs.complete_graph(a.n))
+_gen("cycle", lambda a: graphs.cycle_graph(a.n))
+_gen("path", lambda a: graphs.path_graph(a.n))
+_gen("net", lambda a: graphs.net_graph())
+_gen("comparability-from-random-poset",
+     lambda a: graphs.comparability_from_random_poset(a.n, a.seed))
+
+
+@_command("build", "random-separator", "graph")
+def _build_random_separator(args, report, g):
+    stats = {}
+    try:
+        fam = separator.build_random_separator(g, args.p, args.seed,
+                                               args.max_rounds, stats_out=stats)
+    except separator.SeparatorBuildError as exc:
+        report.metric("uncovered_pairs", exc.remaining)
+        report.metric("rounds", exc.rounds)
+        return _finish(report, False)
+    report.metric("rounds", stats["rounds"])
+    return _write_separator(args, report, g, fam)
+
+
+@_command("build", "split-free", "graph")
+def _build_split_free(args, report, g):
+    # --pattern names the built-in net or a graph file, read after the graph
+    pattern = graphs.net_graph() if args.pattern == "net" \
+        else formats.parse_graph(_read(args.pattern, report))
+    fam, reports = transversal.split_free_report(g, pattern)
+    report.metric("pairs", len(reports))
+    report.metric("tau_max", max((r.tau for r in reports), default=0))
+    return _write_separator(args, report, g, fam)
+
+
+@_command("build", "pk-free", "graph")
+def _build_pk_free(args, report, g):
+    try:
+        fam = transversal.build_pk_free_separator(g, args.k, args.tk)
+    except transversal.BicliquePairNotFound as exc:
+        report.metric("failed_level_size", len(exc.level_vertices))
+        report.metric("needed_pair_size", exc.needed)
+        return _finish(report, False)
+    return _write_separator(args, report, g, fam)
+
+
+@_command("build", "fooling", "graph")
+def _build_fooling(args, report, g):
+    fs = packing.build_fooling_set(g)
+    check = packing.verify_fooling_set(fs)
+    report.metric("fooling_size", len(fs.pairs))
+    if not check.ok:
+        report.metric("violation", check.violation)
+        return _finish(report, False)
+    return _finish(report, True, formats.emit_fooling(fs), args.out)
+
+
+@_command("build", "star-partition")
+def _build_star_partition(args, report):
+    cert = packing.star_partition(args.n)
+    check = packing.verify_packing(cert)
+    report.metric("bicliques", len(cert.bicliques))
+    if not check.ok:
+        report.metric("violation", check.violation)
+        return _finish(report, False)
+    return _finish(report, True, formats.emit_packing(cert), args.out)
+
+
+@_command("build", "quasipoly-covering", "ccp")
+def _build_quasipoly_covering(args, report, inst):
+    tree = csp.build_quasipoly_covering(inst)
+    report.metric("leaf_count", tree.raw_leaf_count)
+    report.metric("tree_height", tree.height)
+    report.metric("assignments", len(tree.assignments))
+    if inst.n <= 8:
+        missed = csp.covering_covers(tree.assignments, csp.all_3ccp_solutions(inst))
+        report.metric("uncovered_solutions", len(missed))
+        if missed:
+            return _finish(report, False)
+    return _finish(report, True, formats.emit_ccp_covering(tree.assignments), args.out)
+
+
+@_command("verify", "separator", "graph", "cuts")
+def _verify_separator(args, report, g, fam):
+    return _finish(report, _separator_verdict(report, g, fam))
+
+
+def _verify_on_graph(kind: str, role: str, check) -> None:
+    """Register ``verify kind`` of a certificate on a graph; ``check(cert)``
+    returns its verification result."""
+    @_command("verify", kind, "graph", role)
+    def handler(args, report, g, cert):
+        result = check(cert)
+        if not result.ok:
+            report.metric("violation", result.violation)
+            report.metric("detail", " ".join(map(str, result.detail)))
+        return _finish(report, result.ok)
+
+
+_verify_on_graph("packing", "packing", lambda cert: packing.verify_packing(cert))
+_verify_on_graph("covering-t", "covering", lambda cert: packing.verify_covering(cert))
+_verify_on_graph("fooling", "fooling", lambda cert: packing.verify_fooling_set(cert))
+
+
+@_command("verify", "ccp-covering", "ccp", "ccp-covering")
+def _verify_ccp_covering(args, report, inst, covering):
+    if inst.n > 8:
+        raise SystemExit("exhaustive covering verification capped at 8 vertices")
+    sols = csp.all_3ccp_solutions(inst)
+    missed = csp.covering_covers(covering, sols)
+    report.metric("solutions", len(sols))
+    report.metric("assignments", len(covering))
+    report.metric("uncovered_solutions", len(missed))
+    return _finish(report, not missed)
+
+
+@_command("verify", "stubborn-covering", "stubborn", "stubborn-covering")
+def _verify_stubborn_covering(args, report, inst, covering):
+    if inst.graph.n > 8:
+        raise SystemExit("exhaustive covering verification capped at 8 vertices")
+    missed = _uncovered_stubborn(report, inst, covering)
+    report.metric("assignments", len(covering))
+    report.metric("uncovered_solutions", len(missed))
+    return _finish(report, not missed)
+
+
+@_command("reduce", "fooling-to-packing", "graph", "fooling")
+def _reduce_fooling_to_packing(args, report, g, fs):
+    cert = packing.fooling_to_packing(fs)
+    report.metric("host_size", cert.host.n)
+    report.metric("bicliques", len(cert.bicliques))
+    return _finish(report, True, formats.emit_packing(cert), args.out)
+
+
+@_command("reduce", "packing-to-fooling", "graph", "packing")
+def _reduce_packing_to_fooling(args, report, g, cert):
+    aux, fs = packing.packing_to_fooling(cert)
+    report.metric("aux_vertices", aux.n)
+    report.metric("fooling_size", len(fs.pairs))
+    text = formats.emit_graph(aux) + formats.emit_fooling(fs)
+    return _finish(report, True, text, args.out)
+
+
+@_command("reduce", "pairs-packing", "graph")
+def _reduce_pairs_packing(args, report, g):
+    aux, pairs, cert = packing.pairs_packing(g)
+    colors = graphs.greedy_coloring(aux)
+    fam = packing.pair_coloring_to_separator(g, pairs, colors)
+    ok = separator.verify_cs_separator(g, fam).ok
+    report.metric("pairs", len(pairs))
+    report.metric("colors", len(set(colors)))
+    report.metric("family_size", len(fam))
+    return _finish(report, ok, formats.emit_cut_family(fam) if ok else None, args.out)
+
+
+@_command("reduce", "separator-to-coloring", "graph", "packing", "cuts")
+def _reduce_separator_to_coloring(args, report, g, cert, fam):
+    colors = packing.separator_to_coloring(g, cert, fam)
+    report.metric("colors", len(set(colors)))
+    return _finish(report, True, " ".join(map(str, colors)) + "\n", args.out)
+
+
+@_command("reduce", "ccp-to-separator", "graph", "ccp-covering")
+def _reduce_ccp_to_separator(args, report, g, covering):
+    fam = csp.ccp_covering_to_separator(g, covering)
+    ok = separator.verify_cs_separator(g, fam).ok
+    report.metric("family_size", len(fam))
+    return _finish(report, ok, formats.emit_cut_family(fam) if ok else None, args.out)
+
+
+@_command("reduce", "separator-to-stubborn", "stubborn", "cuts")
+def _reduce_separator_to_stubborn(args, report, inst, fam):
+    covering = csp.separator_to_stubborn_covering(inst, fam)
+    report.metric("assignments", len(covering))
+    return _finish(report, True, formats.emit_stubborn_covering(covering), args.out)
+
+
+@_command("reduce", "stubborn-to-ccp", "ccp")
+def _reduce_stubborn_to_ccp(args, report, inst):
+    provider = _stubborn_covering_provider(args.seed)
+    covering = csp.full_3ccp_covering_via_stubborn(inst, args.vertex, provider)
+    report.metric("assignments", len(covering))
+    return _finish(report, True, formats.emit_ccp_covering(covering), args.out)
+
+
+@_command("reduce", "refine-t", "graph", "covering")
+def _reduce_refine_t(args, report, g, cov):
+    refined, ok = _refine(report, g, cov)
+    report.metric("exact_t_edges", refined.subgraph.edge_count())
+    return _finish(report, ok, formats.emit_covering(refined.partition), args.out)
+
+
+@_command("reduce", "square", "cuts")
+def _reduce_square(args, report, fam):
+    sq = csp.square_cut_family(fam)
+    report.metric("input_size", len(fam))
+    report.metric("output_size", len(sq))
+    return _finish(report, len(sq) <= len(fam) ** 2, formats.emit_cut_family(sq), args.out)
+
+
+@_command("roundtrip", "theorem7", "graph")
+def _roundtrip_theorem7(args, report, g):
+    fs = packing.build_fooling_set(g)
+    if not packing.verify_fooling_set(fs).ok:
+        return _finish(report, False)
+    cert = packing.fooling_to_packing(fs)
+    aux, fs2 = packing.packing_to_fooling(cert)
+    report.metric("fooling_size", len(fs.pairs))
+    report.metric("packing_host", cert.host.n)
+    report.metric("roundtrip_size", len(fs2.pairs))
+    return _finish(report, len(fs.pairs) == g.n + 1 and len(fs2.pairs) == len(fs.pairs))
+
+
+@_command("roundtrip", "theorem16-loop", "stubborn")
+def _roundtrip_theorem16_loop(args, report, inst):
     g = inst.graph
     if g.n > 6:
         raise SystemExit("equivalence loop is exhaustive; capped at 6 vertices")
@@ -338,11 +367,7 @@ def cmd_roundtrip(args) -> int:
     report.metric("square_size", len(f2))
     if len(f2) > len(full) ** 2:
         return _finish(report, False)
-    cov3 = csp.separator_to_stubborn_covering(inst, f2)
-    maxsols = csp.all_maximal_stubborn_solutions(inst)
-    missed3 = [s for s in maxsols
-               if not any(csp.stubborn_assignment_compatible(la, s) for la in cov3)]
-    report.metric("maximal_solutions", len(maxsols))
+    missed3 = _uncovered_stubborn(report, inst, csp.separator_to_stubborn_covering(inst, f2))
     report.metric("stubborn_uncovered", len(missed3))
     enc = csp.ccp_of_graph(g)
     cov4 = csp.full_3ccp_covering_via_stubborn(enc, 0, _stubborn_covering_provider(args.seed))
@@ -353,52 +378,44 @@ def cmd_roundtrip(args) -> int:
     fam5 = csp.ccp_covering_to_separator(g, cov4)
     rep = separator.verify_cs_separator(g, fam5)
     report.metric("final_family_size", len(fam5))
-    ok = not missed3 and not missed4 and rep.ok
-    return _finish(report, ok)
+    return _finish(report, not missed3 and not missed4 and rep.ok)
 
 
-# -- bound checks --------------------------------------------------------------------
+@_command("bound-check", "appendix-a")
+def _bound_appendix_a(args, report):
+    res = separator.check_appendix_bound(args.n, args.p)
+    report.metric("omega", res.omega)
+    report.metric("alpha", res.alpha)
+    report.metric("log2_value", res.log2_value)
+    report.metric("value", res.value)
+    report.metric("small_alpha_fallback", res.small_alpha_fallback)
+    report.metric("ok", res.ok)
+    return _finish(report, res.ok)
 
 
-def cmd_bound_check(args) -> int:
-    report = RunReport(f"bound-check {args.kind}")
-    if args.kind == "appendix-a":
-        res = separator.check_appendix_bound(args.n, args.p)
-        report.metric("omega", res.omega)
-        report.metric("alpha", res.alpha)
-        report.metric("log2_value", res.log2_value)
-        report.metric("value", res.value)
-        report.metric("small_alpha_fallback", res.small_alpha_fallback)
-        report.metric("ok", res.ok)
-        return _finish(report, res.ok)
+@_command("bound-check", "haussler-welzl", "hgraph")
+def _bound_haussler_welzl(args, report, h):
+    tau_star, _ = transversal.fractional_transversality(h)
+    greedy = transversal.greedy_transversal(h)
+    cap = args.cap if args.cap is not None else h.n + 1
+    vc = transversal.vc_dimension(h, cap=cap)
+    report.metric("vc_dimension", vc.value)
+    report.metric("vc_exact", vc.exact)
+    report.metric("tau_star", tau_star)
+    report.metric("greedy_tau", len(greedy))
+    if vc.value > 0 and tau_star > 0:
+        bound = 16 * vc.value * float(tau_star) * \
+            max(math.log2(vc.value * float(tau_star)), 1.0)
+        report.metric("hw_bound", bound)
+        report.metric("greedy_within_bound", len(greedy) <= bound)
+    report.set_outcome("advisory")
+    print(report.emit(), end="")
+    return EXIT_PASS
 
-    if args.kind == "haussler-welzl":
-        h = formats.parse_hypergraph(_read(args.hypergraph, report))
-        tau_star, _ = transversal.fractional_transversality(h)
-        greedy = transversal.greedy_transversal(h)
-        cap = args.cap if args.cap is not None else h.n + 1
-        vc = transversal.vc_dimension(h, cap=cap)
-        report.metric("vc_dimension", vc.value)
-        report.metric("vc_exact", vc.exact)
-        report.metric("tau_star", tau_star)
-        report.metric("greedy_tau", len(greedy))
-        if vc.value > 0 and tau_star > 0:
-            bound = 16 * vc.value * float(tau_star) * \
-                max(math.log2(vc.value * float(tau_star)), 1.0)
-            report.metric("hw_bound", bound)
-            report.metric("greedy_within_bound", len(greedy) <= bound)
-        report.set_outcome("advisory")
-        print(report.emit(), end="")
-        return EXIT_PASS
 
-    # label-count
-    g = formats.parse_graph(_read(args.graph, report))
-    cov = formats.parse_covering(_read(args.certificate, report), g)
-    refined = packing.refine_t_covering(g, cov)
-    bound = (2 * len(cov.bicliques)) ** cov.t
-    report.metric("classes", len(refined.partition.bicliques))
-    report.metric("class_bound", bound)
-    return _finish(report, len(refined.partition.bicliques) <= bound)
+@_command("bound-check", "label-count", "graph", "covering")
+def _bound_label_count(args, report, g, cov):
+    return _finish(report, _refine(report, g, cov)[1])
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -410,19 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="build, transform and verify clique/stable-set separation certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate instance graphs")
-    p.add_argument("kind", choices=["gnp", "complete", "cycle", "path", "net",
-                                    "comparability-from-random-poset"])
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("kind", choices=[kind for cmd, kind in COMMANDS if cmd == name])
+        p.add_argument("inputs", nargs="*", metavar="FILE",
+                       help="input files, in the order the kind expects")
+        return p
+
+    p = command("gen", "generate instance graphs")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("build", help="build certificates, verifying before writing")
-    p.add_argument("kind", choices=["random-separator", "split-free", "pk-free",
-                                    "fooling", "star-partition", "quasipoly-covering"])
-    p.add_argument("graph", nargs="?", help="graph file (most builders)")
+    p = command("build", "build certificates, verifying before writing")
     p.add_argument("--instance", help="edge-coloring file (quasipoly-covering)")
     p.add_argument("--n", type=int, default=4, help="size for star-partition")
     p.add_argument("--p", type=float, default=0.5)
@@ -432,95 +450,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5, help="forbidden path length")
     p.add_argument("--tk", type=float, default=0.25, help="linear pair fraction")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("verify", help="verify certificates")
-    p.add_argument("kind", choices=["separator", "packing", "covering-t", "fooling",
-                                    "ccp-covering", "stubborn-covering"])
-    p.add_argument("instance_or_graph")
-    p.add_argument("certificate")
-    p.set_defaults(func=cmd_verify)
+    command("verify", "verify certificates")
 
-    p = sub.add_parser("reduce", help="transform certificates between formulations")
-    p.add_argument("kind", choices=["fooling-to-packing", "packing-to-fooling",
-                                    "pairs-packing", "separator-to-coloring",
-                                    "ccp-to-separator", "separator-to-stubborn",
-                                    "stubborn-to-ccp", "refine-t", "square"])
-    p.add_argument("inputs", nargs="*", help="input files, order per subcommand")
+    p = command("reduce", "transform certificates between formulations")
     p.add_argument("--vertex", type=int, default=0)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("roundtrip", help="equivalence round trips with verification")
-    p.add_argument("kind", choices=["theorem7", "theorem16-loop"])
-    p.add_argument("input")
+    p = command("roundtrip", "equivalence round trips with verification")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("bound-check", help="closed-form and advisory bound checks")
-    p.add_argument("kind", choices=["appendix-a", "haussler-welzl", "label-count"])
-    p.add_argument("inputs", nargs="*")
+    p = command("bound-check", "closed-form and advisory bound checks")
     p.add_argument("--n", type=int, default=10 ** 6)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--cap", type=int, default=None,
                    help="search cap for the shattering dimension")
-    p.set_defaults(func=cmd_bound_check)
 
     return parser
-
-
-def _assign_files(args) -> None:
-    """Map positional input files onto the per-subcommand attribute names."""
-    if args.command == "build":
-        args.instance = args.instance or args.graph
-    elif args.command == "verify":
-        args.graph = args.instance_or_graph
-        args.instance = args.instance_or_graph
-    elif args.command == "reduce":
-        spec = {
-            "fooling-to-packing": ("graph", "certificate"),
-            "packing-to-fooling": ("graph", "certificate"),
-            "pairs-packing": ("graph",),
-            "separator-to-coloring": ("graph", "certificate", "cuts"),
-            "ccp-to-separator": ("graph", "certificate"),
-            "separator-to-stubborn": ("instance", "cuts"),
-            "stubborn-to-ccp": ("instance",),
-            "refine-t": ("graph", "certificate"),
-            "square": ("cuts",),
-        }[args.kind]
-        if len(args.inputs) != len(spec):
-            raise SystemExit(
-                f"reduce {args.kind} expects {len(spec)} input files: {' '.join(spec)}")
-        for name, value in zip(spec, args.inputs):
-            setattr(args, name, value)
-    elif args.command == "roundtrip":
-        args.graph = args.input
-        args.instance = args.input
-    elif args.command == "bound-check":
-        if args.kind == "haussler-welzl":
-            if len(args.inputs) != 1:
-                raise SystemExit("bound-check haussler-welzl expects a hypergraph file")
-            args.hypergraph = args.inputs[0]
-        elif args.kind == "label-count":
-            if len(args.inputs) != 2:
-                raise SystemExit("bound-check label-count expects graph and covering files")
-            args.graph, args.certificate = args.inputs
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # Files may follow options; argparse leaves those after the first
+        # option unmatched, so they join the positional ones here.
+        args, rest = parser.parse_known_args(argv)
+        if any(word.startswith("-") for word in rest):
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    roles, handler = COMMANDS[args.command, args.kind]
+    paths = args.inputs + rest
+    if getattr(args, "instance", None):  # build quasipoly-covering --instance FILE
+        paths.insert(0, args.instance)
+    if len(paths) != len(roles):
+        print(f"{args.command} {args.kind} expects {len(roles)} input files "
+              f"({' '.join(roles) or 'none'}), got {len(paths)}", file=sys.stderr)
+        return EXIT_USAGE
+    report = RunReport(f"{args.command} {args.kind}")
     try:
-        _assign_files(args)
-        return args.func(args)
+        texts = [_read(path, report) for path in paths]
+        inputs = []
+        for role, text in zip(roles, texts):
+            inputs.append(_PARSE[role](text, inputs[0] if inputs else None))
+        return handler(args, report, *inputs)
     except SystemExit as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except (formats.FormatError, ValueError, FileNotFoundError) as exc:
+    except (formats.FormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import (Graph, bits, from_edges, induced, is_split_graph, mask_of,
-                     maximal_cliques, set_of, split_partitions)
+                     maximal_cliques, split_partitions)
 from .rng import SplitMix64
-from .separator import Cut, CutFamily, family_from_masks
+from .separator import CutFamily, family_from_masks
 
 COLOR_NAMES = "ABC"
 PART_NAMES = ("A1", "A2", "A3", "A4")

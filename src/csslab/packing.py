@@ -15,7 +15,7 @@ import numpy as np
 from .graphs import (Graph, bits, complete_graph, from_edges, greedy_coloring,
                      induced, is_clique, is_proper_coloring, is_stable, mask_of,
                      set_of)
-from .separator import Cut, CutFamily, family_from_masks, separates
+from .separator import CutFamily, family_from_masks, separates
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, bits, mask_of, maximal_cliques, maximal_stables, set_of
-from .rng import SplitMix64, bernoulli_threshold
+from .graphs import Graph, mask_of, maximal_cliques, maximal_stables, set_of
+from .rng import TWO64, SplitMix64, bernoulli_threshold
 
 
 class SeparatorBuildError(RuntimeError):
@@ -165,6 +165,9 @@ def build_random_separator(g: Graph, p: float, seed: int,
         return CutFamily(g.n, ())
     rng = SplitMix64(seed)
     threshold = bernoulli_threshold(p)
+    if threshold in (0, TWO64):
+        raise ValueError(f"p={p} makes every candidate cut empty or full, "
+                         "which covers no disjoint pair")
     chosen: list[int] = []
     use_numpy = g.n <= 63 and not _force_python
     if use_numpy:

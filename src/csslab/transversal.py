@@ -18,8 +18,7 @@ from .graphs import (Graph, SplitPartition, bits, complement, contains_induced,
                      find_biclique_pair, induced, is_clique, is_stable, mask_of,
                      path_graph, set_of, split_partitions)
 from .lp import ZERO, LpResult, lp_feasible, solve_lp
-from .separator import Cut, CutFamily, all_cuts_family, disjoint_maximal_pairs, \
-    family_from_masks
+from .separator import CutFamily, disjoint_maximal_pairs, family_from_masks
 
 
 class BicliquePairNotFound(RuntimeError):
@@ -117,11 +116,13 @@ def antisym_game_weights(d: Digraph) -> tuple[Fraction, ...]:
     if w is None:
         raise RuntimeError("antisymmetric game infeasible: implementation bug")
     total = sum(w, ZERO)
-    assert total == 1 and all(v >= 0 for v in w)
+    if not (total == 1 and all(v >= 0 for v in w)):
+        raise RuntimeError("game weights are not a probability vector")
     for x in range(n):
         outw = sum((w[y] for y in bits(d.out[x])), ZERO)
         inw = sum((w[y] for y in bits(d.in_mask(x))), ZERO)
-        assert outw >= inw, "returned weights violate the game inequality"
+        if outw < inw:
+            raise RuntimeError("returned weights violate the game inequality")
     return tuple(w)
 
 
@@ -166,14 +167,16 @@ def side_weights(cd: ConflictDigraph, g: Graph) -> SideWeights:
             raise RuntimeError("neither side admits game weights: implementation bug")
         side, ids, opp = "S", ss, ks
     weights = dict(zip(ids, w))
-    assert sum(weights.values()) == 2 and all(v >= 0 for v in weights.values())
+    if not (sum(weights.values()) == 2 and all(v >= 0 for v in weights.values())):
+        raise RuntimeError("side weights do not sum to 2 or are negative")
     chosen = frozenset(ids)
     for x in opp:
         if side == "K":
             outw = sum((weights[v] for v in ids if not g.has_edge(x, v)), ZERO)
         else:
             outw = sum((weights[v] for v in ids if g.has_edge(x, v)), ZERO)
-        assert outw >= 1, f"out-weight below 1 at vertex {x} against side {sorted(chosen)}"
+        if outw < 1:
+            raise RuntimeError(f"out-weight below 1 at vertex {x} against side {sorted(chosen)}")
     return SideWeights(side, weights)
 
 
@@ -236,7 +239,8 @@ def fractional_transversality(h: Hypergraph) -> tuple[Fraction, tuple[Fraction, 
         a_ub.append(row)
     res: LpResult = solve_lp([Fraction(1)] * h.n, a_ub=a_ub,
                              b_ub=[Fraction(-1)] * len(h.edges))
-    assert res.status == "optimal"
+    if res.status != "optimal":
+        raise RuntimeError(f"fractional transversal LP is {res.status}, not optimal")
     return res.value, res.x
 
 
@@ -455,5 +459,6 @@ def build_pk_free_separator(g: Graph, k: int, t_k: float,
     masks = rec(g, tuple(range(g.n)))
     family = family_from_masks(g.n, masks)
     c = path_free_constant(t_k)
-    assert len(family) <= g.n ** c + base_budget[0]
+    if len(family) > g.n ** c + base_budget[0]:
+        raise RuntimeError("path-free separator exceeds its size bound")
     return family

@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from csslab import csp, formats, graphs, packing, separator
-from csslab.cli import build_parser, main
+from csslab.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("cli_transcript.json")
 
@@ -125,16 +125,8 @@ def test_transcript_matches_golden(tmp_path, capsys, monkeypatch):
         assert transcript[case] == expected, case
 
 
-def _cli_pairs() -> set[tuple[str, str]]:
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    return {(command, kind)
-            for command, p in sub.choices.items()
-            for a in p._actions if a.dest == "kind"
-            for kind in a.choices}
-
-
 def test_transcript_covers_every_pair():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     pairs = {tuple(case.split()[:2]) for case in golden}
     assert len(pairs) == len(golden) == 32
-    assert pairs == _cli_pairs()
+    assert pairs == set(COMMANDS)

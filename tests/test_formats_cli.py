@@ -345,3 +345,46 @@ def test_cli_reduce_tour(tmp_path, capsys):
     assert run_cli(tmp_path, "verify", "separator", comp, sf) == 0
 
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "quasipoly-covering"],                       # missing instance
+    ["verify", "separator", "{g}"],                        # missing certificate
+    ["verify", "separator", "{dir}", "{g}"],               # directory as input
+    ["build", "split-free", "{g}", "--pattern", "{dir}"],  # directory as pattern
+    ["verify", "separator", "{g}", "{dir}/absent.txt"],    # no such file
+    ["bound-check", "appendix-a", "{g}"],                  # extra input
+    ["build", "star-partition", "{g}"],                    # extra input
+    ["build", "random-separator", "{g}", "--p", "0", "--max-rounds", "10"],
+    ["build", "random-separator", "{g}", "--p", "1", "--max-rounds", "10"],
+])
+def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
+    g = tmp_path / "g.txt"
+    g.write_text(emit_graph(gen_gnp(8, 0.5, 3)))
+    assert main([a.format(g=g, dir=tmp_path) for a in argv]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_instance_positional_or_option(tmp_path, capsys):
+    ccp = tmp_path / "inst.txt"
+    ccp.write_text(emit_ccp(random_ccp_instance(5, 77)))
+    outputs = []
+    for argv in (["build", "quasipoly-covering", ccp],
+                 ["build", "quasipoly-covering", "--instance", ccp]):
+        assert run_cli(tmp_path, *argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].out.startswith("lists")
+    # both forms at once give two instances for one role
+    assert run_cli(tmp_path, "build", "quasipoly-covering", ccp, "--instance", ccp) == 2
+
+
+def test_cli_files_may_follow_options(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    run_cli(tmp_path, "gen", "cycle", "--n", 5, "--out", g)
+    capsys.readouterr()
+    assert run_cli(tmp_path, "roundtrip", "theorem7", g, "--seed", 2) == 0
+    after = capsys.readouterr()
+    assert run_cli(tmp_path, "roundtrip", "theorem7", "--seed", 2, g) == 0
+    assert capsys.readouterr() == after
+    assert run_cli(tmp_path, "roundtrip", "theorem7", "--seed", 2, g, "--bogus") == 2

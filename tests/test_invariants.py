@@ -1,7 +1,11 @@
 """Cross-module invariants that do not belong to a single operation."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
+
+import csslab
 
 from csslab.csp import _MAIN_TABLE, _REFINE_TABLE
 from csslab.graphs import (complement, comparability_from_random_poset,
@@ -130,3 +134,12 @@ def test_run_report_deterministic():
 
     assert build() == build()
     assert build().splitlines()[0] == "command verify separator"
+
+
+def test_library_checks_survive_optimize():
+    """``python -O`` strips ``assert``, so no library check may be one."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(csslab.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -142,6 +142,16 @@ def test_random_separator_bit_identical_and_paths_agree():
     assert a == b == c
 
 
+def test_random_separator_rejects_degenerate_p():
+    # every candidate cut is then empty or full, which covers no pair, so the
+    # build must fail at once rather than run to its round cap
+    g = gen_gnp(8, 0.5, 3)
+    for p in (0.0, 1e-30, 1.0):
+        with pytest.raises(ValueError, match="covers no disjoint pair"):
+            build_random_separator(g, p, seed=1, max_rounds=10)
+    assert len(build_random_separator(complete_graph(4), 0.0, seed=1)) == 0
+
+
 def test_random_separator_round_cap_reported():
     g = cycle_graph(5)
     with pytest.raises(SeparatorBuildError) as exc:
