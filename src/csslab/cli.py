@@ -105,7 +105,8 @@ def _write_separator(args, report: RunReport, g, fam) -> int:
 
 
 def _uncovered_stubborn(report: RunReport, inst, covering) -> list:
-    """Maximal solutions of ``inst`` that no assignment of ``covering`` allows."""
+    """Report the number of maximal solutions of ``inst``; return those that
+    no assignment of ``covering`` allows."""
     maxsols = csp.all_maximal_stubborn_solutions(inst)
     report.metric("maximal_solutions", len(maxsols))
     return [s for s in maxsols
