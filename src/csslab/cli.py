@@ -56,7 +56,11 @@ def _command(command: str, kind: str, *roles: str):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(DEFAULT_SEED_ENV, "1"))
+    value = os.environ.get(DEFAULT_SEED_ENV, "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{DEFAULT_SEED_ENV} must be an integer, got {value!r}") from None
 
 
 def _read(path: str, report: RunReport) -> str:
@@ -472,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
+        parser = build_parser()
         # Files may follow options; argparse leaves those after the first
         # option unmatched, so they join the positional ones here.
         args, rest = parser.parse_known_args(argv)
@@ -481,6 +485,9 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    except ValueError as exc:  # from _default_seed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     roles, handler = COMMANDS[args.command, args.kind]
     paths = args.inputs + rest
     if getattr(args, "instance", None):  # build quasipoly-covering --instance FILE

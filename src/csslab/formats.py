@@ -58,9 +58,20 @@ def _header(line: str, lineno: int, keyword: str, argc: int) -> list[int]:
     if len(parts) != argc + 1:
         raise FormatError(f"{keyword} header takes {argc} integers", lineno)
     try:
-        return [int(p) for p in parts[1:]]
+        values = [int(p) for p in parts[1:]]
     except ValueError:
         raise FormatError(f"non-integer in {keyword} header", lineno)
+    if min(values) < 0:
+        raise FormatError(f"negative value in {keyword} header", lineno)
+    return values
+
+
+def _reject_rows_past(rows, end: int) -> None:
+    """Rows from index ``end`` on lie past the count the header declares:
+    reject the first that is not blank."""
+    for i in range(end, len(rows)):
+        if rows[i].strip():
+            raise FormatError("row past the count the header declares", i + 1)
 
 
 # -- graphs -------------------------------------------------------------------
@@ -128,6 +139,7 @@ def parse_cut_family(text: str) -> CutFamily:
             raise FormatError("duplicate cut", lineno)
         seen.add(mask)
         cuts.append(Cut(n, mask))
+    _reject_rows_past(rows, m + 1)
     return CutFamily(n, cuts)
 
 
@@ -152,29 +164,45 @@ def parse_hypergraph(text: str):
     edges = []
     for i in range(m):
         edges.append(frozenset(_ints(rows[i + 1].split(), n, i + 2)))
+    _reject_rows_past(rows, m + 1)
     return Hypergraph(n, edges)
 
 
-# -- packings and coverings --------------------------------------------------------
+# -- packings, coverings and fooling sets -------------------------------------------
 
 
-def _emit_side(tag: str, members) -> str:
-    body = " ".join(str(v) for v in sorted(members))
-    return f"{tag}: {body}".rstrip()
+def _emit_blocks(header: str, blocks, tags: str) -> str:
+    """``header``, then per (first, second) block one ``<tags[0]>: ...``
+    line and one ``<tags[1]>: ...`` line of sorted members."""
+    lines = [header]
+    for block in blocks:
+        for tag, members in zip(tags, block):
+            lines.append(f"{tag}: {' '.join(str(v) for v in sorted(members))}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
-def _parse_side(row: str, tag: str, n: int, lineno: int) -> frozenset:
-    if not row.startswith(f"{tag}:"):
-        raise FormatError(f"expected a '{tag}:' line", lineno)
-    return frozenset(_ints(row[len(tag) + 1:].split(), n, lineno))
+def _parse_blocks(rows, n: int, k: int, host: Graph, tags: str,
+                  noun: str) -> list[tuple[frozenset, frozenset]]:
+    """The ``k`` (first, second) blocks of ``_emit_blocks`` output whose
+    header, ``rows[0]``, declared ``n`` vertices; ``noun`` names the file's
+    certificate in errors."""
+    if n != host.n:
+        raise FormatError(f"{noun} is for {n} vertices, host has {host.n}", 1)
+    if len(rows) < 1 + 2 * k:
+        raise FormatError(f"expected {2 * k} side lines", len(rows))
+    sides = []
+    for lineno in range(2, 2 + 2 * k):
+        tag, row = tags[lineno % 2], rows[lineno - 1]
+        if not row.startswith(f"{tag}:"):
+            raise FormatError(f"expected a '{tag}:' line", lineno)
+        sides.append(frozenset(_ints(row[len(tag) + 1:].split(), n, lineno)))
+    _reject_rows_past(rows, 1 + 2 * k)
+    return list(zip(sides[::2], sides[1::2]))
 
 
 def emit_packing(cert: PackingCertificate) -> str:
-    lines = [f"packing {cert.host.n} {len(cert.bicliques)}"]
-    for bc in cert.bicliques:
-        lines.append(_emit_side("A", bc.a_side))
-        lines.append(_emit_side("B", bc.b_side))
-    return "\n".join(lines) + "\n"
+    return _emit_blocks(f"packing {cert.host.n} {len(cert.bicliques)}",
+                        ((bc.a_side, bc.b_side) for bc in cert.bicliques), "AB")
 
 
 def parse_packing(text: str, host: Graph) -> PackingCertificate:
@@ -182,24 +210,13 @@ def parse_packing(text: str, host: Graph) -> PackingCertificate:
     if not rows:
         raise FormatError("empty packing file")
     n, k = _header(rows[0], 1, "packing", 2)
-    if n != host.n:
-        raise FormatError(f"certificate is for {n} vertices, host has {host.n}", 1)
-    if len(rows) < 1 + 2 * k:
-        raise FormatError(f"expected {2 * k} side lines", len(rows))
-    bicliques = []
-    for i in range(k):
-        a = _parse_side(rows[1 + 2 * i], "A", n, 2 + 2 * i)
-        b = _parse_side(rows[2 + 2 * i], "B", n, 3 + 2 * i)
-        bicliques.append(OrientedBiclique(a, b))
-    return PackingCertificate(host, tuple(bicliques))
+    blocks = _parse_blocks(rows, n, k, host, "AB", "certificate")
+    return PackingCertificate(host, tuple(OrientedBiclique(a, b) for a, b in blocks))
 
 
 def emit_covering(cov: BicliqueCovering) -> str:
-    lines = [f"covering {cov.host.n} {len(cov.bicliques)} t {cov.t}"]
-    for left, right in cov.bicliques:
-        lines.append(_emit_side("A", left))
-        lines.append(_emit_side("B", right))
-    return "\n".join(lines) + "\n"
+    return _emit_blocks(f"covering {cov.host.n} {len(cov.bicliques)} t {cov.t}",
+                        cov.bicliques, "AB")
 
 
 def parse_covering(text: str, host: Graph) -> BicliqueCovering:
@@ -213,24 +230,14 @@ def parse_covering(text: str, host: Graph) -> BicliqueCovering:
         n, k, t = int(parts[1]), int(parts[2]), int(parts[4])
     except ValueError:
         raise FormatError("non-integer in covering header", 1)
-    if n != host.n:
-        raise FormatError(f"covering is for {n} vertices, host has {host.n}", 1)
-    if len(rows) < 1 + 2 * k:
-        raise FormatError(f"expected {2 * k} side lines", len(rows))
-    bicliques = []
-    for i in range(k):
-        left = _parse_side(rows[1 + 2 * i], "A", n, 2 + 2 * i)
-        right = _parse_side(rows[2 + 2 * i], "B", n, 3 + 2 * i)
-        bicliques.append((left, right))
-    return BicliqueCovering(host, tuple(bicliques), t)
+    if k < 0:
+        raise FormatError("negative value in covering header", 1)
+    blocks = _parse_blocks(rows, n, k, host, "AB", "covering")
+    return BicliqueCovering(host, tuple(blocks), t)
 
 
 def emit_fooling(fs: FoolingSet) -> str:
-    lines = [f"fooling {fs.host.n} {len(fs.pairs)}"]
-    for k, s in fs.pairs:
-        lines.append(_emit_side("K", k))
-        lines.append(_emit_side("S", s))
-    return "\n".join(lines) + "\n"
+    return _emit_blocks(f"fooling {fs.host.n} {len(fs.pairs)}", fs.pairs, "KS")
 
 
 def parse_fooling(text: str, host: Graph) -> FoolingSet:
@@ -238,16 +245,7 @@ def parse_fooling(text: str, host: Graph) -> FoolingSet:
     if not rows:
         raise FormatError("empty fooling-set file")
     n, m = _header(rows[0], 1, "fooling", 2)
-    if n != host.n:
-        raise FormatError(f"fooling set is for {n} vertices, host has {host.n}", 1)
-    if len(rows) < 1 + 2 * m:
-        raise FormatError(f"expected {2 * m} pair lines", len(rows))
-    pairs = []
-    for i in range(m):
-        k = _parse_side(rows[1 + 2 * i], "K", n, 2 + 2 * i)
-        s = _parse_side(rows[2 + 2 * i], "S", n, 3 + 2 * i)
-        pairs.append((k, s))
-    return FoolingSet(host, tuple(pairs))
+    return FoolingSet(host, tuple(_parse_blocks(rows, n, m, host, "KS", "fooling set")))
 
 
 # -- edge colorings and list assignments ---------------------------------------------
@@ -387,7 +385,8 @@ def parse_stubborn(text: str) -> StubbornInstance:
         seen.add((u, v))
         edges.append((u, v))
         pos += 1
-    lists, _ = _parse_lists(rows, pos, _STUBBORN_TOKENS)
+    lists, end = _parse_lists(rows, pos, _STUBBORN_TOKENS)
+    _reject_rows_past(rows, end)
     if len(lists) != n:
         raise FormatError("list section size disagrees with the header")
     return StubbornInstance(from_edges(n, edges), lists)

@@ -53,19 +53,28 @@ class VerifyResult:
 # -- verifiers ----------------------------------------------------------------
 
 
+def _first_bad_biclique(g: Graph, sides) -> VerifyResult | None:
+    """The first (left, right) in ``sides`` whose sides meet, or that misses
+    an edge between them; None when every one is a biclique of ``g``."""
+    for i, (left, right) in enumerate(sides):
+        lm, rm = mask_of(left), mask_of(right)
+        if lm & rm:
+            return VerifyResult(False, "sides-intersect", (i,))
+        for a in sorted(left):
+            missing = rm & ~g.adj[a]
+            if missing:
+                return VerifyResult(False, "incomplete-biclique",
+                                    (i, a, next(bits(missing))))
+    return None
+
+
 def verify_packing(cert: PackingCertificate) -> VerifyResult:
     """Check completeness of every oriented biclique, coverage of every edge
     in at least one direction, and that no ordered pair is covered twice."""
     g = cert.host
-    for i, bc in enumerate(cert.bicliques):
-        am, bm = mask_of(bc.a_side), mask_of(bc.b_side)
-        if am & bm:
-            return VerifyResult(False, "sides-intersect", (i,))
-        for a in sorted(bc.a_side):
-            missing = bm & ~g.adj[a]
-            if missing:
-                b = next(bits(missing))
-                return VerifyResult(False, "incomplete-biclique", (i, a, b))
+    bad = _first_bad_biclique(g, ((bc.a_side, bc.b_side) for bc in cert.bicliques))
+    if bad is not None:
+        return bad
     cover_out = [0] * g.n
     seen_dup = None
     for bc in cert.bicliques:
@@ -90,15 +99,9 @@ def verify_covering(cov: BicliqueCovering) -> VerifyResult:
     g = cov.host
     if cov.t < 1:
         return VerifyResult(False, "bad-multiplicity-cap", (cov.t,))
-    for i, (left, right) in enumerate(cov.bicliques):
-        lm, rm = mask_of(left), mask_of(right)
-        if lm & rm:
-            return VerifyResult(False, "sides-intersect", (i,))
-        for a in sorted(left):
-            missing = rm & ~g.adj[a]
-            if missing:
-                return VerifyResult(False, "incomplete-biclique",
-                                    (i, a, next(bits(missing))))
+    bad = _first_bad_biclique(g, cov.bicliques)
+    if bad is not None:
+        return bad
     counts: dict[tuple[int, int], int] = {}
     for left, right in cov.bicliques:
         for a in left:
@@ -155,6 +158,19 @@ def build_fooling_set(g: Graph) -> FoolingSet:
     return FoolingSet(g, tuple(pairs))
 
 
+def _vertex_bicliques(n: int, pairs) -> tuple[OrientedBiclique, ...]:
+    """For each vertex x < n with both sides nonempty, the oriented biclique
+    (indices of pairs whose clique holds x, indices of pairs whose stable
+    set holds x)."""
+    bicliques = []
+    for x in range(n):
+        a = frozenset(i for i, (k, _) in enumerate(pairs) if x in k)
+        b = frozenset(i for i, (_, s) in enumerate(pairs) if x in s)
+        if a and b:
+            bicliques.append(OrientedBiclique(a, b))
+    return tuple(bicliques)
+
+
 def fooling_to_packing(fs: FoolingSet) -> PackingCertificate:
     """Oriented packing of the complete graph on the fooling pairs: vertex x
     contributes the biclique (pairs whose clique holds x, pairs whose stable
@@ -162,15 +178,8 @@ def fooling_to_packing(fs: FoolingSet) -> PackingCertificate:
     check = verify_fooling_set(fs)
     if not check.ok:
         raise ValueError(f"input fooling set invalid: {check.violation} {check.detail}")
-    m = len(fs.pairs)
-    host = complete_graph(m)
-    bicliques = []
-    for x in range(fs.host.n):
-        a = frozenset(i for i, (k, _) in enumerate(fs.pairs) if x in k)
-        b = frozenset(i for i, (_, s) in enumerate(fs.pairs) if x in s)
-        if a and b:
-            bicliques.append(OrientedBiclique(a, b))
-    cert = PackingCertificate(host, tuple(bicliques))
+    cert = PackingCertificate(complete_graph(len(fs.pairs)),
+                              _vertex_bicliques(fs.host.n, fs.pairs))
     out = verify_packing(cert)
     if not out.ok:
         raise RuntimeError(f"constructed packing invalid: {out.violation} {out.detail}")
@@ -248,49 +257,56 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _unoriented_bicliques(g: Graph):
-    """All complete-bipartite edge sets as (left_mask, right_mask, edge_mask),
-    with edges indexed lexicographically.  Left side holds the lowest vertex."""
-    edges = g.edges()
-    eidx = {e: i for i, e in enumerate(edges)}
-    out = []
+def _min_biclique_cover(g: Graph, t: int, oriented: bool, cap: int) -> int:
+    """Least k such that k complete bipartite subgraphs of ``g`` cover every
+    edge at least once and at most ``t`` times; with ``oriented`` each one
+    carries an orientation and no arc (ordered edge) may be used twice.
+
+    Each nonempty L is paired with every nonempty subset R of its common
+    neighbourhood, so every complete (L, R) is listed once, within 3^n
+    steps; unoriented, R lies above the lowest vertex of L.  The search
+    branches on the lowest uncovered edge, with edges indexed
+    lexicographically, and ``layers[j]`` holds the edges covered more than
+    j times.  Raises CapExceeded when the minimum is larger than ``cap``."""
     n = g.n
-    seen = set()
-
-    def complete_between(lm, rm):
+    eidx = {e: i for i, e in enumerate(g.edges())}
+    full = (1 << len(eidx)) - 1
+    bicliques = []
+    for lm in range(1, 1 << n):
+        common = g.full_mask
         for a in bits(lm):
-            if rm & ~g.adj[a]:
-                return False
-        return True
+            common &= g.adj[a]
+        if not oriented:
+            common &= -(lm & -lm)
+        rm = common
+        while rm:
+            em = arcs = 0
+            for x in bits(lm):
+                for y in bits(rm):
+                    em |= 1 << eidx[min(x, y), max(x, y)]
+                    arcs |= 1 << (x * n + y)
+            bicliques.append((em, arcs if oriented else 0))
+            rm = (rm - 1) & common
 
-    verts = list(range(n))
-    # enumerate disjoint nonempty (L, R) with min(L|R) in L
-    for assignment in range(3 ** n):
-        lm = rm = 0
-        a = assignment
-        for v in verts:
-            r = a % 3
-            a //= 3
-            if r == 1:
-                lm |= 1 << v
-            elif r == 2:
-                rm |= 1 << v
-        if not lm or not rm:
-            continue
-        low = ((lm | rm) & -(lm | rm))
-        if not lm & low:
-            continue
-        if (lm, rm) in seen:
-            continue
-        seen.add((lm, rm))
-        if not complete_between(lm, rm):
-            continue
-        em = 0
-        for x in bits(lm):
-            for y in bits(rm):
-                em |= 1 << eidx[(min(x, y), max(x, y))]
-        out.append((lm, rm, em))
-    return edges, out
+    def search(budget: int, layers: tuple, used_arcs: int) -> bool:
+        uncovered = full & ~layers[0]
+        if not uncovered:
+            return True
+        if budget == 0:
+            return False
+        low = uncovered & -uncovered
+        for em, arcs in bicliques:
+            if em & low and not em & layers[-1] and not arcs & used_arcs:
+                grown = (layers[0] | em,) + tuple(
+                    layers[j] | layers[j - 1] & em for j in range(1, t))
+                if search(budget - 1, grown, used_arcs | arcs):
+                    return True
+        return False
+
+    for k in range(cap + 1):
+        if search(k, (0,) * t, 0):
+            return k
+    raise CapExceeded(cap)
 
 
 def min_bp_bruteforce(g: Graph, cap: int) -> int:
@@ -299,25 +315,7 @@ def min_bp_bruteforce(g: Graph, cap: int) -> int:
     the minimum is larger than ``cap``."""
     if g.n > 6:
         raise ValueError("brute-force packing number capped at 6 vertices")
-    edges, bicliques = _unoriented_bicliques(g)
-    all_mask = (1 << len(edges)) - 1
-
-    def covers_exactly(budget: int, remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        if budget == 0:
-            return False
-        low = remaining & -remaining
-        for _, _, em in bicliques:
-            if em & low and em & ~remaining == 0:
-                if covers_exactly(budget - 1, remaining & ~em):
-                    return True
-        return False
-
-    for k in range(cap + 1):
-        if covers_exactly(k, all_mask):
-            return k
-    raise CapExceeded(cap)
+    return _min_biclique_cover(g, 1, False, cap)
 
 
 def min_bpt_bruteforce(g: Graph, t: int, cap: int) -> int:
@@ -327,70 +325,14 @@ def min_bpt_bruteforce(g: Graph, t: int, cap: int) -> int:
         raise ValueError("brute-force covering number capped at 6 vertices")
     if t < 1:
         raise ValueError("multiplicity cap must be positive")
-    edges, bicliques = _unoriented_bicliques(g)
-    ne = len(edges)
-    if ne == 0:
-        return 0
-
-    def search(budget: int, counts: tuple) -> bool:
-        low = next((i for i in range(ne) if counts[i] == 0), None)
-        if low is None:
-            return True
-        if budget == 0:
-            return False
-        for _, _, em in bicliques:
-            if not em >> low & 1:
-                continue
-            nc = list(counts)
-            ok = True
-            for e in bits(em):
-                nc[e] += 1
-                if nc[e] > t:
-                    ok = False
-                    break
-            if ok and search(budget - 1, tuple(nc)):
-                return True
-        return False
-
-    for k in range(cap + 1):
-        if search(k, (0,) * ne):
-            return k
-    raise CapExceeded(cap)
+    return _min_biclique_cover(g, t, False, cap)
 
 
 def min_bpor_bruteforce(g: Graph, cap: int) -> int:
     """Exact minimum size of an oriented packing certificate; n <= 6 only."""
     if g.n > 6:
         raise ValueError("brute-force oriented packing capped at 6 vertices")
-    edges, bicliques = _unoriented_bicliques(g)
-    eidx = {e: i for i, e in enumerate(edges)}
-    all_mask = (1 << len(edges)) - 1
-    n = g.n
-    oriented = []
-    for lm, rm, em in bicliques:
-        for am, bm in ((lm, rm), (rm, lm)):
-            arcs = 0
-            for x in bits(am):
-                for y in bits(bm):
-                    arcs |= 1 << (x * n + y)
-            oriented.append((am, bm, em, arcs))
-
-    def search(budget: int, uncovered: int, used_arcs: int) -> bool:
-        if uncovered == 0:
-            return True
-        if budget == 0:
-            return False
-        low = uncovered & -uncovered
-        for _, _, em, arcs in oriented:
-            if em & low and not arcs & used_arcs:
-                if search(budget - 1, uncovered & ~em, used_arcs | arcs):
-                    return True
-        return False
-
-    for k in range(cap + 1):
-        if search(k, all_mask, 0):
-            return k
-    raise CapExceeded(cap)
+    return _min_biclique_cover(g, 2, True, cap)
 
 
 # -- separators <-> colorings --------------------------------------------------
@@ -444,13 +386,7 @@ def pairs_packing(g: Graph) -> tuple[Graph, list[tuple[frozenset, frozenset]],
     edges = [(i, j) for i, j in zip(*np.nonzero(np.triu(adjm)))]
     aux = from_edges(len(pairs), [(int(i), int(j)) for i, j in edges],
                      validate_input=False)
-    bicliques = []
-    for x in range(g.n):
-        a = frozenset(i for i, (k, _) in enumerate(pairs) if x in k)
-        b = frozenset(i for i, (_, s) in enumerate(pairs) if x in s)
-        if a and b:
-            bicliques.append(OrientedBiclique(a, b))
-    cert = PackingCertificate(aux, tuple(bicliques))
+    cert = PackingCertificate(aux, _vertex_bicliques(g.n, pairs))
     out = verify_packing(cert)
     if not out.ok:
         raise RuntimeError(f"pair packing invalid: {out.violation} {out.detail}")

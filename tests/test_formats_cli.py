@@ -7,7 +7,8 @@ from csslab import fixture_text
 from csslab.cli import main
 from csslab.csp import (CcpInstance, StubbornInstance, random_ccp_instance,
                         trivial_stubborn)
-from csslab.graphs import cycle_graph, from_edges, gen_gnp, net_graph
+from csslab.graphs import (complete_graph, cycle_graph, from_edges, gen_gnp,
+                           net_graph)
 from csslab.packing import (BicliqueCovering, FoolingSet, build_fooling_set,
                             star_partition, star_partition_covering,
                             verify_packing)
@@ -81,6 +82,40 @@ def test_packing_and_fooling_roundtrip():
     assert emit_packing(back) == text
     with pytest.raises(FormatError, match="host"):
         parse_packing(text, cycle_graph(4))
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_cut_family, "cuts 4 1\n0 1\n"),
+    (parse_hypergraph, "hgraph 4 1\n0 1\n"),
+    (lambda text: parse_packing(text, cycle_graph(4)), "packing 4 1\nA: 0\nB: 1\n"),
+    (lambda text: parse_covering(text, cycle_graph(4)), "covering 4 1 t 2\nA: 0\nB: 1\n"),
+    (lambda text: parse_fooling(text, cycle_graph(4)), "fooling 4 1\nK: 0\nS: 2\n"),
+    (parse_stubborn, "stubborn 2\ne 0 1\nlists 2\nA1\nA2 A3\n"),
+], ids=["cuts", "hgraph", "packing", "covering", "fooling", "stubborn"])
+def test_rows_past_declared_count_rejected(parse, text):
+    parse(text + "\n  \n")  # blank rows past the count stay legal
+    junk_line = len(text.splitlines()) + 3
+    with pytest.raises(FormatError, match=f"^line {junk_line}: row past"):
+        parse(text + "\n  \nK: junk\n")
+
+
+def test_cli_rejects_rows_past_declared_count(tmp_path, capsys):
+    k4 = tmp_path / "k4.txt"
+    k4.write_text(emit_graph(complete_graph(4)))
+    fooling = tmp_path / "f.txt"
+    fooling.write_text("fooling 4 1\nK: 0\nS:\n")
+    assert run_cli(tmp_path, "verify", "fooling", k4, fooling) == 0
+    fooling.write_text("fooling 4 1\nK: 0\nS:\nK: junk\n")
+    assert run_cli(tmp_path, "verify", "fooling", k4, fooling) == 2
+    assert "line 4: row past" in capsys.readouterr().err
+
+
+def test_negative_header_counts_rejected():
+    for parse, text in ((parse_cut_family, "cuts 3 -1\n"),
+                        (lambda t: parse_packing(t, cycle_graph(3)), "packing 3 -1\n"),
+                        (lambda t: parse_covering(t, cycle_graph(3)), "covering 3 -1 t 1\n")):
+        with pytest.raises(FormatError, match="^line 1: negative"):
+            parse(text)
 
 
 def test_covering_roundtrip():
@@ -357,8 +392,13 @@ def test_cli_reduce_tour(tmp_path, capsys):
     ["build", "star-partition", "{g}"],                    # extra input
     ["build", "random-separator", "{g}", "--p", "0", "--max-rounds", "10"],
     ["build", "random-separator", "{g}", "--p", "1", "--max-rounds", "10"],
+    ["CSSLAB_SEED=abc", "gen", "net"],                     # non-integer seed variable
 ])
-def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
+def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
+    if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     g = tmp_path / "g.txt"
     g.write_text(emit_graph(gen_gnp(8, 0.5, 3)))
     assert main([a.format(g=g, dir=tmp_path) for a in argv]) == 2
