@@ -4,7 +4,16 @@ The generator is SplitMix64 (Steele/Lea/Flood), fixed here by name and
 constants so that runs replicate bit-for-bit across platforms and can be
 reimplemented in any language.  State update adds the golden-gamma constant;
 the output mix is the standard two-multiply finalizer.
+
+SplitMix64 is counter-based: the k-th state after seed s is s + k*gamma
+mod 2^64, so ``bernoulli_mask`` makes any number of draws in one vectorised
+pass with the same values, in the same order, as that many ``next_u64``
+calls.  A greedy round of the random separator builder draws its 32*n bits
+with one ``bernoulli_mask(32*n)`` call, candidate-major and vertex-minor:
+candidate i is bits i*n .. i*n+n-1.
 """
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -51,8 +60,18 @@ class SplitMix64:
         Consumes exactly n draws in vertex order; callers document their
         consumption order in terms of this primitive.
         """
-        mask = 0
-        for v in range(n):
-            if self.next_u64() < threshold:
-                mask |= 1 << v
-        return mask
+        start = self._state
+        self._state = (start + n * _GAMMA) & MASK64
+        if threshold <= 0:
+            return 0
+        if threshold >= TWO64:  # does not fit a uint64, and every draw is below it
+            return (1 << n) - 1
+        # uint64 arrays wrap silently, which is the mod 2^64 wanted here
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(start)
+        z ^= z >> 30
+        z *= _MIX1
+        z ^= z >> 27
+        z *= _MIX2
+        z ^= z >> 31
+        bits = np.packbits(z < threshold, bitorder="little")
+        return int.from_bytes(bits.tobytes(), "little")

@@ -141,10 +141,15 @@ def extend_to_full_separator(g: Graph, family: CutFamily) -> CutFamily:
     return family_from_masks(g.n, masks)
 
 
+def _words(masks, w: int) -> np.ndarray:
+    """Masks as rows of ``w`` uint64 words; word j holds bits 64j..64j+63."""
+    buf = b"".join(m.to_bytes(8 * w, "little") for m in masks)
+    return np.frombuffer(buf, dtype="<u8").reshape(-1, w)
+
+
 def build_random_separator(g: Graph, p: float, seed: int,
                            max_rounds: int | None = None, *,
-                           stats_out: dict | None = None,
-                           _force_python: bool = False) -> CutFamily:
+                           stats_out: dict | None = None) -> CutFamily:
     """Greedy random-cut construction.
 
     Each round draws 32 candidate bipartitions (vertex joins side A with
@@ -152,11 +157,16 @@ def build_random_separator(g: Graph, p: float, seed: int,
     maximal pairs, and drops the pairs it covers.  Rounds that cover nothing
     add no cut.  The default round cap is 2 n^7.  When ``stats_out`` is given
     it receives the round count, the cap and the initial pair count.
+
+    A round makes one ``bernoulli_mask(32 n)`` draw; candidate i is its bits
+    i n .. i n + n - 1 (candidate-major, vertex-minor).
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if max_rounds is not None and max_rounds < 0:
+        raise ValueError("max_rounds must be nonnegative")
     pairs = disjoint_maximal_pairs(g)
     cap = 2 * g.n ** 7 if max_rounds is None else max_rounds
     if stats_out is not None:
@@ -168,49 +178,34 @@ def build_random_separator(g: Graph, p: float, seed: int,
     if threshold in (0, TWO64):
         raise ValueError(f"p={p} makes every candidate cut empty or full, "
                          "which covers no disjoint pair")
+    n = g.n
+    full = (1 << n) - 1
+    w = (n + 63) // 64
+    k_words = _words((k for k, _ in pairs), w)
+    s_words = _words((s for _, s in pairs), w)
     chosen: list[int] = []
-    use_numpy = g.n <= 63 and not _force_python
-    if use_numpy:
-        k_arr = np.array([k for k, _ in pairs], dtype=np.uint64)
-        s_arr = np.array([s for _, s in pairs], dtype=np.uint64)
     rounds = 0
-    while rounds < cap:
-        if use_numpy:
-            if k_arr.size == 0:
-                break
-        elif not pairs:
-            break
+    while len(k_words) and rounds < cap:
         rounds += 1
-        cands = [rng.bernoulli_mask(g.n, threshold) for _ in range(32)]
-        if use_numpy:
-            c_arr = np.array(cands, dtype=np.uint64)
-            covered = ((k_arr[None, :] & ~c_arr[:, None]) == 0) \
-                & ((s_arr[None, :] & c_arr[:, None]) == 0)
-            counts = covered.sum(axis=1)
-            best = int(counts.argmax())
-            if counts[best] == 0:
-                continue
-            chosen.append(cands[best])
-            keep = ~covered[best]
-            k_arr = k_arr[keep]
-            s_arr = s_arr[keep]
-        else:
-            best, best_covered = -1, None
-            for i, a in enumerate(cands):
-                cov = [j for j, (k, s) in enumerate(pairs)
-                       if k & ~a == 0 and s & a == 0]
-                if best_covered is None or len(cov) > len(best_covered):
-                    best, best_covered = i, cov
-            if not best_covered:
-                continue
-            chosen.append(cands[best])
-            drop = set(best_covered)
-            pairs = [pr for j, pr in enumerate(pairs) if j not in drop]
+        draw = rng.bernoulli_mask(32 * n, threshold)
+        cands = [(draw >> (i * n)) & full for i in range(32)]
+        c_words = _words(cands, w)
+        covered = np.ones((32, len(k_words)), dtype=bool)
+        for j in range(w):
+            covered &= (k_words[:, j] & ~c_words[:, j, None]) == 0
+            covered &= (s_words[:, j] & c_words[:, j, None]) == 0
+        counts = covered.sum(axis=1)
+        best = int(counts.argmax())
+        if counts[best] == 0:
+            continue
+        chosen.append(cands[best])
+        keep = ~covered[best]
+        k_words = k_words[keep]
+        s_words = s_words[keep]
     if stats_out is not None:
         stats_out["rounds"] = rounds
-    remaining = int(k_arr.size) if use_numpy else len(pairs)
-    if remaining:
-        raise SeparatorBuildError(remaining, rounds)
+    if len(k_words):
+        raise SeparatorBuildError(len(k_words), rounds)
     return family_from_masks(g.n, chosen)
 
 

@@ -25,6 +25,8 @@ from csslab.formats import (FormatError, emit_ccp, emit_ccp_covering,
                             parse_graph, parse_hypergraph, parse_packing,
                             parse_stubborn, parse_stubborn_covering)
 
+from test_separator import clique_beside_five_cycle
+
 # ---------------------------------------------------------------- round trips
 
 
@@ -392,6 +394,7 @@ def test_cli_reduce_tour(tmp_path, capsys):
     ["build", "star-partition", "{g}"],                    # extra input
     ["build", "random-separator", "{g}", "--p", "0", "--max-rounds", "10"],
     ["build", "random-separator", "{g}", "--p", "1", "--max-rounds", "10"],
+    ["build", "random-separator", "{g}", "--max-rounds", "-3"],  # negative cap
     ["CSSLAB_SEED=abc", "gen", "net"],                     # non-integer seed variable
 ])
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
@@ -403,6 +406,16 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, 
     g.write_text(emit_graph(gen_gnp(8, 0.5, 3)))
     assert main([a.format(g=g, dir=tmp_path) for a in argv]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_random_separator_beyond_one_word(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text(emit_graph(clique_beside_five_cycle()))
+    cuts = tmp_path / "cuts.txt"
+    assert run_cli(tmp_path, "build", "random-separator", g, "--seed", 3,
+                   "--out", cuts) == 0
+    assert "outcome pass" in capsys.readouterr().out
+    assert cuts.read_text().startswith("cuts 70 23\n")
 
 
 def test_cli_instance_positional_or_option(tmp_path, capsys):

@@ -143,3 +143,15 @@ def test_library_checks_survive_optimize():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_twin_path_flags():
+    """Each operation has one code path, so no library function takes a
+    ``_force...`` parameter that selects between twins."""
+    found = [f"{path.name}:{node.lineno} {arg.arg}"
+             for path in sorted(Path(csslab.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
+             and arg.arg.startswith("_force")]
+    assert found == []

@@ -1,0 +1,18 @@
+import random
+
+from csslab.rng import TWO64, SplitMix64
+
+from oracles import scalar_bernoulli_mask
+
+
+def test_bernoulli_mask_matches_scalar_draws():
+    rnd = random.Random(20140601)
+    for n in (0, 1, 63, 64, 65, 704):
+        for threshold in (0, 1, 1 << 63, TWO64 - 1, TWO64, rnd.getrandbits(64)):
+            for _ in range(3):
+                seed = rnd.getrandbits(64)
+                fast, slow = SplitMix64(seed), SplitMix64(seed)
+                assert fast.bernoulli_mask(n, threshold) == \
+                    scalar_bernoulli_mask(slow, n, threshold), (seed, n, threshold)
+                assert fast.next_u64() == slow.next_u64(), (seed, n, threshold)
+

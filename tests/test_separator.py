@@ -3,15 +3,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csslab.graphs import (complement, complete_graph, cycle_graph, empty_graph,
-                           gen_gnp, is_clique, is_stable, mask_of, set_of)
+                           from_edges, gen_gnp, is_clique, is_stable, mask_of,
+                           set_of)
 from csslab.separator import (AppendixBoundReport, Cut, CutFamily,
                               SeparatorBuildError, all_cuts_family,
                               build_random_separator, check_appendix_bound,
                               disjoint_maximal_pairs, extend_to_full_separator,
                               family_from_masks, separates, verify_cs_separator)
 from csslab.graphs import _all_clique_masks
+
+from oracles import greedy_separator
 
 
 def all_cliques(g):
@@ -138,8 +143,56 @@ def test_random_separator_bit_identical_and_paths_agree():
     g = gen_gnp(12, 0.5, 21)
     a = build_random_separator(g, 0.5, seed=9)
     b = build_random_separator(g, 0.5, seed=9)
-    c = build_random_separator(g, 0.5, seed=9, _force_python=True)
+    c = greedy_separator(g, 0.5, seed=9)
     assert a == b == c
+
+
+def build_outcome(build, g, p, seed, max_rounds=None):
+    try:
+        return build(g, p, seed, max_rounds)
+    except SeparatorBuildError as exc:
+        return ("cap", exc.remaining, exc.rounds)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(small_graphs(), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 2 ** 64 - 1),
+       st.integers(0, 3))
+def test_random_separator_matches_greedy_oracle(g, p, seed, max_rounds):
+    fam = build_random_separator(g, p, seed)
+    assert fam == greedy_separator(g, p, seed)
+    assert verify_cs_separator(g, fam).ok
+    capped = build_outcome(build_random_separator, g, p, seed, max_rounds)
+    assert capped == build_outcome(greedy_separator, g, p, seed, max_rounds)
+    if disjoint_maximal_pairs(g) and max_rounds == 0:
+        assert capped[:2] == ("cap", len(disjoint_maximal_pairs(g)))
+
+
+def clique_beside_five_cycle():
+    """K_65 and a disjoint C_5 on vertices spread over two 64-bit words:
+    n = 70 with 325 disjoint maximal pairs, each a cycle edge against a
+    clique vertex plus the one stable pair of the cycle missing that edge."""
+    cycle = (3, 30, 62, 64, 69)
+    clique = [v for v in range(70) if v not in cycle]
+    edges = list(itertools.combinations(clique, 2))
+    edges += [(cycle[i], cycle[(i + 1) % 5]) for i in range(5)]
+    return from_edges(70, edges)
+
+
+def test_random_separator_beyond_one_word():
+    g = clique_beside_five_cycle()
+    assert len(disjoint_maximal_pairs(g)) == 325
+    fam = build_random_separator(g, 0.5, seed=3)
+    assert fam == greedy_separator(g, 0.5, seed=3)
+    assert verify_cs_separator(g, fam).ok
+    assert max(c.side_a_mask for c in fam.cuts) >> 64
 
 
 def test_random_separator_rejects_degenerate_p():
@@ -157,6 +210,8 @@ def test_random_separator_round_cap_reported():
     with pytest.raises(SeparatorBuildError) as exc:
         build_random_separator(g, 0.5, seed=1, max_rounds=0)
     assert exc.value.remaining > 0
+    with pytest.raises(ValueError, match="max_rounds"):
+        build_random_separator(g, 0.5, seed=1, max_rounds=-3)
 
 
 def test_random_separator_pinned_regression():
