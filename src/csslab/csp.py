@@ -320,13 +320,8 @@ def build_quasipoly_covering(inst: CcpInstance) -> CoveringTree:
 
     rec(tuple(range(inst.n)), {}, 0)
     height = max(d for _, d in leaves)
-    seen = set()
-    assignments = []
-    for la, _ in leaves:
-        if la not in seen:
-            seen.add(la)
-            assignments.append(la)
-    return CoveringTree(tuple(assignments), len(leaves), height, tuple(removals))
+    assignments = tuple(dict.fromkeys(la for la, _ in leaves))
+    return CoveringTree(assignments, len(leaves), height, tuple(removals))
 
 
 # -- really-3-colorable test ----------------------------------------------------
@@ -441,22 +436,11 @@ def separator_to_stubborn_covering(inst: StubbornInstance,
     g = inst.graph
     if f2.host_n != g.n:
         raise ValueError("cut family lives on the wrong host")
-    out = []
-    seen = set()
-    for cut in f2.cuts:
-        la = []
-        for v in range(g.n):
-            if cut.side_a_mask >> v & 1:
-                la.append(frozenset({3, 4}))
-            elif 3 in inst.lists[v]:
-                la.append(frozenset({2, 3}))
-            else:
-                la.append(frozenset({1, 2}))
-        la = tuple(la)
-        if la not in seen:
-            seen.add(la)
-            out.append(la)
-    return out
+    b_lists = [frozenset({2, 3}) if 3 in lst else frozenset({1, 2}) for lst in inst.lists]
+    return list(dict.fromkeys(
+        tuple(frozenset({3, 4}) if cut.side_a_mask >> v & 1 else b_lists[v]
+              for v in range(g.n))
+        for cut in f2.cuts))
 
 
 # -- list-partition coverings -> edge-coloring coverings -------------------------
@@ -493,62 +477,51 @@ def _derived_graph(inst: CcpInstance, pool: tuple[int, ...], colors) -> Graph:
     return from_edges(len(pool), edges)
 
 
-def derived_stubborn_instances(inst: CcpInstance, x: int
-                               ) -> dict[str, tuple[StubbornInstance, tuple[int, ...]]]:
-    """The four list-partition instances consumed by the covering transformer
-    for solutions coloring x with color A: two on the C-edge-neighborhood
-    (union of B and C edges, then B edges only) and the color-swapped twins
-    on the B-edge-neighborhood."""
-    uc = tuple(sorted(inst.edge_neighborhood(x, 2)))
-    ub = tuple(sorted(inst.edge_neighborhood(x, 1)))
-    return {
-        "c_main": (trivial_stubborn(_derived_graph(inst, uc, (1, 2))), uc),
-        "c_refine": (trivial_stubborn(_derived_graph(inst, uc, (1,))), uc),
-        "b_main": (trivial_stubborn(_derived_graph(inst, ub, (2, 1))), ub),
-        "b_refine": (trivial_stubborn(_derived_graph(inst, ub, (2,))), ub),
-    }
+def _relabel(inst: CcpInstance, perm) -> CcpInstance:
+    """The instance with every edge color c recolored perm[c]."""
+    return CcpInstance(inst.n, tuple(perm[c] for c in inst.colors))
 
 
-def _swap_colors(lst: frozenset, a: int, b: int) -> frozenset:
-    swap = {a: b, b: a}
-    return frozenset(swap.get(c, c) for c in lst)
+def _relabel_lists(la: ListAssignment, perm) -> ListAssignment:
+    return tuple(frozenset(perm[c] for c in lst) for lst in la)
 
 
-def _neighborhood_assignments(main_cov, refine_cov, pool_size: int,
-                              swap_bc: bool) -> list[tuple]:
-    """Translate pairs from the two sub-coverings into per-vertex color lists
-    on the neighborhood, applying the B/C transposition when requested."""
-    out = []
-    seen = set()
-    if pool_size == 0:
-        return [()]
-    for f in main_cov:
-        for fp in refine_cov:
-            lists = []
-            for v in range(pool_size):
-                key = _table_key(f[v])
-                if key == frozenset({3, 4}):
-                    val = _REFINE_TABLE.get(_table_key(fp[v]))
-                else:
-                    val = _MAIN_TABLE.get(key)
-                if val is None:
-                    raise MalformedCovering(
-                        f"lists {sorted(f[v])}/{sorted(fp[v])} have no table row")
-                if swap_bc:
-                    val = _swap_colors(val, 1, 2)
-                lists.append(val)
-            t = tuple(lists)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-    return out
+_SWAP_BC = (0, 2, 1)
+
+
+def _translate(main: frozenset, refine: frozenset) -> frozenset:
+    key = _table_key(main)
+    val = (_REFINE_TABLE.get(_table_key(refine)) if key == frozenset({3, 4})
+           else _MAIN_TABLE.get(key))
+    if val is None:
+        raise MalformedCovering(f"lists {sorted(main)}/{sorted(refine)} have no table row")
+    return val
+
+
+def _c_side(inst: CcpInstance, x: int, cover_stubborn
+            ) -> tuple[tuple[int, ...], list[tuple]]:
+    """The C-edge-neighborhood of x and color lists on it for solutions
+    coloring x with color A.  ``cover_stubborn`` covers two list-partition
+    instances on the neighborhood, on its B and C edges (main) and on its B
+    edges alone (refine), and each pair of their assignments translates
+    into one list per vertex.  The B side is the C side of the instance with
+    B and C swapped."""
+    pool = tuple(sorted(inst.edge_neighborhood(x, 2)))
+    main_cov = cover_stubborn(trivial_stubborn(_derived_graph(inst, pool, (1, 2))))
+    refine_cov = cover_stubborn(trivial_stubborn(_derived_graph(inst, pool, (1,))))
+    if not pool:
+        return pool, [()]
+    return pool, list(dict.fromkeys(
+        tuple(_translate(f[v], fp[v]) for v in range(len(pool)))
+        for f in main_cov for fp in refine_cov))
 
 
 def stubborn_to_3ccp_covering(inst: CcpInstance, x: int, cover_stubborn,
                               target: int = 0) -> list[ListAssignment]:
     """2-list assignments covering every solution that gives x the target
     color.  ``cover_stubborn`` maps a list-partition instance to a covering of
-    its maximal solutions and is invoked on the derived instances.
+    its maximal solutions and is invoked on the derived instances, C side
+    first.  A target other than A swaps it with A and swaps the covering back.
 
     If x cannot take the target color at all the empty covering is returned;
     if the structural test fails for one of the other two colors the
@@ -556,12 +529,10 @@ def stubborn_to_3ccp_covering(inst: CcpInstance, x: int, cover_stubborn,
     if target not in (0, 1, 2):
         raise ValueError("target color must be 0, 1 or 2")
     if target != 0:
-        perm = {c: c for c in (0, 1, 2)}
+        perm = [0, 1, 2]
         perm[0], perm[target] = target, 0
-        inv = {v: k for k, v in perm.items()}
-        permuted = CcpInstance(inst.n, tuple(perm[c] for c in inst.colors))
-        covering = stubborn_to_3ccp_covering(permuted, x, cover_stubborn, target=0)
-        return [tuple(frozenset(inv[c] for c in lst) for lst in la) for la in covering]
+        covering = stubborn_to_3ccp_covering(_relabel(inst, perm), x, cover_stubborn)
+        return [_relabel_lists(la, perm) for la in covering]
 
     ok, _ = really_3colorable(inst, x, 0)
     if not ok:
@@ -571,46 +542,31 @@ def stubborn_to_3ccp_covering(inst: CcpInstance, x: int, cover_stubborn,
         if not ok:
             raise NotReallyThreeColorable(x, other, wit)
 
-    derived = derived_stubborn_instances(inst, x)
-    c_pool = derived["c_main"][1]
-    b_pool = derived["b_main"][1]
-    c_side = _neighborhood_assignments(cover_stubborn(derived["c_main"][0]),
-                                       cover_stubborn(derived["c_refine"][0]),
-                                       len(c_pool), swap_bc=False)
-    b_side = _neighborhood_assignments(cover_stubborn(derived["b_main"][0]),
-                                       cover_stubborn(derived["b_refine"][0]),
-                                       len(b_pool), swap_bc=True)
+    c_pool, c_side = _c_side(inst, x, cover_stubborn)
+    b_pool, b_side = _c_side(_relabel(inst, _SWAP_BC), x, cover_stubborn)
+    b_side = [_relabel_lists(bl, _SWAP_BC) for bl in b_side]
     ua = inst.edge_neighborhood(x, 0)
     out = []
-    seen = set()
     for cl in c_side:
         for bl in b_side:
             la: list[frozenset] = [None] * inst.n
             la[x] = frozenset({0})
             for v in ua:
                 la[v] = frozenset({1, 2})
-            for i, v in enumerate(c_pool):
-                la[v] = cl[i]
-            for i, v in enumerate(b_pool):
-                la[v] = bl[i]
-            t = tuple(la)
-            if t not in seen:
-                seen.add(t)
-                out.append(t)
-    return out
+            for v, lst in zip(c_pool, cl):
+                la[v] = lst
+            for v, lst in zip(b_pool, bl):
+                la[v] = lst
+            out.append(tuple(la))
+    return list(dict.fromkeys(out))
 
 
 def full_3ccp_covering_via_stubborn(inst: CcpInstance, x: int,
                                     cover_stubborn) -> list[ListAssignment]:
     """Union of the three per-color coverings for a fixed branch vertex."""
-    out = []
-    seen = set()
-    for target in (0, 1, 2):
-        for la in stubborn_to_3ccp_covering(inst, x, cover_stubborn, target):
-            if la not in seen:
-                seen.add(la)
-                out.append(la)
-    return out
+    return list(dict.fromkeys(
+        la for target in (0, 1, 2)
+        for la in stubborn_to_3ccp_covering(inst, x, cover_stubborn, target)))
 
 
 # -- edge-coloring coverings -> separators ---------------------------------------

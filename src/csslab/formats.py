@@ -24,6 +24,7 @@ from .graphs import Graph, from_edges
 from .packing import (BicliqueCovering, FoolingSet, OrientedBiclique,
                       PackingCertificate)
 from .separator import Cut, CutFamily
+from .transversal import Hypergraph
 
 
 class FormatError(ValueError):
@@ -153,8 +154,7 @@ def emit_hypergraph(h) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_hypergraph(text: str):
-    from .transversal import Hypergraph
+def parse_hypergraph(text: str) -> Hypergraph:
     rows = text.splitlines()
     if not rows:
         raise FormatError("empty hypergraph file")
@@ -316,11 +316,6 @@ def _parse_lists(rows, start: int, token_map) -> tuple[tuple, int]:
             raise FormatError("empty color list", lineno)
         lists.append(frozenset(vals))
     return tuple(lists), start + 1 + n
-
-
-def emit_ccp_assignment(lists) -> str:
-    names = {i: COLOR_NAMES[i] for i in range(3)}
-    return "\n".join(_emit_lists(lists, names)) + "\n"
 
 
 def emit_ccp_covering(covering) -> str:

@@ -390,36 +390,32 @@ class BicliquePair:
     exact: bool
 
 
-def _pair_search_exact(g: Graph, size: int, mode: str) -> BicliquePair | None:
+def _pair_search_exact(g: Graph, size: int) -> tuple[int, int] | None:
+    """Masks of the first completely non-adjacent pair in the search order
+    whose sides both reach ``size``; None when no such pair exists."""
     adj = g.adj
     full = g.full_mask
     for combo in itertools.combinations(range(g.n), size):
         a_mask = mask_of(combo)
         cand = full & ~a_mask
         for v in combo:
-            cand &= adj[v] if mode == "adjacent" else ~adj[v]
+            cand &= ~adj[v]
         if cand.bit_count() >= size:
-            b_mask = cand
             # extend the seed side against the full opposite side
             a_full = 0
-            for v in range(g.n):
-                if b_mask >> v & 1:
-                    continue
-                row = adj[v] if mode == "adjacent" else ~adj[v] & full & ~(1 << v)
-                if b_mask & ~row == 0:
+            for v in bits(full & ~cand):
+                if cand & adj[v] == 0:
                     a_full |= 1 << v
-            return BicliquePair(set_of(a_full), set_of(b_mask), mode, True)
+            return a_full, cand
     return None
 
 
-def _pair_search_greedy(g: Graph, size: int, mode: str) -> BicliquePair | None:
+def _pair_search_greedy(g: Graph, size: int) -> tuple[int, int] | None:
+    """Seed-and-grow heuristic from every non-edge; a miss proves nothing."""
     adj = g.adj
     full = g.full_mask
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            want = g.has_edge(u, v) if mode == "adjacent" else not g.has_edge(u, v)
-            if not want:
-                continue
+        for v in bits(full & ~adj[u] >> (u + 1) << (u + 1)):
             a, b = 1 << u, 1 << v
             while True:
                 grown = False
@@ -427,8 +423,7 @@ def _pair_search_greedy(g: Graph, size: int, mode: str) -> BicliquePair | None:
                     other = b if side == 0 else a
                     best = -1
                     for w in bits(full & ~(a | b)):
-                        row = adj[w] if mode == "adjacent" else ~adj[w] & full & ~(1 << w)
-                        if other & ~row == 0:
+                        if other & adj[w] == 0:
                             best = w
                             break
                     if best >= 0:
@@ -440,7 +435,7 @@ def _pair_search_greedy(g: Graph, size: int, mode: str) -> BicliquePair | None:
                 if not grown:
                     break
             if a.bit_count() >= size and b.bit_count() >= size:
-                return BicliquePair(set_of(a), set_of(b), mode, False)
+                return a, b
     return None
 
 
@@ -448,16 +443,19 @@ def find_biclique_pair(g: Graph, min_size: int) -> BicliquePair | None:
     """Two disjoint vertex sets, each of size >= min_size, completely
     non-adjacent or completely adjacent (non-adjacent preferred).
 
-    Exact search for n <= 24 (a miss means no such pair exists); beyond that
-    a greedy seed-and-grow heuristic whose misses are flagged exact=False.
+    Only non-adjacent pairs are searched for: an adjacent pair of g is a
+    non-adjacent pair of its complement.  Exact search for n <= 24 (a miss
+    means no such pair exists); beyond that a greedy seed-and-grow heuristic
+    whose misses are flagged exact=False.
     """
     if min_size < 1:
         raise ValueError("min_size must be positive")
-    search = _pair_search_exact if g.n <= 24 else _pair_search_greedy
-    for mode in ("nonadjacent", "adjacent"):
-        hit = search(g, min_size, mode)
+    exact = g.n <= 24
+    search = _pair_search_exact if exact else _pair_search_greedy
+    for mode, h in (("nonadjacent", g), ("adjacent", complement(g))):
+        hit = search(h, min_size)
         if hit is not None:
-            return hit
+            return BicliquePair(set_of(hit[0]), set_of(hit[1]), mode, exact)
     return None
 
 

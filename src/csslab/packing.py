@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (Graph, bits, complete_graph, from_edges, greedy_coloring,
-                     induced, is_clique, is_proper_coloring, is_stable, mask_of,
-                     set_of)
+from .graphs import (Graph, _all_clique_masks, _sort_key, bits, complement,
+                     complete_graph, from_edges, greedy_coloring, induced,
+                     is_clique, is_proper_coloring, is_stable, mask_of, set_of)
 from .separator import CutFamily, family_from_masks, separates
 
 
@@ -364,7 +364,6 @@ def separator_to_coloring(g: Graph, cert: PackingCertificate,
 
 
 def all_cliques_including_empty(g: Graph) -> list[frozenset]:
-    from .graphs import _all_clique_masks, _sort_key
     return sorted((set_of(m) for m in _all_clique_masks(g)), key=_sort_key)
 
 
@@ -374,9 +373,8 @@ def pairs_packing(g: Graph) -> tuple[Graph, list[tuple[frozenset, frozenset]],
     possibly empty, together with the vertex-indexed oriented packing of it."""
     if g.n > 8:
         raise ValueError("pair enumeration capped at 8 vertices")
-    from .graphs import complement as _c
     cliques = all_cliques_including_empty(g)
-    stables = all_cliques_including_empty(_c(g))
+    stables = all_cliques_including_empty(complement(g))
     pairs = [(k, s) for k in cliques for s in stables if not k & s]
     km = np.array([mask_of(k) for k, _ in pairs], dtype=np.uint64)
     sm = np.array([mask_of(s) for _, s in pairs], dtype=np.uint64)

@@ -144,39 +144,38 @@ def _side_feasible(signs: list[list[int]], nv: int) -> tuple[Fraction, ...] | No
                        a_eq=[[Fraction(1)] * nv], b_eq=[Fraction(2)], nvars=nv)
 
 
+def _side_view(g: Graph, k, s, side: str) -> tuple:
+    """(graph, base, opposite) for one side of the pair (K, S): the stable
+    side of g is the clique side of complement(g)."""
+    return (g, k, s) if side == "K" else (complement(g), s, k)
+
+
 def side_weights(cd: ConflictDigraph, g: Graph) -> SideWeights:
     """Pick the side of the conflict digraph carrying weight and rescale it to
     total 2, so that every opposite-side vertex sees out-weight at least 1.
 
-    The clique side is certified first; by the game argument at least one
-    side always works.  All three conditions are checked exactly before
-    returning.
+    The clique side is certified first, then the stable side as the clique
+    side of the complement; by the game argument at least one side always
+    works.  All three conditions are checked exactly before returning.
     """
-    ks, ss = cd.clique, cd.stable
-    if not ks and not ss:
+    if not cd.clique and not cd.stable:
         return SideWeights("K", {})
-    # sign[x][k] = +1 if the arc runs x -> k (k outside N(x)), else -1
-    k_rows = [[1 if not g.has_edge(x, kk) else -1 for kk in ks] for x in ss]
-    w = _side_feasible(k_rows, len(ks))
-    if w is not None:
-        side, ids, opp = "K", ks, ss
+    for side in ("K", "S"):
+        h, ids, opp = _side_view(g, cd.clique, cd.stable, side)
+        # sign[x][v] = +1 if the arc runs x -> v (v outside N(x)), else -1
+        rows = [[1 if not h.has_edge(x, v) else -1 for v in ids] for x in opp]
+        w = _side_feasible(rows, len(ids))
+        if w is not None:
+            break
     else:
-        s_rows = [[1 if g.has_edge(y, svtx) else -1 for svtx in ss] for y in ks]
-        w = _side_feasible(s_rows, len(ss))
-        if w is None:
-            raise RuntimeError("neither side admits game weights: implementation bug")
-        side, ids, opp = "S", ss, ks
+        raise RuntimeError("neither side admits game weights: implementation bug")
     weights = dict(zip(ids, w))
     if not (sum(weights.values()) == 2 and all(v >= 0 for v in weights.values())):
         raise RuntimeError("side weights do not sum to 2 or are negative")
-    chosen = frozenset(ids)
     for x in opp:
-        if side == "K":
-            outw = sum((weights[v] for v in ids if not g.has_edge(x, v)), ZERO)
-        else:
-            outw = sum((weights[v] for v in ids if g.has_edge(x, v)), ZERO)
+        outw = sum((weights[v] for v in ids if not h.has_edge(x, v)), ZERO)
         if outw < 1:
-            raise RuntimeError(f"out-weight below 1 at vertex {x} against side {sorted(chosen)}")
+            raise RuntimeError(f"out-weight below 1 at vertex {x} against side {sorted(ids)}")
     return SideWeights(side, weights)
 
 
@@ -202,24 +201,16 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, m={len(self.edges)})"
 
 
-def build_hypergraph(g: Graph, base: frozenset, opposite: frozenset,
-                     mode: str) -> tuple[Hypergraph, tuple[int, ...]]:
-    """One hyperedge per opposite vertex x: the base vertices outside N(x)
-    (mode "nonneighbors") or inside N(x) (mode "neighbors").  Returns the
-    hypergraph over re-indexed base vertices plus the id map."""
+def build_hypergraph(g: Graph, base: frozenset,
+                     opposite: frozenset) -> tuple[Hypergraph, tuple[int, ...]]:
+    """One hyperedge per opposite vertex x: the base vertices outside N(x).
+    Returns the hypergraph over re-indexed base vertices plus the id map.
+    For the base vertices inside N(x), pass complement(g)."""
     if base & opposite:
         raise ValueError("base and opposite sets intersect")
-    if mode not in ("nonneighbors", "neighbors"):
-        raise ValueError(f"unknown mode {mode!r}")
     ids = tuple(sorted(base))
-    pos = {v: i for i, v in enumerate(ids)}
-    edges = []
-    for x in sorted(opposite):
-        if mode == "nonneighbors":
-            members = [pos[v] for v in ids if not g.has_edge(x, v)]
-        else:
-            members = [pos[v] for v in ids if g.has_edge(x, v)]
-        edges.append(frozenset(members))
+    edges = [frozenset(i for i, v in enumerate(ids) if not g.has_edge(x, v))
+             for x in sorted(opposite)]
     return Hypergraph(len(ids), edges), ids
 
 
@@ -329,7 +320,6 @@ class PairPipelineReport:
     stable: frozenset
     side: str
     tau: int
-    tau_exact_fallback: bool
     tau_star: Fraction
     vc: VcResult
     cut_mask: int
@@ -342,38 +332,26 @@ def transversal_budget(phi: int) -> float:
 def separate_pair_split_free(g: Graph, k: frozenset, s: frozenset,
                              budget: float) -> PairPipelineReport:
     """Run the weight/hypergraph/transversal pipeline on one disjoint pair and
-    return the separating cut with its certificates."""
-    cd = conflict_digraph(g, k, s)
-    sw = side_weights(cd, g)
-    if sw.side == "K":
-        h, ids = build_hypergraph(g, k, s, "nonneighbors")
-    else:
-        h, ids = build_hypergraph(g, s, k, "neighbors")
+    return the separating cut with its certificates.  The stable side runs on
+    complement(g), and its cut is complemented back to g."""
+    sw = side_weights(conflict_digraph(g, k, s), g)
+    h_g, base, opposite = _side_view(g, k, s, sw.side)
+    h, ids = build_hypergraph(h_g, base, opposite)
     tau_star, _ = fractional_transversality(h)
     transversal = greedy_transversal(h)
-    fallback = False
-    if len(transversal) > budget and h.n <= 20:
-        transversal = exact_min_transversal(h)
-        fallback = True
     if len(transversal) > budget:
         raise RuntimeError(
             f"transversal size {len(transversal)} exceeds the budget {budget:.1f}; "
             "input graph is probably not in the stated class")
-    picked = [ids[i] for i in sorted(transversal)]
-    if sw.side == "K":
-        u = g.full_mask
-        for x in picked:
-            u &= g.adj[x] | (1 << x)
-    else:
-        u = 0
-        for x in picked:
-            u |= g.adj[x]
-    kmask, smask = mask_of(k), mask_of(s)
-    if kmask & ~u or smask & u:
+    u = h_g.full_mask
+    for i in transversal:
+        u &= h_g.adj[ids[i]] | (1 << ids[i])
+    if sw.side == "S":
+        u = g.full_mask & ~u
+    if mask_of(k) & ~u or mask_of(s) & u:
         raise RuntimeError("pipeline produced a non-separating cut: implementation bug")
     vc = vc_dimension(h, cap=h.n + 1)
-    return PairPipelineReport(k, s, sw.side, len(transversal), fallback,
-                              tau_star, vc, u)
+    return PairPipelineReport(k, s, sw.side, len(transversal), tau_star, vc, u)
 
 
 def split_free_report(g: Graph, gamma: Graph,

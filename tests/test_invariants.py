@@ -155,3 +155,14 @@ def test_no_twin_path_flags():
              for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
              and arg.arg.startswith("_force")]
     assert found == []
+
+
+def test_no_function_level_imports():
+    """Imports sit at the top of each module, where import cycles show at
+    once, not inside functions."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(csslab.__file__).parent.glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []

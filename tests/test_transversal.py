@@ -126,15 +126,16 @@ def test_side_weights_pinned_instance():
 
 def test_build_hypergraph_examples():
     g = from_edges(3, [(0, 2)])  # K={0,1}, S={2}; 2 adjacent to 0 only
-    h, ids = build_hypergraph(g, frozenset({0, 1}), frozenset({2}), "nonneighbors")
+    h, ids = build_hypergraph(g, frozenset({0, 1}), frozenset({2}))
     assert ids == (0, 1)
     assert h.edges == (frozenset({1}),)
-    h2, _ = build_hypergraph(g, frozenset({2}), frozenset({0, 1}), "neighbors")
+    # neighbors in g are the non-neighbors in the complement
+    h2, _ = build_hypergraph(complement(g), frozenset({2}), frozenset({0, 1}))
     assert h2.edges == (frozenset({0}), frozenset())
-    h3, _ = build_hypergraph(g, frozenset({0, 1}), frozenset(), "nonneighbors")
+    h3, _ = build_hypergraph(g, frozenset({0, 1}), frozenset())
     assert h3.edges == ()
     with pytest.raises(ValueError):
-        build_hypergraph(g, frozenset({0}), frozenset({0}), "nonneighbors")
+        build_hypergraph(g, frozenset({0}), frozenset({0}))
 
 
 def brute_fractional_transversality(h):
