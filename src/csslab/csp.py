@@ -509,7 +509,7 @@ def _c_side(inst: CcpInstance, x: int, cover_stubborn
     pool = tuple(sorted(inst.edge_neighborhood(x, 2)))
     main_cov = cover_stubborn(trivial_stubborn(_derived_graph(inst, pool, (1, 2))))
     refine_cov = cover_stubborn(trivial_stubborn(_derived_graph(inst, pool, (1,))))
-    if not pool:
+    if not pool:  # the empty neighborhood has one list assignment, the empty one
         return pool, [()]
     return pool, list(dict.fromkeys(
         tuple(_translate(f[v], fp[v]) for v in range(len(pool)))

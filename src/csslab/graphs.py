@@ -415,7 +415,9 @@ def _pair_search_greedy(g: Graph, size: int) -> tuple[int, int] | None:
     adj = g.adj
     full = g.full_mask
     for u in range(g.n):
-        for v in bits(full & ~adj[u] >> (u + 1) << (u + 1)):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                continue
             a, b = 1 << u, 1 << v
             while True:
                 grown = False
