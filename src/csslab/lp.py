@@ -3,7 +3,8 @@
 Two-phase tableau simplex with Bland's anti-cycling rule, every entry a
 ``fractions.Fraction``.  Instances in this project are tiny (tens of
 variables), so exactness is cheap and lets callers certify optima instead of
-approximating them.
+approximating them.  Coefficients may be given as ints or ``Fraction``s; they
+are converted on entry.
 
 Canonical form solved here:
 
@@ -11,6 +12,10 @@ Canonical form solved here:
     subject to  a_ub x <= b_ub
                 a_eq x == b_eq
                 x >= 0
+
+The tableau's columns are x | slacks | artificials | rhs, one row per
+constraint, and its last row is the objective, which every pivot eliminates
+like any other row.
 """
 
 from __future__ import annotations
@@ -31,152 +36,88 @@ class LpResult:
 
 def _pivot(tab, basis, row, col):
     piv = tab[row][col]
-    inv = ONE / piv
-    tab[row] = [e * inv for e in tab[row]]
+    if piv != 1:
+        tab[row] = [e / piv for e in tab[row]]
     prow = tab[row]
     for r, trow in enumerate(tab):
-        if r == row:
-            continue
         f = trow[col]
-        if f:
+        if f and r != row:
             tab[r] = [a - f * b for a, b in zip(trow, prow)]
     basis[row] = col
 
 
-def _run_simplex(tab, basis, cost, ncols):
-    """Minimize cost over the tableau in place; cost is a full-width row with
-    the objective value (negated) in the last slot.  Bland's rule throughout."""
+def _price_out(tab, basis):
+    """Zero the objective row on the basic columns."""
+    for r, col in enumerate(basis):
+        _pivot(tab, basis, r, col)
+
+
+def _run_simplex(tab, basis) -> bool:
+    """Minimize the objective row in place; False if unbounded.  Bland's rule
+    enters the lowest improving column; the leaving row has the least ratio,
+    then the lowest basic column."""
     while True:
-        col = -1
-        for j in range(ncols):
-            if cost[j] < 0:
-                col = j
-                break
-        if col < 0:
-            return "optimal"
-        row, best = -1, None
-        for r, trow in enumerate(tab):
-            a = trow[col]
-            if a > 0:
-                ratio = trow[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    row, best = r, ratio
-        if row < 0:
-            return "unbounded"
-        _pivot(tab, basis, row, col)
-        f = cost[col]
-        prow = tab[row]
-        for j in range(len(cost)):
-            cost[j] -= f * prow[j]
+        col = next((j for j, v in enumerate(tab[-1][:-1]) if v < 0), None)
+        if col is None:
+            return True
+        rows = [r for r in range(len(basis)) if tab[r][col] > 0]
+        if not rows:
+            return False
+        _pivot(tab, basis, min(rows, key=lambda r: (tab[r][-1] / tab[r][col], basis[r])), col)
 
 
 def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> LpResult:
     nx = len(c)
-    c = [Fraction(v) for v in c]
-    if maximize:
-        c = [-v for v in c]
-
-    rows = []
-    for coeffs, b in zip(a_ub, b_ub):
-        rows.append(([Fraction(v) for v in coeffs], Fraction(b), True))
-    for coeffs, b in zip(a_eq, b_eq):
-        rows.append(([Fraction(v) for v in coeffs], Fraction(b), False))
-
-    nslack = sum(1 for _, _, is_ub in rows if is_ub)
-    # columns: x | slacks | artificials | rhs
-    tab = []
-    basis = []
-    art_cols = []
-    slack_idx = 0
-    ncols_noart = nx + nslack
-    pending = []
-    for coeffs, b, is_ub in rows:
-        row = coeffs + [ZERO] * nslack
-        if is_ub:
-            row[nx + slack_idx] = ONE
-            slack_col = nx + slack_idx
-            slack_idx += 1
-        else:
-            slack_col = None
+    ub = list(zip(a_ub, b_ub))
+    rows = [(a, b, nx + i) for i, (a, b) in enumerate(ub)]
+    rows += [(a, b, None) for a, b in zip(a_eq, b_eq)]
+    ncols = nx + len(ub)
+    nart = sum(slack is None or b < 0 for _, b, slack in rows)
+    # a row whose slack is absent or negated starts on its own artificial
+    tab, basis, art = [], [], ncols
+    for a, b, slack in rows:
+        row = [Fraction(v) for v in a] + [ZERO] * (len(ub) + nart) + [Fraction(b)]
+        if slack is not None:
+            row[slack] = ONE
         if b < 0:
             row = [-v for v in row]
-            b = -b
-            slack_col = None  # slack coefficient is now -1, not basic
-        pending.append((row, b, slack_col))
+        if slack is None or b < 0:
+            slack, art = art, art + 1
+            row[slack] = ONE
+        tab.append(row)
+        basis.append(slack)
 
-    for row, b, slack_col in pending:
-        if slack_col is not None:
-            tab.append(row + [b])
-            basis.append(slack_col)
-        else:
-            tab.append(row + [b])
-            basis.append(None)  # placeholder, artificial assigned below
+    # phase 1: minimize the sum of the artificials
+    tab.append([ZERO] * ncols + [ONE] * nart + [ZERO])
+    _price_out(tab, basis)
+    if not _run_simplex(tab, basis) or tab[-1][-1]:
+        return LpResult("infeasible", None, None)
+    # drive leftover artificials out of the basis; rows where none can leave
+    # are redundant and dropped
+    for r, col in enumerate(basis):
+        if col >= ncols:
+            j = next((j for j in range(ncols) if tab[r][j]), None)
+            if j is not None:
+                _pivot(tab, basis, r, j)
+    keep = [r for r, col in enumerate(basis) if col < ncols]
+    sign = -1 if maximize else 1
+    tab = [tab[r][:ncols] + tab[r][-1:] for r in keep]
+    tab.append([sign * Fraction(v) for v in c] + [ZERO] * (ncols - nx + 1))
+    basis = [basis[r] for r in keep]
 
-    nart = sum(1 for bcol in basis if bcol is None)
-    total = ncols_noart + nart
-    art_at = ncols_noart
-    for r in range(len(tab)):
-        rhs = tab[r].pop()
-        tab[r] = tab[r] + [ZERO] * nart + [rhs]
-        if basis[r] is None:
-            tab[r][art_at] = ONE
-            basis[r] = art_at
-            art_cols.append(art_at)
-            art_at += 1
-
-    # phase 1: minimize sum of artificials
-    if art_cols:
-        cost = [ZERO] * (total + 1)
-        for col in art_cols:
-            cost[col] = ONE
-        for r, bcol in enumerate(basis):
-            if bcol in art_cols:
-                f = cost[bcol]
-                cost[:] = [a - f * b for a, b in zip(cost, tab[r])]
-        status = _run_simplex(tab, basis, cost, total)
-        if status != "optimal" or -cost[-1] != 0:
-            return LpResult("infeasible", None, None)
-        # drive leftover artificials out of the basis or drop their rows
-        art_set = set(art_cols)
-        keep = []
-        for r in range(len(tab)):
-            if basis[r] in art_set:
-                piv_col = next((j for j in range(ncols_noart) if tab[r][j] != 0), None)
-                if piv_col is None:
-                    continue  # redundant row
-                _pivot(tab, basis, r, piv_col)
-            keep.append(r)
-        tab = [tab[r] for r in keep]
-        basis = [basis[r] for r in keep]
-        for r in range(len(tab)):
-            tab[r] = tab[r][:ncols_noart] + [tab[r][-1]]
-
-    ncols = ncols_noart
-    cost = [ZERO] * (ncols + 1)
-    for j in range(nx):
-        cost[j] = c[j]
-    for r, bcol in enumerate(basis):
-        f = cost[bcol]
-        if f:
-            cost[:] = [a - f * b for a, b in zip(cost, tab[r])]
-    status = _run_simplex(tab, basis, cost, ncols)
-    if status == "unbounded":
+    # phase 2: minimize (sign * c) . x
+    _price_out(tab, basis)
+    if not _run_simplex(tab, basis):
         return LpResult("unbounded", None, None)
-
     x = [ZERO] * nx
-    for r, bcol in enumerate(basis):
-        if bcol < nx:
-            x[bcol] = tab[r][-1]
-    value = sum((ci * xi for ci, xi in zip(c, x)), ZERO)
-    if maximize:
-        value = -value
-    return LpResult("optimal", tuple(x), value)
+    for r, col in enumerate(basis):
+        if col < nx:
+            x[col] = tab[r][-1]
+    return LpResult("optimal", tuple(x), -sign * tab[-1][-1])
 
 
-def lp_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=(), nvars=None) -> tuple[Fraction, ...] | None:
-    """Feasible point of the system (x >= 0 implied) or None."""
-    if nvars is None:
-        probe = list(a_ub) + list(a_eq)
-        nvars = len(probe[0]) if probe else 0
-    res = solve_lp([ZERO] * nvars, a_ub, b_ub, a_eq, b_eq)
+def lp_feasible(a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> tuple[Fraction, ...] | None:
+    """Feasible point of the system (x >= 0 implied) or None.  The variable
+    count is the length of the first row, so the system needs at least one."""
+    res = solve_lp([ZERO] * len([*a_ub, *a_eq][0]), a_ub, b_ub, a_eq, b_eq)
     return res.x if res.status == "optimal" else None

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .graphs import (Graph, SplitPartition, bits, complement, contains_induced,
                      find_biclique_pair, induced, is_clique, is_stable, mask_of,
                      path_graph, set_of, split_partitions)
-from .lp import ZERO, LpResult, lp_feasible, solve_lp
+from .lp import ZERO, lp_feasible, solve_lp
 from .separator import CutFamily, disjoint_maximal_pairs, family_from_masks
 
 
@@ -105,14 +105,13 @@ def antisym_game_weights(d: Digraph) -> tuple[Fraction, ...]:
     a_ub = []
     for x in range(n):
         inm = d.in_mask(x)
-        row = [ZERO] * n
+        row = [0] * n
         for y in bits(d.out[x]):
-            row[y] = Fraction(-1)
+            row[y] = -1
         for y in bits(inm):
-            row[y] = Fraction(1)
+            row[y] = 1
         a_ub.append(row)  # w(N-) - w(N+) <= 0
-    w = lp_feasible(a_ub=a_ub, b_ub=[ZERO] * n,
-                    a_eq=[[Fraction(1)] * n], b_eq=[Fraction(1)])
+    w = lp_feasible(a_ub=a_ub, b_ub=[0] * n, a_eq=[[1] * n], b_eq=[1])
     if w is None:
         raise RuntimeError("antisymmetric game infeasible: implementation bug")
     total = sum(w, ZERO)
@@ -134,14 +133,8 @@ class SideWeights:
 
 def _side_feasible(signs: list[list[int]], nv: int) -> tuple[Fraction, ...] | None:
     """Weights w >= 0 with sum 2 and signs . w >= 0 componentwise."""
-    if nv == 0:
-        return None
-    if not signs:
-        return (Fraction(2),) + (ZERO,) * (nv - 1)
-    a_ub = [[Fraction(-c) for c in row] for row in signs]
-    b_ub = [ZERO] * len(signs)
-    return lp_feasible(a_ub=a_ub, b_ub=b_ub,
-                       a_eq=[[Fraction(1)] * nv], b_eq=[Fraction(2)], nvars=nv)
+    return lp_feasible(a_ub=[[-c for c in row] for row in signs], b_ub=[0] * len(signs),
+                       a_eq=[[1] * nv], b_eq=[2])
 
 
 def _side_view(g: Graph, k, s, side: str) -> tuple:
@@ -224,12 +217,11 @@ def fractional_transversality(h: Hypergraph) -> tuple[Fraction, tuple[Fraction, 
         return ZERO, (ZERO,) * h.n
     a_ub = []
     for e in h.edges:
-        row = [ZERO] * h.n
+        row = [0] * h.n
         for v in e:
-            row[v] = Fraction(-1)
+            row[v] = -1
         a_ub.append(row)
-    res: LpResult = solve_lp([Fraction(1)] * h.n, a_ub=a_ub,
-                             b_ub=[Fraction(-1)] * len(h.edges))
+    res = solve_lp([1] * h.n, a_ub=a_ub, b_ub=[-1] * len(h.edges))
     if res.status != "optimal":
         raise RuntimeError(f"fractional transversal LP is {res.status}, not optimal")
     return res.value, res.x
