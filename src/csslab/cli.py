@@ -251,10 +251,19 @@ _verify_on_graph("covering-t", "covering", lambda cert: packing.verify_covering(
 _verify_on_graph("fooling", "fooling", lambda cert: packing.verify_fooling_set(cert))
 
 
+def _check_covering_input(covering, n: int) -> None:
+    """Reject a covering unless each assignment gives one list per vertex,
+    and an instance too large for the exhaustive check."""
+    for i, la in enumerate(covering, start=1):
+        if len(la) != n:
+            raise ValueError(f"assignment {i} has {len(la)} lists, the instance has {n} vertices")
+    if n > 8:
+        raise SystemExit("exhaustive covering verification capped at 8 vertices")
+
+
 @_command("verify", "ccp-covering", "ccp", "ccp-covering")
 def _verify_ccp_covering(args, report, inst, covering):
-    if inst.n > 8:
-        raise SystemExit("exhaustive covering verification capped at 8 vertices")
+    _check_covering_input(covering, inst.n)
     sols = csp.all_3ccp_solutions(inst)
     missed = csp.covering_covers(covering, sols)
     report.metric("solutions", len(sols))
@@ -265,8 +274,7 @@ def _verify_ccp_covering(args, report, inst, covering):
 
 @_command("verify", "stubborn-covering", "stubborn", "stubborn-covering")
 def _verify_stubborn_covering(args, report, inst, covering):
-    if inst.graph.n > 8:
-        raise SystemExit("exhaustive covering verification capped at 8 vertices")
+    _check_covering_input(covering, inst.graph.n)
     missed = _uncovered_stubborn(report, inst, covering)
     report.metric("assignments", len(covering))
     report.metric("uncovered_solutions", len(missed))

@@ -301,7 +301,7 @@ def _emit_lists(lists, tokens_by_value) -> list[str]:
 
 
 def _parse_lists(rows, start: int, token_map) -> tuple[tuple, int]:
-    (n,) = _header(rows[start], start + 1, "lists", 1)
+    (n,) = _header(rows[start] if start < len(rows) else "", start + 1, "lists", 1)
     if len(rows) < start + 1 + n:
         raise FormatError(f"expected {n} list lines", len(rows))
     lists = []

@@ -279,6 +279,8 @@ class VcResult:
 
 def vc_dimension(h: Hypergraph, cap: int) -> VcResult:
     """Largest shattered vertex set, exhaustively up to size ``cap``."""
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     if not h.edges:
         return VcResult(0, True, True)
     edge_masks = [mask_of(e) for e in h.edges]

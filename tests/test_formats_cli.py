@@ -396,6 +396,8 @@ def test_cli_reduce_tour(tmp_path, capsys):
     ["build", "random-separator", "{g}", "--p", "1", "--max-rounds", "10"],
     ["build", "random-separator", "{g}", "--max-rounds", "-3"],  # negative cap
     ["CSSLAB_SEED=abc", "gen", "net"],                     # non-integer seed variable
+    ["roundtrip", "theorem16-loop", "{stub}"],             # no lists section
+    ["bound-check", "haussler-welzl", "{h}", "--cap", "-1"],  # negative cap
 ])
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
     if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell
@@ -404,8 +406,33 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, 
         argv = argv[1:]
     g = tmp_path / "g.txt"
     g.write_text(emit_graph(gen_gnp(8, 0.5, 3)))
-    assert main([a.format(g=g, dir=tmp_path) for a in argv]) == 2
+    stub = tmp_path / "stub.txt"
+    stub.write_text("stubborn 6\ne 0 1\n")
+    h = tmp_path / "h.txt"
+    h.write_text("hgraph 3 3\n0 1\n1 2\n0 2\n")
+    assert main([a.format(g=g, dir=tmp_path, stub=stub, h=h) for a in argv]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["ccp-covering", "stubborn-covering"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_cli_covering_list_count_must_match_instance(tmp_path, capsys, kind, extra):
+    """An assignment with fewer or more lists than the instance has vertices
+    is bad input, named by its place in the file."""
+    n = 4
+    if kind == "ccp-covering":
+        inst, emit, colors = emit_ccp(random_ccp_instance(n, 77)), emit_ccp_covering, {0, 1, 2}
+    else:
+        inst = emit_stubborn(trivial_stubborn(gen_gnp(n, 0.5, 12)))
+        emit, colors = emit_stubborn_covering, {1, 2, 3, 4}
+    full = frozenset(colors)
+    instf, covf = tmp_path / "inst.txt", tmp_path / "cov.txt"
+    instf.write_text(inst)
+    covf.write_text(emit([(full,) * n, (full,) * (n + extra)]))
+    assert run_cli(tmp_path, "verify", kind, instf, covf) == 2
+    err = capsys.readouterr().err
+    assert f"assignment 2 has {n + extra} lists" in err
+    assert "Traceback" not in err
 
 
 def test_cli_random_separator_beyond_one_word(tmp_path, capsys):

@@ -217,6 +217,13 @@ def test_vc_dimension_examples_and_oracle():
         assert res.value == brute_vc(h)
 
 
+def test_vc_dimension_rejects_negative_cap():
+    for h in (Hypergraph(3, []), Hypergraph(2, [{0}, {0, 1}])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            vc_dimension(h, cap=-1)
+    assert vc_dimension(Hypergraph(2, [{0}, {0, 1}]), cap=0).value == 0
+
+
 # ---------------------------------------------------------------- split-free builder
 
 
