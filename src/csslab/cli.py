@@ -256,7 +256,7 @@ def _check_covering_input(covering, n: int) -> None:
     and an instance too large for the exhaustive check."""
     for i, la in enumerate(covering, start=1):
         if len(la) != n:
-            raise ValueError(f"assignment {i} has {len(la)} lists, the instance has {n} vertices")
+            raise ValueError(f"assignment {i} has {len(la)} lists for {n} vertices")
     if n > 8:
         raise SystemExit("exhaustive covering verification capped at 8 vertices")
 

@@ -421,11 +421,11 @@ def test_cli_covering_list_count_must_match_instance(tmp_path, capsys, kind, ext
     is bad input, named by its place in the file."""
     n = 4
     if kind == "ccp-covering":
-        inst, emit, colors = emit_ccp(random_ccp_instance(n, 77)), emit_ccp_covering, {0, 1, 2}
+        inst = emit_ccp(random_ccp_instance(n, 77))
+        emit, full = emit_ccp_covering, frozenset({0, 1, 2})
     else:
         inst = emit_stubborn(trivial_stubborn(gen_gnp(n, 0.5, 12)))
-        emit, colors = emit_stubborn_covering, {1, 2, 3, 4}
-    full = frozenset(colors)
+        emit, full = emit_stubborn_covering, frozenset({1, 2, 3, 4})
     instf, covf = tmp_path / "inst.txt", tmp_path / "cov.txt"
     instf.write_text(inst)
     covf.write_text(emit([(full,) * n, (full,) * (n + extra)]))
