@@ -12,11 +12,10 @@ from .graphs import (Graph, SplitPartition, complement, complete_graph,
                      cycle_graph, empty_graph, find_biclique_pair, from_edges,
                      gen_gnp, greedy_coloring, induced, maximal_cliques,
                      maximal_stables, net_graph, path_graph, split_partitions)
-from .separator import (Cut, CutFamily, SeparationReport, all_cuts_family,
-                        build_random_separator, check_appendix_bound,
-                        extend_to_full_separator, separates, verify_cs_separator)
-from .transversal import (ConflictDigraph, Digraph, Hypergraph,
-                          antisym_game_weights, build_hypergraph,
+from .separator import (Cut, CutFamily, SeparationReport, build_random_separator,
+                        check_appendix_bound, extend_to_full_separator,
+                        separates, verify_cs_separator)
+from .transversal import (ConflictDigraph, Digraph, Hypergraph, build_hypergraph,
                           build_pk_free_separator, build_split_free_separator,
                           conflict_digraph, fractional_transversality,
                           greedy_transversal, side_weights, vc_dimension)

@@ -27,6 +27,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 DEFAULT_SEED_ENV = "CSSLAB_SEED"
+_MAX_DIGITS = 4300  # Python's default limit on int -> str conversion
 
 # (command, kind) -> (input roles in order, handler)
 COMMANDS: dict = {}
@@ -71,12 +72,15 @@ def _read(path: str, report: RunReport) -> str:
 
 
 def _write_artifact(text: str, out: str | None, report: RunReport) -> None:
-    print(report.emit(), end="", file=sys.stderr if out is None else sys.stdout)
+    """Write ``text`` to ``out``, then the report to stdout, so an unwritable
+    path prints no report; with no ``out``, report to stderr, text to stdout."""
     if out is None:
+        print(report.emit(), end="", file=sys.stderr)
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+        print(report.emit(), end="")
 
 
 def _finish(report: RunReport, ok: bool, out_text: str | None = None,
@@ -119,12 +123,17 @@ def _uncovered_stubborn(report: RunReport, inst, covering) -> list:
 
 def _refine(report: RunReport, g, cov):
     """Refine a t-covering into exact-multiplicity classes; report the class
-    count against the (2k)^t bound and return the refinement and the check."""
+    count against the (2k)^t bound and return the refinement and the check.
+    The classes partition edges, so the power need not grow past the edge
+    count; the bound prints as ``<2k>^<t>`` beyond ``_MAX_DIGITS`` digits."""
     refined = packing.refine_t_covering(g, cov)
-    bound = (2 * len(cov.bicliques)) ** cov.t
-    report.metric("classes", len(refined.partition.bicliques))
-    report.metric("class_bound", bound)
-    return refined, len(refined.partition.bicliques) <= bound
+    base, t = 2 * len(cov.bicliques), cov.t
+    classes = len(refined.partition.bicliques)
+    report.metric("classes", classes)
+    short = base < 2 or (t * math.log10(base) <= _MAX_DIGITS + 1
+                         and base ** t < 10 ** _MAX_DIGITS)
+    report.metric("class_bound", base ** t if short else f"{base}^{t}")
+    return refined, classes <= base ** min(t, g.edge_count().bit_length() + 1)
 
 
 def _stubborn_covering_provider(seed: int):

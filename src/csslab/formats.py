@@ -17,9 +17,7 @@ Formats (vertex indices are 0-based, lists sorted ascending):
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .csp import COLOR_NAMES, CcpInstance, StubbornInstance
+from .csp import COLOR_NAMES, PART_NAMES, CcpInstance, StubbornInstance
 from .graphs import Graph, from_edges
 from .packing import (BicliqueCovering, FoolingSet, OrientedBiclique,
                       PackingCertificate)
@@ -32,11 +30,6 @@ class FormatError(ValueError):
         where = f"line {line}: " if line is not None else ""
         super().__init__(where + message)
         self.line = line
-
-
-def _tokens(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        yield i, raw
 
 
 def _ints(parts, n, lineno, what="vertex"):
@@ -67,6 +60,14 @@ def _header(line: str, lineno: int, keyword: str, argc: int) -> list[int]:
     return values
 
 
+def _split_header(text: str, keyword: str, argc: int) -> tuple[list[str], list[int]]:
+    """The lines of ``text`` and the ``argc`` values of its ``keyword`` header."""
+    rows = text.splitlines()
+    if not rows:
+        raise FormatError(f"empty {keyword} file")
+    return rows, _header(rows[0], 1, keyword, argc)
+
+
 def _reject_rows_past(rows, end: int) -> None:
     """Rows from index ``end`` on lie past the count the header declares:
     reject the first that is not blank."""
@@ -78,26 +79,20 @@ def _reject_rows_past(rows, end: int) -> None:
 # -- graphs -------------------------------------------------------------------
 
 
-def emit_graph(g: Graph) -> str:
-    lines = [f"graph {g.n}"]
-    lines += [f"e {u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
-
-
-def parse_graph(text: str) -> Graph:
-    it = _tokens(text)
-    try:
-        lineno, line = next(it)
-    except StopIteration:
-        raise FormatError("empty graph file")
-    (n,) = _header(line, lineno, "graph", 1)
+def _parse_edges(rows, start: int, n: int) -> tuple[list[tuple[int, int]], int]:
+    """The ``e <u> <v>`` lines from ``rows[start]`` on, blank lines skipped, up
+    to the first other line; returns the edges and that line's index
+    (``len(rows)`` when there is none)."""
     edges = []
     seen = set()
-    for lineno, line in it:
-        if not line.strip():
+    for pos in range(start, len(rows)):
+        parts = rows[pos].split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] != "e" or len(parts) != 3:
+        if parts[0] != "e":
+            return edges, pos
+        lineno = pos + 1
+        if len(parts) != 3:
             raise FormatError("edge lines look like 'e <u> <v>'", lineno)
         u, v = _ints(parts[1:], n, lineno)
         if u == v:
@@ -108,31 +103,58 @@ def parse_graph(text: str) -> Graph:
             raise FormatError(f"duplicate edge ({u}, {v})", lineno)
         seen.add((u, v))
         edges.append((u, v))
-    return from_edges(n, edges)
+    return edges, len(rows)
 
 
-# -- cut families ---------------------------------------------------------------
-
-
-def emit_cut_family(f: CutFamily) -> str:
-    lines = [f"cuts {f.host_n} {len(f.cuts)}"]
-    for c in f.cuts:
-        lines.append(" ".join(str(v) for v in sorted(c.side_a)))
+def emit_graph(g: Graph) -> str:
+    lines = [f"graph {g.n}"]
+    lines += [f"e {u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
 
 
-def parse_cut_family(text: str) -> CutFamily:
-    rows = text.splitlines()
-    if not rows:
-        raise FormatError("empty cut file")
-    n, m = _header(rows[0], 1, "cuts", 2)
+def parse_graph(text: str) -> Graph:
+    rows, (n,) = _split_header(text, "graph", 1)
+    edges, pos = _parse_edges(rows, 1, n)
+    if pos < len(rows):
+        raise FormatError("edge lines look like 'e <u> <v>'", pos + 1)
+    return from_edges(n, edges)
+
+
+# -- cut families and hypergraphs: one row of sorted vertices per member -------
+
+
+def _emit_rows(header: str, members) -> str:
+    lines = [header]
+    for m in members:
+        lines.append(" ".join(str(v) for v in sorted(m)))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_rows(text: str, keyword: str, noun: str):
+    """The vertex count of a ``<keyword> <n> <m>`` file and an iterator over
+    its ``m`` rows as ``(line number, members)``; rows past the count are
+    rejected once the iterator is exhausted.  ``noun`` names one row in
+    errors."""
+    rows, (n, m) = _split_header(text, keyword, 2)
     if len(rows) < m + 1:
-        raise FormatError(f"expected {m} cut lines", len(rows))
+        raise FormatError(f"expected {m} {noun} lines", len(rows))
+
+    def members():
+        for lineno in range(2, m + 2):
+            yield lineno, _ints(rows[lineno - 1].split(), n, lineno)
+        _reject_rows_past(rows, m + 1)
+    return n, members()
+
+
+def emit_cut_family(f: CutFamily) -> str:
+    return _emit_rows(f"cuts {f.host_n} {len(f.cuts)}", (c.side_a for c in f.cuts))
+
+
+def parse_cut_family(text: str) -> CutFamily:
+    n, rows = _parse_rows(text, "cuts", "cut")
     cuts = []
     seen = set()
-    for i in range(m):
-        lineno = i + 2
-        members = _ints(rows[i + 1].split(), n, lineno)
+    for lineno, members in rows:
         mask = 0
         for v in members:
             mask |= 1 << v
@@ -140,32 +162,16 @@ def parse_cut_family(text: str) -> CutFamily:
             raise FormatError("duplicate cut", lineno)
         seen.add(mask)
         cuts.append(Cut(n, mask))
-    _reject_rows_past(rows, m + 1)
     return CutFamily(n, cuts)
 
 
-# -- hypergraphs -----------------------------------------------------------------
-
-
-def emit_hypergraph(h) -> str:
-    lines = [f"hgraph {h.n} {len(h.edges)}"]
-    for e in h.edges:
-        lines.append(" ".join(str(v) for v in sorted(e)))
-    return "\n".join(lines) + "\n"
+def emit_hypergraph(h: Hypergraph) -> str:
+    return _emit_rows(f"hgraph {h.n} {len(h.edges)}", h.edges)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    rows = text.splitlines()
-    if not rows:
-        raise FormatError("empty hypergraph file")
-    n, m = _header(rows[0], 1, "hgraph", 2)
-    if len(rows) < m + 1:
-        raise FormatError(f"expected {m} hyperedge lines", len(rows))
-    edges = []
-    for i in range(m):
-        edges.append(frozenset(_ints(rows[i + 1].split(), n, i + 2)))
-    _reject_rows_past(rows, m + 1)
-    return Hypergraph(n, edges)
+    n, rows = _parse_rows(text, "hgraph", "hyperedge")
+    return Hypergraph(n, [frozenset(members) for _, members in rows])
 
 
 # -- packings, coverings and fooling sets -------------------------------------------
@@ -206,10 +212,7 @@ def emit_packing(cert: PackingCertificate) -> str:
 
 
 def parse_packing(text: str, host: Graph) -> PackingCertificate:
-    rows = text.splitlines()
-    if not rows:
-        raise FormatError("empty packing file")
-    n, k = _header(rows[0], 1, "packing", 2)
+    rows, (n, k) = _split_header(text, "packing", 2)
     blocks = _parse_blocks(rows, n, k, host, "AB", "certificate")
     return PackingCertificate(host, tuple(OrientedBiclique(a, b) for a, b in blocks))
 
@@ -241,10 +244,7 @@ def emit_fooling(fs: FoolingSet) -> str:
 
 
 def parse_fooling(text: str, host: Graph) -> FoolingSet:
-    rows = text.splitlines()
-    if not rows:
-        raise FormatError("empty fooling-set file")
-    n, m = _header(rows[0], 1, "fooling", 2)
+    rows, (n, m) = _split_header(text, "fooling", 2)
     return FoolingSet(host, tuple(_parse_blocks(rows, n, m, host, "KS", "fooling set")))
 
 
@@ -260,10 +260,7 @@ def emit_ccp(inst: CcpInstance) -> str:
 
 
 def parse_ccp(text: str) -> CcpInstance:
-    rows = text.splitlines()
-    if not rows:
-        raise FormatError("empty edge-coloring file")
-    (n,) = _header(rows[0], 1, "ccp", 1)
+    rows, (n,) = _split_header(text, "ccp", 1)
     want = n * (n - 1) // 2
     colors = {}
     for i, row in enumerate(rows[1:], start=2):
@@ -289,18 +286,20 @@ def parse_ccp(text: str) -> CcpInstance:
     return CcpInstance(n, flat)
 
 
-_CCP_TOKENS = {name: i for i, name in enumerate(COLOR_NAMES)}
-_STUBBORN_TOKENS = {f"A{i}": i for i in (1, 2, 3, 4)}
+# token -> list value, one table per list alphabet
+_COLOR_TOKENS = {name: i for i, name in enumerate(COLOR_NAMES)}
+_PART_TOKENS = {name: i for i, name in enumerate(PART_NAMES, start=1)}
 
 
-def _emit_lists(lists, tokens_by_value) -> list[str]:
+def _emit_lists(lists, tokens) -> list[str]:
+    names = {v: tok for tok, v in tokens.items()}
     lines = [f"lists {len(lists)}"]
     for lst in lists:
-        lines.append(" ".join(tokens_by_value[v] for v in sorted(lst)))
+        lines.append(" ".join(names[v] for v in sorted(lst)))
     return lines
 
 
-def _parse_lists(rows, start: int, token_map) -> tuple[tuple, int]:
+def _parse_lists(rows, start: int, tokens) -> tuple[tuple, int]:
     (n,) = _header(rows[start] if start < len(rows) else "", start + 1, "lists", 1)
     if len(rows) < start + 1 + n:
         raise FormatError(f"expected {n} list lines", len(rows))
@@ -309,36 +308,21 @@ def _parse_lists(rows, start: int, token_map) -> tuple[tuple, int]:
         lineno = start + 2 + i
         vals = []
         for tok in rows[start + 1 + i].split():
-            if tok not in token_map:
+            if tok not in tokens:
                 raise FormatError(f"unknown color token {tok!r}", lineno)
-            vals.append(token_map[tok])
+            vals.append(tokens[tok])
         if not vals:
             raise FormatError("empty color list", lineno)
         lists.append(frozenset(vals))
     return tuple(lists), start + 1 + n
 
 
-def emit_ccp_covering(covering) -> str:
-    names = {i: COLOR_NAMES[i] for i in range(3)}
-    blocks = ["\n".join(_emit_lists(la, names)) for la in covering]
-    return "\n--\n".join(blocks) + "\n"
+def _emit_covering(covering, tokens) -> str:
+    """``lists`` blocks, one per assignment, joined by ``--`` lines."""
+    return "\n--\n".join("\n".join(_emit_lists(la, tokens)) for la in covering) + "\n"
 
 
-def parse_ccp_covering(text: str) -> list[tuple]:
-    return _parse_covering_blocks(text, _CCP_TOKENS)
-
-
-def emit_stubborn_covering(covering) -> str:
-    names = {i: f"A{i}" for i in (1, 2, 3, 4)}
-    blocks = ["\n".join(_emit_lists(la, names)) for la in covering]
-    return "\n--\n".join(blocks) + "\n"
-
-
-def parse_stubborn_covering(text: str) -> list[tuple]:
-    return _parse_covering_blocks(text, _STUBBORN_TOKENS)
-
-
-def _parse_covering_blocks(text: str, token_map) -> list[tuple]:
+def _parse_covering(text: str, tokens) -> list[tuple]:
     rows = text.splitlines()
     out = []
     pos = 0
@@ -346,56 +330,42 @@ def _parse_covering_blocks(text: str, token_map) -> list[tuple]:
         if not rows[pos].strip() or rows[pos].strip() == "--":
             pos += 1
             continue
-        la, pos = _parse_lists(rows, pos, token_map)
+        la, pos = _parse_lists(rows, pos, tokens)
         out.append(la)
     if not out:
         raise FormatError("no list assignments found")
     return out
 
 
+def emit_ccp_covering(covering) -> str:
+    return _emit_covering(covering, _COLOR_TOKENS)
+
+
+def parse_ccp_covering(text: str) -> list[tuple]:
+    return _parse_covering(text, _COLOR_TOKENS)
+
+
+def emit_stubborn_covering(covering) -> str:
+    return _emit_covering(covering, _PART_TOKENS)
+
+
+def parse_stubborn_covering(text: str) -> list[tuple]:
+    return _parse_covering(text, _PART_TOKENS)
+
+
 def emit_stubborn(inst: StubbornInstance) -> str:
     g = inst.graph
     lines = [f"stubborn {g.n}"]
     lines += [f"e {u} {v}" for u, v in g.edges()]
-    names = {i: f"A{i}" for i in (1, 2, 3, 4)}
-    lines += _emit_lists(inst.lists, names)
+    lines += _emit_lists(inst.lists, _PART_TOKENS)
     return "\n".join(lines) + "\n"
 
 
 def parse_stubborn(text: str) -> StubbornInstance:
-    rows = text.splitlines()
-    if not rows:
-        raise FormatError("empty instance file")
-    (n,) = _header(rows[0], 1, "stubborn", 1)
-    edges = []
-    seen = set()
-    pos = 1
-    while pos < len(rows) and rows[pos].startswith("e "):
-        parts = rows[pos].split()
-        if len(parts) != 3:
-            raise FormatError("edge lines look like 'e <u> <v>'", pos + 1)
-        u, v = _ints(parts[1:], n, pos + 1)
-        if u >= v or (u, v) in seen:
-            raise FormatError(f"bad or duplicate edge ({u}, {v})", pos + 1)
-        seen.add((u, v))
-        edges.append((u, v))
-        pos += 1
-    lists, end = _parse_lists(rows, pos, _STUBBORN_TOKENS)
+    rows, (n,) = _split_header(text, "stubborn", 1)
+    edges, pos = _parse_edges(rows, 1, n)
+    lists, end = _parse_lists(rows, pos, _PART_TOKENS)
     _reject_rows_past(rows, end)
     if len(lists) != n:
         raise FormatError("list section size disagrees with the header")
     return StubbornInstance(from_edges(n, edges), lists)
-
-
-# -- misc ---------------------------------------------------------------------------
-
-
-def emit_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"bad fraction {text!r}")

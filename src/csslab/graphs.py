@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .rng import SplitMix64, bernoulli_threshold
 
-VertexSet = frozenset
-
 
 def mask_of(vertices) -> int:
     m = 0

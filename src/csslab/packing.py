@@ -8,13 +8,12 @@ so re-running in any order yields the same result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .graphs import (Graph, _all_clique_masks, _sort_key, bits, complement,
-                     complete_graph, from_edges, greedy_coloring, induced,
-                     is_clique, is_proper_coloring, is_stable, mask_of, set_of)
+                     complete_graph, from_edges, induced, is_clique,
+                     is_proper_coloring, is_stable, mask_of, set_of)
 from .separator import CutFamily, family_from_masks, separates
 
 
@@ -234,12 +233,6 @@ def star_partition(n: int) -> PackingCertificate:
     return PackingCertificate(host, tuple(bicliques))
 
 
-def star_partition_covering(n: int) -> BicliqueCovering:
-    cert = star_partition(n)
-    return BicliqueCovering(cert.host,
-                            tuple((bc.a_side, bc.b_side) for bc in cert.bicliques), 1)
-
-
 def star_cover(g: Graph) -> PackingCertificate:
     """Edge partition of an arbitrary graph into oriented stars: vertex i
     against its higher-numbered neighbors."""
@@ -413,23 +406,6 @@ def pair_coloring_to_separator(g: Graph, pairs, coloring) -> CutFamily:
 # -- multiplicity refinement (labels) and coloring composition -----------------
 
 
-def packing_to_2covering(cert: PackingCertificate) -> BicliqueCovering:
-    """Forget orientations: a packing certificate covers each edge at most
-    twice (once per direction)."""
-    cov = BicliqueCovering(cert.host,
-                           tuple((bc.a_side, bc.b_side) for bc in cert.bicliques), 2)
-    out = verify_covering(cov)
-    if not out.ok:
-        raise RuntimeError(f"relaxed covering invalid: {out.violation} {out.detail}")
-    return cov
-
-
-def relax_covering(cov: BicliqueCovering, t: int) -> BicliqueCovering:
-    if t < cov.t:
-        raise ValueError("multiplicity cap can only grow")
-    return BicliqueCovering(cov.host, cov.bicliques, t)
-
-
 @dataclass(frozen=True)
 class RefinedPartition:
     subgraph: Graph                       # edges covered exactly t times
@@ -496,11 +472,6 @@ def refine_t_covering(g: Graph, cov: BicliqueCovering) -> RefinedPartition:
     return RefinedPartition(sub, part, tuple(labels))
 
 
-def greedy_base_colorer(h: Graph, partition: BicliqueCovering) -> tuple[int, ...]:
-    """Baseline proper-coloring producer for composition: first-fit greedy."""
-    return greedy_coloring(h)
-
-
 def compose_coloring(g: Graph, cov: BicliqueCovering, base_colorer) -> tuple[int, ...]:
     """Proper coloring of g built by recursion on the multiplicity cap: color
     the exactly-t subgraph through its label partition, then recurse on every
@@ -537,35 +508,3 @@ def compose_coloring(g: Graph, cov: BicliqueCovering, base_colorer) -> tuple[int
     if not is_proper_coloring(g, colors):
         raise RuntimeError("composed coloring improper: implementation bug")
     return colors
-
-
-# -- advisory rank diagnostic ---------------------------------------------------
-
-
-def certificate_matrix_rank(cert: PackingCertificate) -> int:
-    """Rank over the rationals of the 0/1 matrix summing the outer products of
-    the certificate's oriented bicliques.  Reported as a diagnostic only."""
-    m = cert.host.n
-    mat = [[Fraction(0)] * m for _ in range(m)]
-    for bc in cert.bicliques:
-        for a in bc.a_side:
-            for b in bc.b_side:
-                mat[a][b] += 1
-    rank = 0
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, m) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(m):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank

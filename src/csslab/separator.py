@@ -85,10 +85,6 @@ def family_from_masks(host_n: int, masks) -> CutFamily:
     return CutFamily(host_n, cuts)
 
 
-def all_cuts_family(n: int) -> CutFamily:
-    return family_from_masks(n, range(1 << n))
-
-
 @dataclass(frozen=True)
 class SeparationReport:
     ok: bool

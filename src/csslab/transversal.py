@@ -1,5 +1,5 @@
-"""Conflict digraphs, antisymmetric-game weights, hypergraph transversals and
-VC dimension, and the two structured separator builders that rest on them:
+"""Conflict digraphs, side game weights, hypergraph transversals and VC
+dimension, and the two structured separator builders that rest on them:
 one for graphs excluding a fixed split pattern, one for graphs excluding a
 long path and its complement.
 
@@ -54,13 +54,6 @@ class Digraph:
         self.n = n
         self.out = out
 
-    def in_mask(self, v: int) -> int:
-        m = 0
-        for u in range(self.n):
-            if self.out[u] >> v & 1:
-                m |= 1 << u
-        return m
-
 
 @dataclass(frozen=True)
 class ConflictDigraph:
@@ -90,39 +83,6 @@ def conflict_digraph(g: Graph, k: frozenset, s: frozenset) -> ConflictDigraph:
             else:
                 out[nk + j] |= 1 << i
     return ConflictDigraph(Digraph(n, out), ks, ss)
-
-
-def antisym_game_weights(d: Digraph) -> tuple[Fraction, ...]:
-    """Exact nonnegative weights summing to one with every vertex's
-    out-neighborhood at least as heavy as its in-neighborhood.
-
-    Existence is guaranteed for antisymmetric digraphs, so infeasibility of
-    the program signals an implementation bug and raises.
-    """
-    n = d.n
-    if n == 0:
-        return ()
-    a_ub = []
-    for x in range(n):
-        inm = d.in_mask(x)
-        row = [0] * n
-        for y in bits(d.out[x]):
-            row[y] = -1
-        for y in bits(inm):
-            row[y] = 1
-        a_ub.append(row)  # w(N-) - w(N+) <= 0
-    w = lp_feasible(a_ub=a_ub, b_ub=[0] * n, a_eq=[[1] * n], b_eq=[1])
-    if w is None:
-        raise RuntimeError("antisymmetric game infeasible: implementation bug")
-    total = sum(w, ZERO)
-    if not (total == 1 and all(v >= 0 for v in w)):
-        raise RuntimeError("game weights are not a probability vector")
-    for x in range(n):
-        outw = sum((w[y] for y in bits(d.out[x])), ZERO)
-        inw = sum((w[y] for y in bits(d.in_mask(x))), ZERO)
-        if outw < inw:
-            raise RuntimeError("returned weights violate the game inequality")
-    return tuple(w)
 
 
 @dataclass(frozen=True)

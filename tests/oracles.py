@@ -1,8 +1,29 @@
-"""Slow scalar reference implementations that the library is tested against."""
+"""Slow scalar reference implementations that the library is tested
+against, and fixture builders that only tests use."""
 
+from csslab.graphs import greedy_coloring
+from csslab.packing import BicliqueCovering
 from csslab.rng import SplitMix64, bernoulli_threshold
 from csslab.separator import (CutFamily, SeparatorBuildError,
                               disjoint_maximal_pairs, family_from_masks)
+
+
+def as_covering(cert, t: int) -> BicliqueCovering:
+    """The packing certificate's bicliques, orientation forgotten, as a
+    covering with multiplicity cap ``t``: a star partition is a 1-covering,
+    and any packing certificate a 2-covering (once per direction)."""
+    return BicliqueCovering(cert.host,
+                            tuple((bc.a_side, bc.b_side) for bc in cert.bicliques), t)
+
+
+def all_cuts_family(n: int) -> CutFamily:
+    """Every side-A subset of n vertices, which separates every pair."""
+    return family_from_masks(n, range(1 << n))
+
+
+def greedy_base_colorer(h, partition) -> tuple[int, ...]:
+    """First-fit greedy base colorer for ``compose_coloring``."""
+    return greedy_coloring(h)
 
 
 def scalar_bernoulli_mask(rng: SplitMix64, n: int, threshold: int) -> int:

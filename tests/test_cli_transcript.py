@@ -15,6 +15,8 @@ from pathlib import Path
 from csslab import csp, formats, graphs, packing, separator
 from csslab.cli import COMMANDS, main
 
+from oracles import as_covering
+
 GOLDEN = Path(__file__).with_name("cli_transcript.json")
 
 
@@ -25,7 +27,7 @@ def _fixture(name):
 def _write_inputs(d: Path) -> None:
     """Inputs the CLI cannot make itself, written by the library."""
     (d / "k4cov.txt").write_text(
-        formats.emit_covering(packing.star_partition_covering(4)))
+        formats.emit_covering(as_covering(packing.star_partition(4), 1)))
     (d / "k6.txt").write_text(formats.emit_graph(graphs.complete_graph(6)))
     (d / "bad.txt").write_text("cuts 8 0\n")
     (d / "h.txt").write_text("hgraph 3 3\n0 1\n1 2\n0 2\n")

@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import csslab
 from csslab import fixture_text
 from csslab.cli import main
 from csslab.csp import (CcpInstance, StubbornInstance, random_ccp_instance,
@@ -10,21 +15,20 @@ from csslab.csp import (CcpInstance, StubbornInstance, random_ccp_instance,
 from csslab.graphs import (complete_graph, cycle_graph, from_edges, gen_gnp,
                            net_graph)
 from csslab.packing import (BicliqueCovering, FoolingSet, build_fooling_set,
-                            star_partition, star_partition_covering,
-                            verify_packing)
+                            star_partition, verify_packing)
 from csslab.separator import build_random_separator, extend_to_full_separator
 from csslab.transversal import Hypergraph
 from csslab import formats
 from csslab.formats import (FormatError, emit_ccp, emit_ccp_covering,
                             emit_covering, emit_cut_family, emit_fooling,
-                            emit_fraction, emit_graph, emit_hypergraph,
-                            emit_packing, emit_stubborn,
-                            emit_stubborn_covering, parse_ccp,
+                            emit_graph, emit_hypergraph, emit_packing,
+                            emit_stubborn, emit_stubborn_covering, parse_ccp,
                             parse_ccp_covering, parse_covering,
-                            parse_cut_family, parse_fooling, parse_fraction,
-                            parse_graph, parse_hypergraph, parse_packing,
-                            parse_stubborn, parse_stubborn_covering)
+                            parse_cut_family, parse_fooling, parse_graph,
+                            parse_hypergraph, parse_packing, parse_stubborn,
+                            parse_stubborn_covering)
 
+from oracles import as_covering
 from test_separator import clique_beside_five_cycle
 
 # ---------------------------------------------------------------- round trips
@@ -68,6 +72,15 @@ def test_hypergraph_roundtrip():
     back = parse_hypergraph(text)
     assert back.n == h.n and back.edges == h.edges
     assert emit_hypergraph(back) == text
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_graph, "graph 3\ne 0 1\n\ne 1 2\n"),
+    (parse_stubborn, "stubborn 3\ne 0 1\n\ne 1 2\nlists 3\nA1 A2\nA3\nA4\n"),
+], ids=["graph", "stubborn"])
+def test_blank_lines_among_edge_lines(parse, text):
+    got = parse(text)
+    assert (got if parse is parse_graph else got.graph).edges() == [(0, 1), (1, 2)]
 
 
 def test_packing_and_fooling_roundtrip():
@@ -121,7 +134,7 @@ def test_negative_header_counts_rejected():
 
 
 def test_covering_roundtrip():
-    cov = star_partition_covering(4)
+    cov = as_covering(star_partition(4), 1)
     text = emit_covering(cov)
     back = parse_covering(text, cov.host)
     assert back.bicliques == cov.bicliques and back.t == 1
@@ -157,15 +170,6 @@ def test_stubborn_roundtrip():
     cov = [(frozenset({3, 4}),) * 4, (frozenset({1, 2}),) * 4]
     text = emit_stubborn_covering(cov)
     assert parse_stubborn_covering(text) == cov
-
-
-def test_fraction_strings():
-    from fractions import Fraction
-    assert emit_fraction(Fraction(3, 2)) == "3/2"
-    assert emit_fraction(Fraction(4)) == "4"
-    assert parse_fraction("3/2") == Fraction(3, 2)
-    with pytest.raises(FormatError):
-        parse_fraction("x")
 
 
 def test_fixture_files():
@@ -258,12 +262,46 @@ def test_cli_reduce_square_and_refine(tmp_path, capsys):
     k4 = tmp_path / "k4.txt"
     cov = tmp_path / "cov.txt"
     run_cli(tmp_path, "gen", "complete", "--n", 4, "--out", k4)
-    cov.write_text(emit_covering(star_partition_covering(4)))
+    cov.write_text(emit_covering(as_covering(star_partition(4), 1)))
     capsys.readouterr()
     assert run_cli(tmp_path, "reduce", "refine-t", k4, cov) == 0
     captured = capsys.readouterr()
     assert "metric classes" in captured.err  # artifact on stdout, report on stderr
     assert captured.out.startswith("covering")
+
+
+# Runs the command in a child that reports the command's own time, so that a
+# (2k)^t computed in full fails on the timeout instead of hanging the suite.
+_TIMED_MAIN = ("import sys, time; from csslab.cli import main; t0 = time.perf_counter(); "
+               "code = main(sys.argv[1:]); print('elapsed', time.perf_counter() - t0); "
+               "sys.exit(code)")
+
+
+@pytest.mark.parametrize("t", [6000, 10 ** 9])
+@pytest.mark.parametrize("command", ["bound-check label-count", "reduce refine-t"])
+def test_cli_label_count_with_large_multiplicity_cap(tmp_path, command, t):
+    """The class check never builds (2k)^t past the edge count, and a bound
+    of more than 4,300 digits prints as <2k>^<t>."""
+    k4, cov = tmp_path / "k4.txt", tmp_path / "cov.txt"
+    k4.write_text(emit_graph(complete_graph(4)))
+    cov.write_text(emit_covering(as_covering(star_partition(4), t)))
+    src = str(Path(csslab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", _TIMED_MAIN, *command.split(), k4, cov],
+                         capture_output=True, text=True, env=env, timeout=30)
+    assert run.returncode == 0, run.stderr
+    report = run.stderr if command == "reduce refine-t" else run.stdout
+    assert "outcome pass" in report and f"metric class_bound 6^{t}\n" in report
+    assert float(run.stdout.rsplit("elapsed ", 1)[1]) < 1.0
+
+
+def test_cli_unwritable_out_prints_no_passing_report(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.txt"
+    assert run_cli(tmp_path, "gen", "gnp", "--n", 5, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert "outcome pass" not in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_cli_build_verifies_before_writing(tmp_path, capsys):
@@ -366,9 +404,8 @@ def test_cli_reduce_tour(tmp_path, capsys):
 
     # covering multiplicity verification
     from csslab.formats import emit_covering as _ec
-    from csslab.packing import packing_to_2covering
     from csslab.formats import parse_packing as _pp, parse_graph as _pg
-    cov2 = packing_to_2covering(_pp(pack.read_text(), _pg(k6.read_text())))
+    cov2 = as_covering(_pp(pack.read_text(), _pg(k6.read_text())), 2)
     covf = tmp_path / "cov2.txt"
     covf.write_text(_ec(cov2))
     assert run_cli(tmp_path, "verify", "covering-t", k6, covf) == 0

@@ -13,8 +13,9 @@ plain ints, and ``x`` and ``value`` are printed fractions or null.  Families:
 - ``redundant``: random equality systems with a duplicated (or scaled) row
   and an all-zero row, which leave artificials basic at level zero after
   phase 1 and so exercise the drive-out and the row drop;
-- ``covering`` and ``game``: the shapes that ``fractional_transversality``
-  and ``antisym_game_weights`` pass.
+- ``covering`` and ``game``: the shapes of ``fractional_transversality``'s
+  programs and of the antisymmetric-game programs (weights summing to one,
+  out-weight at least in-weight at every vertex).
 
 ``side_feasible`` pins ``transversal._side_feasible`` on sign matrices,
 including no rows with zero and with three variables.

@@ -11,17 +11,16 @@ from csslab.graphs import (complement, complete_graph, cycle_graph, empty_graph,
 from csslab.packing import (BicliqueCovering, CapExceeded, FoolingSet,
                             OrientedBiclique, PackingCertificate,
                             build_fooling_set, certificate_aux_pairs,
-                            certificate_matrix_rank, compose_coloring,
-                            fooling_to_packing, greedy_base_colorer,
+                            compose_coloring, fooling_to_packing,
                             min_bp_bruteforce, min_bpor_bruteforce,
-                            packing_to_2covering, packing_to_fooling,
-                            pair_coloring_to_separator, pairs_packing,
-                            refine_t_covering, relax_covering, star_cover,
-                            star_partition, star_partition_covering,
-                            separator_to_coloring, verify_covering,
-                            verify_fooling_set, verify_packing)
+                            packing_to_fooling, pair_coloring_to_separator,
+                            pairs_packing, refine_t_covering, star_cover,
+                            star_partition, separator_to_coloring,
+                            verify_covering, verify_fooling_set, verify_packing)
 from csslab.separator import (Cut, CutFamily, build_random_separator,
                               extend_to_full_separator, verify_cs_separator)
+
+from oracles import as_covering, greedy_base_colorer
 
 
 def crossed_biclique_graph():
@@ -235,17 +234,13 @@ def test_pairs_packing_routes_to_separator():
 def test_observation_chain_transformers():
     fs = build_fooling_set(cycle_graph(5))
     cert = fooling_to_packing(fs)
-    cov2 = packing_to_2covering(cert)
+    cov2 = as_covering(cert, 2)
     assert verify_covering(cov2).ok and cov2.t == 2
-    cov9 = relax_covering(cov2, 9)
-    assert verify_covering(cov9).ok and cov9.t == 9
-    with pytest.raises(ValueError):
-        relax_covering(cov2, 1)
 
 
 def test_refine_t1_star():
     g = complete_graph(4)
-    ref = refine_t_covering(g, star_partition_covering(4))
+    ref = refine_t_covering(g, as_covering(star_partition(4), 1))
     assert ref.subgraph.edge_count() == 6
     assert verify_covering(ref.partition).ok
     assert len(ref.partition.bicliques) <= (2 * 3) ** 1
@@ -313,7 +308,7 @@ def test_refine_random_2coverings():
 
 def test_compose_coloring_t1_direct():
     g = complete_graph(4)
-    colors = compose_coloring(g, star_partition_covering(4), greedy_base_colorer)
+    colors = compose_coloring(g, as_covering(star_partition(4), 1), greedy_base_colorer)
     assert is_proper_coloring(g, colors)
     assert len(set(colors)) == 4
 
@@ -328,21 +323,13 @@ def test_compose_coloring_t2_random():
 
 def test_compose_rejects_improper_base():
     g = complete_graph(3)
-    cov = star_partition_covering(3)
+    cov = as_covering(star_partition(3), 1)
 
     def bad(h, part):
         return tuple(0 for _ in range(h.n))
 
     with pytest.raises(ValueError):
         compose_coloring(g, cov, bad)
-
-
-def test_matrix_rank_diagnostic():
-    cert = star_partition(5)
-    assert certificate_matrix_rank(cert) <= len(cert.bicliques)
-    fs = build_fooling_set(cycle_graph(5))
-    cert2 = fooling_to_packing(fs)
-    assert certificate_matrix_rank(cert2) <= len(cert2.bicliques)
 
 
 def test_min_bpt_bruteforce_chain():

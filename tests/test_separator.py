@@ -10,13 +10,13 @@ from csslab.graphs import (complement, complete_graph, cycle_graph, empty_graph,
                            from_edges, gen_gnp, is_clique, is_stable, mask_of,
                            set_of)
 from csslab.separator import (AppendixBoundReport, Cut, CutFamily,
-                              SeparatorBuildError, all_cuts_family,
-                              build_random_separator, check_appendix_bound,
-                              disjoint_maximal_pairs, extend_to_full_separator,
-                              family_from_masks, separates, verify_cs_separator)
+                              SeparatorBuildError, build_random_separator,
+                              check_appendix_bound, disjoint_maximal_pairs,
+                              extend_to_full_separator, family_from_masks,
+                              separates, verify_cs_separator)
 from csslab.graphs import _all_clique_masks
 
-from oracles import greedy_separator
+from oracles import all_cuts_family, greedy_separator
 
 
 def all_cliques(g):

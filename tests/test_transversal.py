@@ -12,8 +12,8 @@ from csslab.graphs import (complement, complete_graph,
 from csslab.lp import solve_lp
 from csslab.separator import disjoint_maximal_pairs, verify_cs_separator
 from csslab.transversal import (BicliquePairNotFound, ConflictDigraph, Digraph,
-                                Hypergraph, antisym_game_weights,
-                                build_hypergraph, build_pk_free_separator,
+                                Hypergraph, build_hypergraph,
+                                build_pk_free_separator,
                                 build_split_free_separator, conflict_digraph,
                                 exact_min_transversal, fractional_transversality,
                                 greedy_transversal, separate_pair_split_free,
@@ -21,18 +21,6 @@ from csslab.transversal import (BicliquePairNotFound, ConflictDigraph, Digraph,
                                 transversal_budget, vc_dimension)
 
 # ---------------------------------------------------------------- digraphs
-
-
-def random_antisymmetric_digraph(n, rnd):
-    out = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            r = rnd.random()
-            if r < 1 / 3:
-                out[u] |= 1 << v
-            elif r < 2 / 3:
-                out[v] |= 1 << u
-    return Digraph(n, out)
 
 
 def test_digraph_rejects_bad_arcs():
@@ -59,22 +47,6 @@ def test_conflict_digraph_rejects_nonstable():
     g = from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         conflict_digraph(g, frozenset({0}), frozenset({1, 2}))
-
-
-def test_game_weights_trivia():
-    assert antisym_game_weights(Digraph(1, [0])) == (1,)
-    d3 = Digraph(3, [0b010, 0b100, 0b001])
-    assert antisym_game_weights(d3) == (Fraction(1, 3),) * 3
-    assert antisym_game_weights(Digraph(2, [0b10, 0])) == (0, 1)
-
-
-def test_game_weights_random_batch():
-    rnd = random.Random(13)
-    for trial in range(300):
-        n = rnd.randint(1, 12)
-        d = random_antisymmetric_digraph(n, rnd)
-        w = antisym_game_weights(d)  # the op re-checks all three conditions
-        assert sum(w) == 1
 
 
 def test_side_weights_edge_pair_prefers_s():
