@@ -345,34 +345,28 @@ def contains_induced(g: Graph, pattern: Graph) -> tuple[int, ...] | None:
         placed |= 1 << v
         remaining.discard(v)
 
+    # level i's candidates: unused vertices adjacent to the images of the
+    # earlier pattern neighbours of order[i] and not adjacent to the others
+    links = [[(pu, pattern.adj[order[i]] >> pu & 1) for pu in order[:i]] for i in range(k)]
+    adj, full = g.adj, g.full_mask
     assign = [-1] * k
-    used = 0
 
-    def backtrack(i: int):
-        nonlocal used
+    def extend(i: int, used: int) -> bool:
         if i == k:
             return True
-        pv = order[i]
-        for cand in range(g.n):
-            bc = 1 << cand
-            if used & bc:
-                continue
-            ok = True
-            for j in range(i):
-                pu = order[j]
-                if pattern.has_edge(pv, pu) != g.has_edge(cand, assign[pu]):
-                    ok = False
-                    break
-            if ok:
-                assign[pv] = cand
-                used |= bc
-                if backtrack(i + 1):
-                    return True
-                used &= ~bc
-                assign[pv] = -1
+        cands = full & ~used
+        for pu, edge in links[i]:
+            nb = adj[assign[pu]]
+            cands &= nb if edge else ~nb
+        while cands:
+            low = cands & -cands
+            assign[order[i]] = low.bit_length() - 1
+            if extend(i + 1, used | low):
+                return True
+            cands ^= low
         return False
 
-    if backtrack(0):
+    if extend(0, 0):
         return tuple(assign)
     return None
 

@@ -1,7 +1,10 @@
 """Slow scalar reference implementations that the library is tested
 against, and fixture builders that only tests use."""
 
+from fractions import Fraction
+
 from csslab.graphs import greedy_coloring
+from csslab.lp import LpResult
 from csslab.packing import BicliqueCovering
 from csslab.rng import SplitMix64, bernoulli_threshold
 from csslab.separator import (CutFamily, SeparatorBuildError,
@@ -66,3 +69,125 @@ def greedy_separator(g, p: float, seed: int, max_rounds: int | None = None) -> C
     if pairs:
         raise SeparatorBuildError(len(pairs), rounds)
     return family_from_masks(g.n, chosen)
+
+
+def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> LpResult:
+    """Two-phase simplex on a tableau of ``Fraction``s with Bland's rule:
+    the reference that ``csslab.lp.solve_lp`` must match pivot for pivot.
+
+    The tableau's columns are x | slacks | artificials | rhs and its last
+    row is the objective.  Shapes are not checked."""
+    zero, one = Fraction(0), Fraction(1)
+
+    def pivot(tab, basis, row, col):
+        piv = tab[row][col]
+        if piv != 1:
+            tab[row] = [e / piv for e in tab[row]]
+        prow = tab[row]
+        for r, trow in enumerate(tab):
+            f = trow[col]
+            if f and r != row:
+                tab[r] = [a - f * b for a, b in zip(trow, prow)]
+        basis[row] = col
+
+    def price_out(tab, basis):
+        for r, col in enumerate(basis):
+            pivot(tab, basis, r, col)
+
+    def run_simplex(tab, basis):
+        while True:
+            col = next((j for j, v in enumerate(tab[-1][:-1]) if v < 0), None)
+            if col is None:
+                return True
+            rows = [r for r in range(len(basis)) if tab[r][col] > 0]
+            if not rows:
+                return False
+            pivot(tab, basis, min(rows, key=lambda r: (tab[r][-1] / tab[r][col], basis[r])),
+                  col)
+
+    nx = len(c)
+    ub = list(zip(a_ub, b_ub))
+    rows = [(a, b, nx + i) for i, (a, b) in enumerate(ub)]
+    rows += [(a, b, None) for a, b in zip(a_eq, b_eq)]
+    ncols = nx + len(ub)
+    nart = sum(slack is None or b < 0 for _, b, slack in rows)
+    tab, basis, art = [], [], ncols
+    for a, b, slack in rows:
+        row = [Fraction(v) for v in a] + [zero] * (len(ub) + nart) + [Fraction(b)]
+        if slack is not None:
+            row[slack] = one
+        if b < 0:
+            row = [-v for v in row]
+        if slack is None or b < 0:
+            slack, art = art, art + 1
+            row[slack] = one
+        tab.append(row)
+        basis.append(slack)
+
+    tab.append([zero] * ncols + [one] * nart + [zero])
+    price_out(tab, basis)
+    if not run_simplex(tab, basis) or tab[-1][-1]:
+        return LpResult("infeasible", None, None)
+    for r, col in enumerate(basis):
+        if col >= ncols:
+            j = next((j for j in range(ncols) if tab[r][j]), None)
+            if j is not None:
+                pivot(tab, basis, r, j)
+    keep = [r for r, col in enumerate(basis) if col < ncols]
+    sign = -1 if maximize else 1
+    tab = [tab[r][:ncols] + tab[r][-1:] for r in keep]
+    tab.append([sign * Fraction(v) for v in c] + [zero] * (ncols - nx + 1))
+    basis = [basis[r] for r in keep]
+
+    price_out(tab, basis)
+    if not run_simplex(tab, basis):
+        return LpResult("unbounded", None, None)
+    x = [zero] * nx
+    for r, col in enumerate(basis):
+        if col < nx:
+            x[col] = tab[r][-1]
+    return LpResult("optimal", tuple(x), -sign * tab[-1][-1])
+
+
+def has_edge_contains_induced(g, pattern):
+    """``contains_induced`` by backtracking with one ``has_edge`` test per
+    earlier pattern vertex: the first assignment in the same search order."""
+    k = pattern.n
+    if k > g.n:
+        return None
+    if k == 0:
+        return ()
+    order = []
+    placed = 0
+    remaining = set(range(k))
+    while remaining:
+        connected = [v for v in remaining if pattern.adj[v] & placed]
+        pool = connected if connected else list(remaining)
+        v = max(pool, key=lambda u: (pattern.degree(u), -u))
+        order.append(v)
+        placed |= 1 << v
+        remaining.discard(v)
+
+    assign = [-1] * k
+    used = 0
+
+    def backtrack(i):
+        nonlocal used
+        if i == k:
+            return True
+        pv = order[i]
+        for cand in range(g.n):
+            bc = 1 << cand
+            if used & bc:
+                continue
+            if all(pattern.has_edge(pv, order[j]) == g.has_edge(cand, assign[order[j]])
+                   for j in range(i)):
+                assign[pv] = cand
+                used |= bc
+                if backtrack(i + 1):
+                    return True
+                used &= ~bc
+                assign[pv] = -1
+        return False
+
+    return tuple(assign) if backtrack(0) else None

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csslab.graphs import (BicliquePair, Graph, bits, complement,
                            complete_graph, comparability_from_random_poset,
@@ -11,6 +13,7 @@ from csslab.graphs import (BicliquePair, Graph, bits, complement,
                            is_proper_coloring, is_split_graph, is_stable,
                            mask_of, maximal_cliques, maximal_stables,
                            net_graph, path_graph, set_of, split_partitions)
+from oracles import has_edge_contains_induced
 
 # ---------------------------------------------------------------- oracles
 
@@ -229,6 +232,26 @@ def test_contains_induced_against_bruteforce():
             for i in range(pat.n):
                 for j in range(i + 1, pat.n):
                     assert pat.has_edge(i, j) == g.has_edge(got[i], got[j])
+
+
+@st.composite
+def graphs(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+NAMED_PATTERNS = [net_graph(), complement(net_graph()), empty_graph(0)] + \
+    [f(path_graph(k)) for k in range(1, 6) for f in (lambda h: h, complement)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(graphs(10), st.one_of(graphs(5), st.sampled_from(NAMED_PATTERNS)))
+def test_contains_induced_matches_has_edge_search(g, pattern):
+    assert contains_induced(g, pattern) == has_edge_contains_induced(g, pattern)
+    larger = path_graph(g.n + 1)
+    assert contains_induced(g, larger) is has_edge_contains_induced(g, larger) is None
 
 
 # ---------------------------------------------------------------- pairs

@@ -2,7 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from csslab.lp import solve_lp, lp_feasible
+from oracles import fraction_solve_lp
 
 
 def brute_lp_minimum(c, a_ub, b_ub):
@@ -103,3 +108,58 @@ def test_against_vertex_enumeration():
             assert sum(r * x for r, x in zip(row, res.x)) <= b
         assert all(x >= 0 for x in res.x)
         assert sum(ci * x for ci, x in zip(c, res.x)) == res.value
+
+
+@pytest.mark.parametrize("c, a_ub, b_ub, a_eq, b_eq", [
+    ([1, 1], [[-1]], [-1], [], []),            # ub row shorter than c
+    ([1], [], [], [[1, 1]], [1]),              # eq row longer than c
+    ([1], [[-1], [1]], [-1], [], []),          # a_ub has more rows than b_ub
+    ([-1], [[1]], [], [], []),                 # b_ub has fewer entries than a_ub
+    ([1], [], [], [[1]], [1, 2]),              # b_eq has more entries than a_eq
+])
+def test_misshapen_program_is_rejected(c, a_ub, b_ub, a_eq, b_eq):
+    with pytest.raises(ValueError):
+        solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+
+
+def test_lp_feasible_without_rows_is_rejected():
+    with pytest.raises(ValueError):
+        lp_feasible()
+
+
+ENTRIES = st.one_of(st.integers(-4, 4),
+                    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+
+
+@st.composite
+def programs(draw):
+    """Small programs over all three statuses: int and ``Fraction`` entries,
+    negative right-hand sides and, sometimes, a duplicated (or scaled)
+    equality row, which leaves an artificial basic at level zero."""
+    n = draw(st.integers(0, 6))
+    rows = lambda most: draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                                      max_size=most))
+    a_ub, a_eq = rows(5), rows(3)
+    b_ub = [draw(ENTRIES) for _ in a_ub]
+    b_eq = [draw(ENTRIES) for _ in a_eq]
+    if a_eq and draw(st.booleans()):
+        i = draw(st.integers(0, len(a_eq) - 1))
+        k = draw(st.sampled_from([1, 2, -1]))
+        a_eq.append([k * v for v in a_eq[i]])
+        b_eq.append(k * b_eq[i])
+    c = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    return c, a_ub, b_ub, a_eq, b_eq, draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(programs())
+# a tie in the ratio test that only the lowest-basic-column rule settles
+@example(([-3, 0, 0], [[2, 1, -2], [-1, 0, -1]], [2, -1], [], [], True))
+# rows scaled each by its own denominator would weight the artificials
+# unequally in phase 1 and end on another optimal vertex
+@example(([2, -1, -1], [[-1, -2, 1], [-2, 2, -2]], [-1, 0],
+          [[2, 0, -1], [1, -1, Fraction(-1, 2)]], [4, -2], False))
+def test_solve_lp_matches_fraction_tableau(program):
+    got = solve_lp(*program)
+    want = fraction_solve_lp(*program)
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
