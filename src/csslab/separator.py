@@ -5,11 +5,20 @@ vertex set.  A family is verified against every disjoint pair of one maximal
 clique and one maximal stable set; separating those suffices because the
 family extended with the closed/open neighborhood cuts of every vertex
 separates every disjoint pair outright (see ``extend_to_full_separator``).
+
+Verification takes the communication view (Yannakakis 1991): list the
+maximal cliques and maximal stable sets in lexicographic order and index a
+matrix by them.  A cut A covers one rectangle of it, the cliques inside A
+times the stable sets outside A, and every cell of that rectangle is a
+disjoint pair.  A family is a CS-separator exactly when its rectangles cover
+every disjoint cell.  The cells are scanned row by row, so the witness of a
+failure is the lexicographically first uncovered disjoint pair.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +96,12 @@ def family_from_masks(host_n: int, masks) -> CutFamily:
 
 @dataclass(frozen=True)
 class SeparationReport:
+    """Verdict of ``verify_cs_separator``.  ``witness`` is the first
+    uncovered disjoint (maximal clique, maximal stable set) pair in
+    lexicographic order, or None on a pass.  ``pairs_checked`` counts the
+    disjoint maximal pairs up to and including the witness, or all of them
+    on a pass."""
+
     ok: bool
     witness: tuple[frozenset, frozenset] | None
     pairs_checked: int
@@ -107,20 +122,77 @@ def disjoint_maximal_pairs(g: Graph) -> list[tuple[int, int]]:
     return [(k, s) for k in cliques for s in stables if k & s == 0]
 
 
+# cells of one block of rows against stable sets or cuts: the uint64
+# temporaries of a block take 1 MB
+_BLOCK_CELLS = 1 << 17
+
+
+def _apart(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bool matrix whose cell (i, j) says word rows x[i] and y[j] share no bit."""
+    meet = x[:, None, 0] & y[:, 0]
+    for j in range(1, x.shape[1]):
+        meet |= x[:, None, j] & y[:, j]
+    return meet == 0
+
+
+def _bit_rows(flags: np.ndarray) -> list[int]:
+    """Rows of a bool matrix as ints; bit j of row i is cell (i, j)."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    step = packed.shape[1]
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i:i + step], "little") for i in range(0, len(buf), step)]
+
+
 def verify_cs_separator(g: Graph, family: CutFamily) -> SeparationReport:
+    """Check that the cuts' rectangles cover every disjoint cell of the
+    maximal clique x maximal stable set matrix (see the module docstring).
+
+    Row i of the matrix is held as ints with one bit per stable set: the
+    stable sets that miss clique i (its disjoint cells), and the union of
+    the stable sets outside each cut that holds clique i (its covered
+    cells).  Both come from uint64 word rows, the cuts' outside stable
+    sets first and then, per block of cliques, the disjoint rows and the
+    cuts holding each clique.  The rows are scanned in order, so a
+    rejection stops at the witness's block.
+    """
     if family.host_n != g.n:
         raise ValueError("family host size does not match the graph")
     if g.n == 0:
         return SeparationReport(True, None, 0)
+    cliques = [mask_of(c) for c in maximal_cliques(g)]
+    stables = [mask_of(s) for s in maximal_stables(g)]
     masks = [c.side_a_mask for c in family.cuts]
+    nc, nm = len(cliques), len(masks)
+    words = _words(cliques + masks + stables, (g.n + 63) // 64)
+    k_words, a_words, s_words = words[:nc], words[nc:nc + nm], words[nc + nm:]
+    # each cut's stable sets outside A, one int per cut
+    outside = []
+    step = max(1, _BLOCK_CELLS // len(stables))
+    for lo in range(0, nm, step):
+        outside += _bit_rows(_apart(a_words[lo:lo + step], s_words))
+    # a cut holds a clique when the clique misses its B-side; the clique
+    # words have no bits past n, so ~A's high bits do not matter
+    not_a = ~a_words
     checked = 0
-    for k, s in disjoint_maximal_pairs(g):
-        checked += 1
-        for a in masks:
-            if k & ~a == 0 and s & a == 0:
-                break
-        else:
-            return SeparationReport(False, (set_of(k), set_of(s)), checked)
+    step = max(1, _BLOCK_CELLS // max(len(stables), nm))
+    for lo in range(0, nc, step):
+        block = k_words[lo:lo + step]
+        row_of, cut = (x.tolist() for x in _apart(block, not_a).nonzero())
+        start = 0
+        for r, disjoint in enumerate(_bit_rows(_apart(block, s_words))):
+            end = bisect_right(row_of, r, start)
+            if disjoint:
+                covered = 0
+                for b in cut[start:end]:
+                    covered |= outside[b]
+                miss = disjoint & ~covered
+                if miss:
+                    low = miss & -miss
+                    checked += (disjoint & ((low << 1) - 1)).bit_count()
+                    witness = (set_of(cliques[lo + r]), set_of(stables[low.bit_length() - 1]))
+                    return SeparationReport(False, witness, checked)
+                checked += disjoint.bit_count()
+            start = end
     return SeparationReport(True, None, checked)
 
 

@@ -122,14 +122,15 @@ def side_weights(cd: ConflictDigraph, g: Graph) -> SideWeights:
             break
     else:
         raise RuntimeError("neither side admits game weights: implementation bug")
-    weights = dict(zip(ids, w))
-    if not (sum(weights.values()) == 2 and all(v >= 0 for v in weights.values())):
+    # the checks run on integer numerators over the common denominator d
+    d = math.lcm(*(v.denominator for v in w))
+    num = [v.numerator * (d // v.denominator) for v in w]
+    if not (sum(num) == 2 * d and all(v >= 0 for v in num)):
         raise RuntimeError("side weights do not sum to 2 or are negative")
-    for x in opp:
-        outw = sum((weights[v] for v in ids if not h.has_edge(x, v)), ZERO)
-        if outw < 1:
+    for x, row in zip(opp, rows):
+        if sum(v for v, sign in zip(num, row) if sign > 0) < d:
             raise RuntimeError(f"out-weight below 1 at vertex {x} against side {sorted(ids)}")
-    return SideWeights(side, weights)
+    return SideWeights(side, dict(zip(ids, w)))
 
 
 # -- hypergraphs -------------------------------------------------------------

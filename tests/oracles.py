@@ -3,11 +3,11 @@ against, and fixture builders that only tests use."""
 
 from fractions import Fraction
 
-from csslab.graphs import greedy_coloring
+from csslab.graphs import greedy_coloring, set_of
 from csslab.lp import LpResult
 from csslab.packing import BicliqueCovering
 from csslab.rng import SplitMix64, bernoulli_threshold
-from csslab.separator import (CutFamily, SeparatorBuildError,
+from csslab.separator import (CutFamily, SeparationReport, SeparatorBuildError,
                               disjoint_maximal_pairs, family_from_masks)
 
 
@@ -69,6 +69,27 @@ def greedy_separator(g, p: float, seed: int, max_rounds: int | None = None) -> C
     if pairs:
         raise SeparatorBuildError(len(pairs), rounds)
     return family_from_masks(g.n, chosen)
+
+
+def pair_list_verify(g, family: CutFamily) -> SeparationReport:
+    """Verify a CS-separator by walking the list of disjoint maximal pairs in
+    lexicographic order and testing each pair against each cut: the
+    reference that ``verify_cs_separator`` must match in verdict, witness
+    and ``pairs_checked``."""
+    if family.host_n != g.n:
+        raise ValueError("family host size does not match the graph")
+    if g.n == 0:
+        return SeparationReport(True, None, 0)
+    masks = [c.side_a_mask for c in family.cuts]
+    checked = 0
+    for k, s in disjoint_maximal_pairs(g):
+        checked += 1
+        for a in masks:
+            if k & ~a == 0 and s & a == 0:
+                break
+        else:
+            return SeparationReport(False, (set_of(k), set_of(s)), checked)
+    return SeparationReport(True, None, checked)
 
 
 def fraction_solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> LpResult:

@@ -8,17 +8,22 @@ from pathlib import Path
 
 import csslab
 
+from csslab import formats, separator
+from csslab.cli import main
 from csslab.csp import _MAIN_TABLE, _REFINE_TABLE
 from csslab.graphs import (complement, comparability_from_random_poset,
                            from_edges, gen_gnp, net_graph, set_of)
 from csslab.graphs import _all_clique_masks
 from csslab.packing import pairs_packing, verify_packing
 from csslab.report import RunReport
-from csslab.separator import (build_random_separator, extend_to_full_separator,
-                              separates, verify_cs_separator)
+from csslab.separator import (CutFamily, build_random_separator,
+                              extend_to_full_separator, separates,
+                              verify_cs_separator)
 from csslab.transversal import (build_pk_free_separator, build_split_free_separator,
                                 conflict_digraph, side_weights, vc_dimension,
                                 Hypergraph)
+
+from oracles import pair_list_verify
 
 
 def all_sets(g):
@@ -54,6 +59,36 @@ def test_every_builder_output_extends_to_full_separator():
     fam = build_pk_free_separator(g, k=5, t_k=0.4, base_size=5)
     assert verify_cs_separator(g, fam).ok
     full_pair_check(g, extend_to_full_separator(g, fam))
+
+
+def test_verify_separator_builds_no_pair_list(monkeypatch, tmp_path, capsys):
+    """Verification works on rectangles; only the builders list the
+    disjoint maximal pairs."""
+    g = gen_gnp(12, 0.5, 3)
+    fam = build_random_separator(g, 0.5, seed=2)
+    bad = CutFamily(g.n, fam.cuts[:-1])
+    expected = pair_list_verify(g, bad)
+    assert not expected.ok
+
+    def refuse(g):
+        raise RuntimeError("the verifier listed the disjoint maximal pairs")
+
+    monkeypatch.setattr(separator, "disjoint_maximal_pairs", refuse)
+    assert verify_cs_separator(g, fam).ok
+    assert verify_cs_separator(g, bad) == expected
+    paths = {}
+    for name, text in [("g", formats.emit_graph(g)), ("ok", formats.emit_cut_family(fam)),
+                       ("bad", formats.emit_cut_family(bad))]:
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", "separator", str(paths["g"]), str(paths["ok"])]) == 0
+    assert main(["verify", "separator", str(paths["g"]), str(paths["bad"])]) == 1
+    out = capsys.readouterr().out
+    assert "outcome pass" in out
+    assert f"metric pairs_checked {expected.pairs_checked}\n" in out
+    assert f"metric witness_clique {' '.join(map(str, sorted(expected.witness[0])))}\n" in out
+    assert f"metric witness_stable {' '.join(map(str, sorted(expected.witness[1])))}\n" in out
 
 
 def test_vc_dimension_bruteforce_to_ten():

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csslab.graphs import (complement, complete_graph, cycle_graph, empty_graph,
-                           from_edges, gen_gnp, is_clique, is_stable, mask_of,
-                           set_of)
-from csslab.separator import (AppendixBoundReport, Cut, CutFamily,
+from csslab.graphs import (bits, complement, complete_graph, cycle_graph,
+                           empty_graph, from_edges, gen_gnp, is_clique, is_stable,
+                           mask_of, set_of)
+from csslab.separator import (AppendixBoundReport, Cut, CutFamily, SeparationReport,
                               SeparatorBuildError, build_random_separator,
                               check_appendix_bound, disjoint_maximal_pairs,
                               extend_to_full_separator, family_from_masks,
                               separates, verify_cs_separator)
+from csslab import separator
 from csslab.graphs import _all_clique_masks
 
-from oracles import all_cuts_family, greedy_separator
+from oracles import all_cuts_family, greedy_separator, pair_list_verify
 
 
 def all_cliques(g):
@@ -155,8 +156,8 @@ def build_outcome(build, g, p, seed, max_rounds=None):
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 10))
+def small_graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     return from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
@@ -193,6 +194,101 @@ def test_random_separator_beyond_one_word():
     assert fam == greedy_separator(g, 0.5, seed=3)
     assert verify_cs_separator(g, fam).ok
     assert max(c.side_a_mask for c in fam.cuts) >> 64
+
+
+# ---------------------------------------------------------------- rectangle verifier
+
+
+def agree(g, family):
+    """The rectangle verifier's report, checked against the pair-list oracle."""
+    rep = verify_cs_separator(g, family)
+    assert rep == pair_list_verify(g, family)
+    return rep
+
+
+@st.composite
+def graphs_with_subfamilies(draw):
+    """A graph on at most 12 vertices and a random subfamily of a separator
+    built for it, sometimes with the empty and the full cut added."""
+    g = draw(small_graphs(max_n=12))
+    fam = build_random_separator(g, 0.5, draw(st.integers(0, 2 ** 64 - 1)))
+    keep = draw(st.lists(st.booleans(), min_size=len(fam), max_size=len(fam)))
+    masks = [c.side_a_mask for c, k in zip(fam.cuts, keep) if k]
+    masks += draw(st.sets(st.sampled_from([0, (1 << g.n) - 1])))
+    return g, family_from_masks(g.n, masks)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(graphs_with_subfamilies())
+def test_verify_matches_pair_list_oracle(case):
+    agree(*case)
+
+
+def spread_graph(n, seed):
+    """G(8, 1/2) placed on vertices of both 64-bit words of an n-vertex host;
+    the other vertices form one clique with no edge to it, so every maximal
+    stable set holds one of them."""
+    rnd = random.Random(seed)
+    spots = [3, 63, 64]
+    spots += rnd.sample([v for v in range(n) if v not in spots], 5)
+    h = gen_gnp(8, 0.5, seed)
+    edges = [(spots[u], spots[v]) for u in range(8) for v in bits(h.adj[u]) if u < v]
+    edges += itertools.combinations([v for v in range(n) if v not in spots], 2)
+    return from_edges(n, edges)
+
+
+def test_verify_matches_oracle_beyond_one_word():
+    rnd = random.Random(5)
+    high_witnesses = 0
+    for n in range(65, 73):
+        g = spread_graph(n, n)
+        fam = build_random_separator(g, 0.5, seed=n)
+        assert agree(g, fam).ok
+        for _ in range(3):
+            rep = agree(g, CutFamily(n, [c for c in fam.cuts if rnd.random() < 0.9]))
+            if not rep.ok and max(rep.witness[0] | rep.witness[1]) >= 64:
+                high_witnesses += 1
+    assert high_witnesses >= 8
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100])
+def test_verify_in_small_blocks(monkeypatch, cells):
+    # blocks of one row up to a few rows give the verdicts of one block
+    cases = [(cycle_graph(5), CutFamily(5, []))]
+    for g in [gen_gnp(11, 0.5, seed) for seed in range(4)] + [spread_graph(70, 3)]:
+        fam = build_random_separator(g, 0.5, seed=1)
+        cases += [(g, fam), (g, CutFamily(g.n, fam.cuts[:-1])),
+                  (g, CutFamily(g.n, fam.cuts[::2]))]
+    expected = [pair_list_verify(g, fam) for g, fam in cases]
+    assert sum(not rep.ok for rep in expected) >= 8
+    monkeypatch.setattr(separator, "_BLOCK_CELLS", cells)
+    assert [verify_cs_separator(g, fam) for g, fam in cases] == expected
+
+
+def test_verify_empty_family():
+    for g in (cycle_graph(5), gen_gnp(9, 0.5, 2), clique_beside_five_cycle()):
+        rep = agree(g, CutFamily(g.n, []))
+        assert not rep.ok and rep.pairs_checked == 1
+
+
+def test_verify_without_disjoint_pairs():
+    # every maximal clique of K_n meets every maximal stable set (a vertex),
+    # and so does every clique of the edgeless graph with its one stable set
+    for g in (complete_graph(1), complete_graph(2), complete_graph(7), empty_graph(5)):
+        for masks in ([], [0], [1], [0, (1 << g.n) - 1]):
+            assert agree(g, family_from_masks(g.n, masks)) == SeparationReport(True, None, 0)
+    assert agree(empty_graph(0), CutFamily(0, [])) == SeparationReport(True, None, 0)
+
+
+def test_verify_empty_and_full_cut_cover_nothing():
+    # the empty cut holds no (nonempty) clique and the full cut leaves out
+    # no stable set, so both rectangles are empty
+    g = gen_gnp(9, 0.5, 2)
+    full = (1 << 9) - 1
+    assert agree(g, family_from_masks(9, [0, full])) == agree(g, CutFamily(9, []))
+    masks = [c.side_a_mask for c in build_random_separator(g, 0.5, seed=1).cuts]
+    assert agree(g, family_from_masks(9, [0, *masks, full])).ok
+    assert not agree(g, family_from_masks(9, [0, *masks[:-1], full])).ok
 
 
 def test_random_separator_rejects_degenerate_p():

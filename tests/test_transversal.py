@@ -9,6 +9,7 @@ from csslab.graphs import (complement, complete_graph,
                            comparability_from_random_poset, contains_induced,
                            cycle_graph, empty_graph, from_edges, gen_gnp,
                            mask_of, net_graph, path_graph, set_of)
+from csslab import transversal
 from csslab.lp import solve_lp
 from csslab.separator import disjoint_maximal_pairs, verify_cs_separator
 from csslab.transversal import (BicliquePairNotFound, ConflictDigraph, Digraph,
@@ -91,6 +92,31 @@ def test_side_weights_pinned_instance():
     # non-neighborhoods weigh 1 + 0 = 1
     assert sw.weights[1] + sw.weights[2] >= 1
     assert sw.weights[0] + sw.weights[2] >= 1
+
+
+@pytest.mark.parametrize("weights, message", [
+    ((1, 1, 1), "side weights do not sum to 2 or are negative"),
+    ((3, 0, -1), "side weights do not sum to 2 or are negative"),
+    ((Fraction(4, 3), Fraction(1, 3), Fraction(1, 3)),
+     r"out-weight below 1 at vertex 3 against side \[0, 1, 2\]"),
+    ((Fraction(1, 3), Fraction(4, 3), Fraction(1, 3)),
+     r"out-weight below 1 at vertex 4 against side \[0, 1, 2\]"),
+])
+def test_side_weights_rejects_a_bad_certificate(monkeypatch, weights, message):
+    # the pinned instance with the LP's weights replaced
+    g = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+    cd = conflict_digraph(g, frozenset({0, 1, 2}), frozenset({3, 4}))
+    monkeypatch.setattr(transversal, "_side_feasible", lambda rows, nv: weights)
+    with pytest.raises(RuntimeError, match=message):
+        side_weights(cd, g)
+
+
+def test_side_weights_accepts_out_weight_exactly_one(monkeypatch):
+    g = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+    cd = conflict_digraph(g, frozenset({0, 1, 2}), frozenset({3, 4}))
+    weights = (Fraction(1), Fraction(2, 3), Fraction(1, 3))
+    monkeypatch.setattr(transversal, "_side_feasible", lambda rows, nv: weights)
+    assert side_weights(cd, g).weights == {0: 1, 1: Fraction(2, 3), 2: Fraction(1, 3)}
 
 
 # ---------------------------------------------------------------- hypergraphs
