@@ -12,18 +12,18 @@ from .graphs import (Graph, SplitPartition, complement, complete_graph,
                      cycle_graph, empty_graph, find_biclique_pair, from_edges,
                      gen_gnp, greedy_coloring, induced, maximal_cliques,
                      maximal_stables, net_graph, path_graph, split_partitions)
-from .separator import (Cut, CutFamily, SeparationReport, build_random_separator,
+from .separator import (CutFamily, SeparationReport, build_random_separator,
                         check_appendix_bound, extend_to_full_separator,
                         separates, verify_cs_separator)
 from .transversal import (ConflictDigraph, Digraph, Hypergraph, build_hypergraph,
                           build_pk_free_separator, build_split_free_separator,
                           conflict_digraph, fractional_transversality,
                           greedy_transversal, side_weights, vc_dimension)
-from .packing import (BicliqueCovering, FoolingSet, OrientedBiclique,
-                      PackingCertificate, build_fooling_set, compose_coloring,
-                      fooling_to_packing, min_bp_bruteforce, packing_to_fooling,
-                      pairs_packing, refine_t_covering, separator_to_coloring,
-                      star_partition, verify_fooling_set, verify_packing)
+from .packing import (BicliqueCovering, FoolingSet, PackingCertificate,
+                      build_fooling_set, compose_coloring, fooling_to_packing,
+                      min_bp_bruteforce, packing_to_fooling, pairs_packing,
+                      refine_t_covering, separator_to_coloring, star_partition,
+                      verify_fooling_set, verify_packing)
 from .csp import (CcpInstance, StubbornInstance, TwoSatInstance,
                   build_quasipoly_covering, ccp_covering_to_separator,
                   really_3colorable, separator_to_stubborn_covering, solve_2sat,

@@ -334,21 +334,11 @@ def really_3colorable(inst: CcpInstance, x: int, alpha: int
     clique of the other; otherwise the first non-split witness is returned."""
     others = [c for c in (0, 1, 2) if c != alpha]
     beta = others[0]
-    u = sorted(inst.edge_neighborhood(x, alpha))
-    if not u:
-        return True, None
-    pos = {v: i for i, v in enumerate(u)}
-    bg_edges = [(pos[a], pos[b]) for a, b in itertools.combinations(u, 2)
-                if inst.color(a, b) != alpha]
-    bg = from_edges(len(u), bg_edges)
-    for z in maximal_cliques(bg):
-        beta_edges = [(i, j) for i, j in itertools.combinations(sorted(z), 2)
-                      if inst.color(u[i], u[j]) == beta]
-        zl = sorted(z)
-        zpos = {v: i for i, v in enumerate(zl)}
-        zg = from_edges(len(zl), [(zpos[i], zpos[j]) for i, j in beta_edges])
-        if not is_split_graph(zg):
-            return False, frozenset(u[i] for i in z)
+    u = tuple(sorted(inst.edge_neighborhood(x, alpha)))
+    for z in maximal_cliques(_derived_graph(inst, u, others)):
+        members = tuple(u[i] for i in sorted(z))
+        if not is_split_graph(_derived_graph(inst, members, (beta,))):
+            return False, frozenset(members)
     return True, None
 
 
@@ -422,7 +412,7 @@ def square_cut_family(family: CutFamily) -> CutFamily:
     """All pairwise intersections of A-sides (B-sides union), deduplicated.
     Separates every clique from any union of two stable sets the input
     separates individually."""
-    masks = [c.side_a_mask for c in family.cuts]
+    masks = family.masks
     return family_from_masks(family.host_n,
                              (a & b for a in masks for b in masks))
 
@@ -438,9 +428,9 @@ def separator_to_stubborn_covering(inst: StubbornInstance,
         raise ValueError("cut family lives on the wrong host")
     b_lists = [frozenset({2, 3}) if 3 in lst else frozenset({1, 2}) for lst in inst.lists]
     return list(dict.fromkeys(
-        tuple(frozenset({3, 4}) if cut.side_a_mask >> v & 1 else b_lists[v]
+        tuple(frozenset({3, 4}) if a >> v & 1 else b_lists[v]
               for v in range(g.n))
-        for cut in f2.cuts))
+        for a in f2.masks))
 
 
 # -- list-partition coverings -> edge-coloring coverings -------------------------
@@ -526,6 +516,8 @@ def stubborn_to_3ccp_covering(inst: CcpInstance, x: int, cover_stubborn,
     If x cannot take the target color at all the empty covering is returned;
     if the structural test fails for one of the other two colors the
     construction is unsound and raises."""
+    if not 0 <= x < inst.n:
+        raise ValueError(f"vertex {x} is not in the {inst.n}-vertex instance")
     if target not in (0, 1, 2):
         raise ValueError("target color must be 0, 1 or 2")
     if target != 0:

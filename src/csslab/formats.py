@@ -18,10 +18,9 @@ Formats (vertex indices are 0-based, lists sorted ascending):
 from __future__ import annotations
 
 from .csp import COLOR_NAMES, PART_NAMES, CcpInstance, StubbornInstance
-from .graphs import Graph, from_edges
-from .packing import (BicliqueCovering, FoolingSet, OrientedBiclique,
-                      PackingCertificate)
-from .separator import Cut, CutFamily
+from .graphs import Graph, bits, from_edges, mask_of
+from .packing import BicliqueCovering, FoolingSet, PackingCertificate
+from .separator import CutFamily
 from .transversal import Hypergraph
 
 
@@ -147,22 +146,18 @@ def _parse_rows(text: str, keyword: str, noun: str):
 
 
 def emit_cut_family(f: CutFamily) -> str:
-    return _emit_rows(f"cuts {f.host_n} {len(f.cuts)}", (c.side_a for c in f.cuts))
+    return _emit_rows(f"cuts {f.host_n} {len(f.masks)}", map(bits, f.masks))
 
 
 def parse_cut_family(text: str) -> CutFamily:
     n, rows = _parse_rows(text, "cuts", "cut")
-    cuts = []
-    seen = set()
+    masks = {}
     for lineno, members in rows:
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        if mask in seen:
+        mask = mask_of(members)
+        if mask in masks:
             raise FormatError("duplicate cut", lineno)
-        seen.add(mask)
-        cuts.append(Cut(n, mask))
-    return CutFamily(n, cuts)
+        masks[mask] = None
+    return CutFamily(n, masks)
 
 
 def emit_hypergraph(h: Hypergraph) -> str:
@@ -208,13 +203,13 @@ def _parse_blocks(rows, n: int, k: int, host: Graph, tags: str,
 
 def emit_packing(cert: PackingCertificate) -> str:
     return _emit_blocks(f"packing {cert.host.n} {len(cert.bicliques)}",
-                        ((bc.a_side, bc.b_side) for bc in cert.bicliques), "AB")
+                        cert.bicliques, "AB")
 
 
 def parse_packing(text: str, host: Graph) -> PackingCertificate:
     rows, (n, k) = _split_header(text, "packing", 2)
     blocks = _parse_blocks(rows, n, k, host, "AB", "certificate")
-    return PackingCertificate(host, tuple(OrientedBiclique(a, b) for a, b in blocks))
+    return PackingCertificate(host, tuple(blocks))
 
 
 def emit_covering(cov: BicliqueCovering) -> str:

@@ -39,7 +39,7 @@ class Graph:
 
     __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj, *, validate: bool | None = None):
+    def __init__(self, n: int, adj, *, validate: bool = True):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj = tuple(adj)
@@ -51,8 +51,6 @@ class Graph:
                 raise ValueError(f"adjacency row {v} references vertices >= {n}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        if validate is None:
-            validate = n <= 256
         if validate:
             for u in range(n):
                 for v in bits(adj[u]):
@@ -64,9 +62,6 @@ class Graph:
     # -- basic queries -------------------------------------------------
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> frozenset:
-        return set_of(self.adj[v])
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

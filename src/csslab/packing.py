@@ -18,15 +18,10 @@ from .separator import CutFamily, family_from_masks, separates
 
 
 @dataclass(frozen=True)
-class OrientedBiclique:
-    a_side: frozenset
-    b_side: frozenset
-
-
-@dataclass(frozen=True)
 class PackingCertificate:
+    """Oriented bicliques of ``host``, each an (A, B) pair oriented A to B."""
     host: Graph
-    bicliques: tuple[OrientedBiclique, ...]
+    bicliques: tuple[tuple[frozenset, frozenset], ...]
 
 
 @dataclass(frozen=True)
@@ -71,14 +66,14 @@ def verify_packing(cert: PackingCertificate) -> VerifyResult:
     """Check completeness of every oriented biclique, coverage of every edge
     in at least one direction, and that no ordered pair is covered twice."""
     g = cert.host
-    bad = _first_bad_biclique(g, ((bc.a_side, bc.b_side) for bc in cert.bicliques))
+    bad = _first_bad_biclique(g, cert.bicliques)
     if bad is not None:
         return bad
     cover_out = [0] * g.n
     seen_dup = None
-    for bc in cert.bicliques:
-        bm = mask_of(bc.b_side)
-        for a in bc.a_side:
+    for left, right in cert.bicliques:
+        bm = mask_of(right)
+        for a in left:
             dup = cover_out[a] & bm
             if dup:
                 b = next(bits(dup))
@@ -157,17 +152,19 @@ def build_fooling_set(g: Graph) -> FoolingSet:
     return FoolingSet(g, tuple(pairs))
 
 
-def _vertex_bicliques(n: int, pairs) -> tuple[OrientedBiclique, ...]:
+def _transpose(n: int, pairs) -> list[tuple[frozenset, frozenset]]:
+    """For each vertex x < n, the indices of the (first, second) pairs whose
+    first side holds x and those whose second side holds x."""
+    return [(frozenset(i for i, (first, _) in enumerate(pairs) if x in first),
+             frozenset(i for i, (_, second) in enumerate(pairs) if x in second))
+            for x in range(n)]
+
+
+def _vertex_bicliques(n: int, pairs) -> tuple[tuple[frozenset, frozenset], ...]:
     """For each vertex x < n with both sides nonempty, the oriented biclique
     (indices of pairs whose clique holds x, indices of pairs whose stable
     set holds x)."""
-    bicliques = []
-    for x in range(n):
-        a = frozenset(i for i, (k, _) in enumerate(pairs) if x in k)
-        b = frozenset(i for i, (_, s) in enumerate(pairs) if x in s)
-        if a and b:
-            bicliques.append(OrientedBiclique(a, b))
-    return tuple(bicliques)
+    return tuple((a, b) for a, b in _transpose(n, pairs) if a and b)
 
 
 def fooling_to_packing(fs: FoolingSet) -> PackingCertificate:
@@ -191,16 +188,10 @@ def certificate_aux_pairs(cert: PackingCertificate
     each host vertex x, the clique of bicliques whose A-side holds x and the
     stable set of those whose B-side holds x."""
     nb = len(cert.bicliques)
-    a_masks = [mask_of(bc.a_side) for bc in cert.bicliques]
+    a_masks = [mask_of(a) for a, _ in cert.bicliques]
     edges = [(i, j) for i in range(nb) for j in range(i + 1, nb)
              if a_masks[i] & a_masks[j]]
-    aux = from_edges(nb, edges)
-    pairs = []
-    for x in range(cert.host.n):
-        kx = frozenset(i for i, bc in enumerate(cert.bicliques) if x in bc.a_side)
-        sx = frozenset(i for i, bc in enumerate(cert.bicliques) if x in bc.b_side)
-        pairs.append((kx, sx))
-    return aux, pairs
+    return from_edges(nb, edges), _transpose(cert.host.n, cert.bicliques)
 
 
 def packing_to_fooling(cert: PackingCertificate) -> tuple[Graph, FoolingSet]:
@@ -228,8 +219,7 @@ def star_partition(n: int) -> PackingCertificate:
     if n < 0:
         raise ValueError("n must be nonnegative")
     host = complete_graph(n)
-    bicliques = [OrientedBiclique(frozenset({i}), frozenset(range(i + 1, n)))
-                 for i in range(n - 1)]
+    bicliques = [(frozenset({i}), frozenset(range(i + 1, n))) for i in range(n - 1)]
     return PackingCertificate(host, tuple(bicliques))
 
 
@@ -240,7 +230,7 @@ def star_cover(g: Graph) -> PackingCertificate:
     for i in range(g.n):
         hi = g.adj[i] >> (i + 1) << (i + 1)
         if hi:
-            bicliques.append(OrientedBiclique(frozenset({i}), set_of(hi)))
+            bicliques.append((frozenset({i}), set_of(hi)))
     return PackingCertificate(g, tuple(bicliques))
 
 
@@ -344,8 +334,8 @@ def separator_to_coloring(g: Graph, cert: PackingCertificate,
         raise ValueError("cut family lives on the wrong host")
     colors = []
     for x, (kx, sx) in enumerate(pairs):
-        for idx, cut in enumerate(family.cuts):
-            if separates(cut, kx, sx):
+        for idx, a in enumerate(family.masks):
+            if separates(a, kx, sx):
                 colors.append(idx)
                 break
         else:

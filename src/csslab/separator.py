@@ -1,10 +1,11 @@
 """Cuts and clique/stable-set separators.
 
-A cut stores only its A-side; the B-side is the complement in the host
-vertex set.  A family is verified against every disjoint pair of one maximal
-clique and one maximal stable set; separating those suffices because the
-family extended with the closed/open neighborhood cuts of every vertex
-separates every disjoint pair outright (see ``extend_to_full_separator``).
+A cut is a bipartition of the host's vertices, given by its side A: a
+family holds its cuts as side-A masks, and side B is the rest of the host.
+A family is verified against every disjoint pair of one maximal clique and
+one maximal stable set; separating those suffices because the family
+extended with the closed/open neighborhood cuts of every vertex separates
+every disjoint pair outright (see ``extend_to_full_separator``).
 
 Verification takes the communication view (Yannakakis 1991): list the
 maximal cliques and maximal stable sets in lexicographic order and index a
@@ -35,63 +36,38 @@ class SeparatorBuildError(RuntimeError):
         self.rounds = rounds
 
 
-@dataclass(frozen=True)
-class Cut:
-    host_n: int
-    side_a_mask: int
-
-    def __post_init__(self):
-        if self.side_a_mask >> self.host_n:
-            raise ValueError("cut side references vertices outside the host")
-
-    @property
-    def side_a(self) -> frozenset:
-        return set_of(self.side_a_mask)
-
-    @property
-    def side_b(self) -> frozenset:
-        return set_of(((1 << self.host_n) - 1) & ~self.side_a_mask)
-
-
 class CutFamily:
-    __slots__ = ("host_n", "cuts")
+    """A family of cuts of a ``host_n``-vertex graph, held as the tuple
+    ``masks`` of their side-A masks; side B of a cut is the rest of the
+    host.  Masks reaching outside the host (negative ones too) and
+    duplicate masks are rejected."""
 
-    def __init__(self, host_n: int, cuts):
-        cuts = tuple(cuts)
-        seen = set()
-        for c in cuts:
-            if c.host_n != host_n:
-                raise ValueError("cut host size mismatch")
-            if c.side_a_mask in seen:
-                raise ValueError("duplicate cut in family")
-            seen.add(c.side_a_mask)
+    __slots__ = ("host_n", "masks")
+
+    def __init__(self, host_n: int, masks):
+        masks = tuple(masks)
+        if any(m >> host_n for m in masks):
+            raise ValueError("cut side references vertices outside the host")
+        if len(set(masks)) != len(masks):
+            raise ValueError("duplicate cut in family")
         self.host_n = host_n
-        self.cuts = cuts
+        self.masks = masks
 
     def __len__(self):
-        return len(self.cuts)
-
-    def __iter__(self):
-        return iter(self.cuts)
+        return len(self.masks)
 
     def __eq__(self, other):
         return (isinstance(other, CutFamily) and self.host_n == other.host_n
-                and self.cuts == other.cuts)
+                and self.masks == other.masks)
 
     def __repr__(self):
-        return f"CutFamily(n={self.host_n}, m={len(self.cuts)})"
+        return f"CutFamily(n={self.host_n}, m={len(self.masks)})"
 
 
 def family_from_masks(host_n: int, masks) -> CutFamily:
     """Build a family from side-A masks, dropping duplicates, keeping first
     occurrences in order."""
-    seen = set()
-    cuts = []
-    for m in masks:
-        if m not in seen:
-            seen.add(m)
-            cuts.append(Cut(host_n, m))
-    return CutFamily(host_n, cuts)
+    return CutFamily(host_n, dict.fromkeys(masks))
 
 
 @dataclass(frozen=True)
@@ -107,11 +83,10 @@ class SeparationReport:
     pairs_checked: int
 
 
-def separates(cut: Cut, clique: frozenset, stable: frozenset) -> bool:
-    k = mask_of(clique)
-    s = mask_of(stable)
-    a = cut.side_a_mask
-    return k & ~a == 0 and s & a == 0
+def separates(a: int, clique: frozenset, stable: frozenset) -> bool:
+    """Whether the cut with side-A mask ``a`` puts ``clique`` inside A and
+    ``stable`` outside it."""
+    return mask_of(clique) & ~a == 0 and mask_of(stable) & a == 0
 
 
 def disjoint_maximal_pairs(g: Graph) -> list[tuple[int, int]]:
@@ -161,9 +136,9 @@ def verify_cs_separator(g: Graph, family: CutFamily) -> SeparationReport:
         return SeparationReport(True, None, 0)
     cliques = [mask_of(c) for c in maximal_cliques(g)]
     stables = [mask_of(s) for s in maximal_stables(g)]
-    masks = [c.side_a_mask for c in family.cuts]
+    masks = family.masks
     nc, nm = len(cliques), len(masks)
-    words = _words(cliques + masks + stables, (g.n + 63) // 64)
+    words = _words(cliques + list(masks) + stables, (g.n + 63) // 64)
     k_words, a_words, s_words = words[:nc], words[nc:nc + nm], words[nc + nm:]
     # each cut's stable sets outside A, one int per cut
     outside = []
@@ -202,7 +177,7 @@ def extend_to_full_separator(g: Graph, family: CutFamily) -> CutFamily:
     disjoint maximal pairs, the result separates every disjoint clique/stable
     pair: extend the pair to maximal ones; if those meet in x, one of the two
     new cuts around x does the job."""
-    masks = [c.side_a_mask for c in family.cuts]
+    masks = list(family.masks)
     for x in range(g.n):
         masks.append(g.adj[x] | (1 << x))
         masks.append(g.adj[x])

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import (Graph, SplitPartition, bits, complement, contains_induced,
+from .graphs import (Graph, bits, complement, contains_induced,
                      find_biclique_pair, induced, is_clique, is_stable, mask_of,
                      path_graph, set_of, split_partitions)
 from .lp import ZERO, lp_feasible, solve_lp
@@ -309,17 +309,15 @@ def separate_pair_split_free(g: Graph, k: frozenset, s: frozenset,
     return PairPipelineReport(k, s, sw.side, len(transversal), tau_star, vc, u)
 
 
-def split_free_report(g: Graph, gamma: Graph,
-                      split: SplitPartition | None = None
+def split_free_report(g: Graph, gamma: Graph
                       ) -> tuple[CutFamily, list[PairPipelineReport]]:
     """Cut family plus the per-pair pipeline reports for a graph with no
     induced copy of the split pattern ``gamma``."""
-    if split is None:
-        options = split_partitions(gamma)
-        if not options:
-            raise ValueError("pattern graph is not split")
-        split = min(options, key=lambda sp: (max(len(sp.clique_part), len(sp.stable_part)),
-                                             tuple(sorted(sp.clique_part))))
+    options = split_partitions(gamma)
+    if not options:
+        raise ValueError("pattern graph is not split")
+    split = min(options, key=lambda sp: (max(len(sp.clique_part), len(sp.stable_part)),
+                                         tuple(sorted(sp.clique_part))))
     phi = max(len(split.clique_part), len(split.stable_part))
     if phi == 0:
         raise ValueError("pattern graph must be nonempty")
@@ -336,9 +334,8 @@ def split_free_report(g: Graph, gamma: Graph,
     return family_from_masks(g.n, masks), reports
 
 
-def build_split_free_separator(g: Graph, gamma: Graph,
-                               split: SplitPartition | None = None) -> CutFamily:
-    family, _ = split_free_report(g, gamma, split)
+def build_split_free_separator(g: Graph, gamma: Graph) -> CutFamily:
+    family, _ = split_free_report(g, gamma)
     return family
 
 

@@ -15,8 +15,7 @@ def as_covering(cert, t: int) -> BicliqueCovering:
     """The packing certificate's bicliques, orientation forgotten, as a
     covering with multiplicity cap ``t``: a star partition is a 1-covering,
     and any packing certificate a 2-covering (once per direction)."""
-    return BicliqueCovering(cert.host,
-                            tuple((bc.a_side, bc.b_side) for bc in cert.bicliques), t)
+    return BicliqueCovering(cert.host, cert.bicliques, t)
 
 
 def all_cuts_family(n: int) -> CutFamily:
@@ -80,7 +79,7 @@ def pair_list_verify(g, family: CutFamily) -> SeparationReport:
         raise ValueError("family host size does not match the graph")
     if g.n == 0:
         return SeparationReport(True, None, 0)
-    masks = [c.side_a_mask for c in family.cuts]
+    masks = family.masks
     checked = 0
     for k, s in disjoint_maximal_pairs(g):
         checked += 1

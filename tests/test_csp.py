@@ -8,7 +8,7 @@ import pytest
 from csslab.graphs import (complement, complete_graph, cycle_graph, empty_graph,
                            from_edges, gen_gnp, is_clique, is_stable, mask_of,
                            set_of)
-from csslab.separator import (Cut, CutFamily, build_random_separator,
+from csslab.separator import (CutFamily, build_random_separator,
                               extend_to_full_separator, separates,
                               verify_cs_separator)
 from csslab.csp import (CcpInstance, MalformedCovering, NotReallyThreeColorable,
@@ -228,9 +228,9 @@ def test_verify_stubborn_examples():
 
 
 def test_square_family_examples():
-    fam = CutFamily(3, [Cut(3, 0b011)])
+    fam = CutFamily(3, [0b011])
     sq = square_cut_family(fam)
-    assert len(sq) == 1 and sq.cuts[0].side_a_mask == 0b011
+    assert sq.masks == (0b011,)
 
     g = gen_gnp(6, 0.5, 67)
     full = extend_to_full_separator(g, build_random_separator(g, 0.5, seed=3))
@@ -246,12 +246,12 @@ def test_square_family_examples():
         s1, s2 = rnd.choice(stables), rnd.choice(stables)
         if k & (s1 | s2):
             continue
-        assert any(separates(c, k, s1 | s2) for c in sq.cuts)
+        assert any(separates(a, k, s1 | s2) for a in sq.masks)
 
 
 def test_stubborn_covering_single_vertex():
     inst = StubbornInstance(empty_graph(1), (frozenset({3, 4}),))
-    fam = CutFamily(1, [Cut(1, 0b1)])
+    fam = CutFamily(1, [0b1])
     cov = separator_to_stubborn_covering(inst, fam)
     assert cov == [(frozenset({3, 4}),)]
 
@@ -321,6 +321,13 @@ def test_transformer_rejects_malformed_sub_covering():
     if (4 - 1) > 0:
         with pytest.raises(MalformedCovering):
             stubborn_to_3ccp_covering(inst, 0, junk_provider)
+
+
+def test_transformer_rejects_vertex_outside_instance():
+    four = random_ccp_instance(4, 1)
+    for inst, x in ((CcpInstance(0, ()), 0), (four, 4), (four, -1)):
+        with pytest.raises(ValueError, match="not in the"):
+            stubborn_to_3ccp_covering(inst, x, separator_provider(1))
 
 
 # ---------------------------------------------------------------- covering -> separator

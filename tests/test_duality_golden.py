@@ -48,7 +48,7 @@ def _edge_mask(g):
 
 
 def _masks(family):
-    return [c.side_a_mask for c in family.cuts]
+    return list(family.masks)
 
 
 def _pairs():

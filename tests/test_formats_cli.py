@@ -435,6 +435,7 @@ def test_cli_reduce_tour(tmp_path, capsys):
     ["CSSLAB_SEED=abc", "gen", "net"],                     # non-integer seed variable
     ["roundtrip", "theorem16-loop", "{stub}"],             # no lists section
     ["bound-check", "haussler-welzl", "{h}", "--cap", "-1"],  # negative cap
+    ["reduce", "stubborn-to-ccp", "{ccp0}"],               # no vertex 0 to branch on
 ])
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
     if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell
@@ -447,7 +448,9 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, 
     stub.write_text("stubborn 6\ne 0 1\n")
     h = tmp_path / "h.txt"
     h.write_text("hgraph 3 3\n0 1\n1 2\n0 2\n")
-    assert main([a.format(g=g, dir=tmp_path, stub=stub, h=h) for a in argv]) == 2
+    ccp0 = tmp_path / "ccp0.txt"
+    ccp0.write_text("ccp 0\n")
+    assert main([a.format(g=g, dir=tmp_path, stub=stub, h=h, ccp0=ccp0) for a in argv]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -12,8 +12,7 @@ from csslab.formats import (FormatError, emit_covering, emit_fooling,
                             emit_packing, parse_covering, parse_fooling,
                             parse_packing)
 from csslab.graphs import from_edges, set_of
-from csslab.packing import (BicliqueCovering, FoolingSet, OrientedBiclique,
-                            PackingCertificate)
+from csslab.packing import BicliqueCovering, FoolingSet, PackingCertificate
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
@@ -37,7 +36,7 @@ def certificates(draw):
     blocks = tuple(draw(st.lists(st.tuples(side, side), max_size=6)))
     kind = draw(st.sampled_from(["packing", "covering", "fooling"]))
     if kind == "packing":
-        cert = PackingCertificate(g, tuple(OrientedBiclique(a, b) for a, b in blocks))
+        cert = PackingCertificate(g, blocks)
         return cert, emit_packing, parse_packing
     if kind == "covering":
         cert = BicliqueCovering(g, blocks, draw(st.integers(0, 4)))

@@ -124,6 +124,8 @@ def test_induced_examples():
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))  # asymmetric
+    with pytest.raises(ValueError, match="not symmetric"):
+        Graph(257, (0b10,) + (0,) * 256)  # asymmetric past 256 vertices
     with pytest.raises(ValueError):
         from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):

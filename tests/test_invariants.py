@@ -36,7 +36,7 @@ def full_pair_check(g, family):
     for k in cliques:
         for s in stables:
             if not k & s:
-                assert any(separates(c, k, s) for c in family.cuts), \
+                assert any(separates(a, k, s) for a in family.masks), \
                     (sorted(k), sorted(s))
 
 
@@ -66,7 +66,7 @@ def test_verify_separator_builds_no_pair_list(monkeypatch, tmp_path, capsys):
     disjoint maximal pairs."""
     g = gen_gnp(12, 0.5, 3)
     fam = build_random_separator(g, 0.5, seed=2)
-    bad = CutFamily(g.n, fam.cuts[:-1])
+    bad = CutFamily(g.n, fam.masks[:-1])
     expected = pair_list_verify(g, bad)
     assert not expected.ok
 

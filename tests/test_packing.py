@@ -9,15 +9,14 @@ from csslab.graphs import (complement, complete_graph, cycle_graph, empty_graph,
                            from_edges, gen_gnp, greedy_coloring,
                            is_proper_coloring, mask_of, set_of)
 from csslab.packing import (BicliqueCovering, CapExceeded, FoolingSet,
-                            OrientedBiclique, PackingCertificate,
-                            build_fooling_set, certificate_aux_pairs,
+                            PackingCertificate, build_fooling_set, certificate_aux_pairs,
                             compose_coloring, fooling_to_packing,
                             min_bp_bruteforce, min_bpor_bruteforce,
                             packing_to_fooling, pair_coloring_to_separator,
                             pairs_packing, refine_t_covering, star_cover,
                             star_partition, separator_to_coloring,
                             verify_covering, verify_fooling_set, verify_packing)
-from csslab.separator import (Cut, CutFamily, build_random_separator,
+from csslab.separator import (CutFamily, build_random_separator,
                               extend_to_full_separator, verify_cs_separator)
 
 from oracles import as_covering, greedy_base_colorer
@@ -27,8 +26,8 @@ def crossed_biclique_graph():
     """Six-vertex bipartite graph admitting a two-element oriented cover."""
     g = from_edges(6, [(0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5)])
     cert = PackingCertificate(g, (
-        OrientedBiclique(frozenset({0, 1}), frozenset({3, 4})),
-        OrientedBiclique(frozenset({4, 5}), frozenset({1, 2})),
+        (frozenset({0, 1}), frozenset({3, 4})),
+        (frozenset({4, 5}), frozenset({1, 2})),
     ))
     return g, cert
 
@@ -40,20 +39,19 @@ def test_verify_packing_crossed_cover():
     g, cert = crossed_biclique_graph()
     assert verify_packing(cert).ok
     # edge 1-4 is covered once in each direction
-    dirs = [(1 in bc.a_side and 4 in bc.b_side, 4 in bc.a_side and 1 in bc.b_side)
-            for bc in cert.bicliques]
+    dirs = [(1 in a and 4 in b, 4 in a and 1 in b) for a, b in cert.bicliques]
     assert (True, False) in dirs and (False, True) in dirs
 
 
 def test_verify_packing_trivia():
     assert verify_packing(PackingCertificate(empty_graph(3), ())).ok
     k2 = complete_graph(2)
-    bc = OrientedBiclique(frozenset({0}), frozenset({1}))
+    bc = (frozenset({0}), frozenset({1}))
     res = verify_packing(PackingCertificate(k2, (bc, bc)))
     assert not res.ok and res.violation == "doubly-covered-arc"
     res = verify_packing(PackingCertificate(k2, ()))
     assert not res.ok and res.violation == "uncovered-edge"
-    bad = OrientedBiclique(frozenset({0}), frozenset({1}))
+    bad = (frozenset({0}), frozenset({1}))
     res = verify_packing(PackingCertificate(empty_graph(2), (bad,)))
     assert not res.ok and res.violation == "incomplete-biclique"
 
@@ -115,9 +113,9 @@ def test_fooling_to_packing_smallest():
     fs = build_fooling_set(g)
     cert = fooling_to_packing(fs)
     assert cert.host.n == 2 and len(cert.bicliques) == 1
-    bc = cert.bicliques[0]
+    a, b = cert.bicliques[0]
     # the pair with v in the clique points at the pair with v in the stable set
-    assert len(bc.a_side) == 1 and len(bc.b_side) == 1
+    assert len(a) == 1 and len(b) == 1
 
 
 def test_fooling_roundtrip_c5():
@@ -148,14 +146,14 @@ def test_star_partition_reinterpreted():
 def test_star_partition_examples():
     assert star_partition(1).bicliques == ()
     two = star_partition(2)
-    assert two.bicliques == (OrientedBiclique(frozenset({0}), frozenset({1})),)
+    assert two.bicliques == ((frozenset({0}), frozenset({1})),)
     four = star_partition(4)
     assert len(four.bicliques) == 3 and verify_packing(four).ok
     # exact edge partition: every edge covered exactly once, one direction
     covered = {}
-    for bc in four.bicliques:
-        for a in bc.a_side:
-            for b in bc.b_side:
+    for left, right in four.bicliques:
+        for a in left:
+            for b in right:
                 key = (min(a, b), max(a, b))
                 covered[key] = covered.get(key, 0) + 1
     assert covered == {e: 1 for e in complete_graph(4).edges()}
@@ -186,7 +184,7 @@ def test_star_cover_general_graph():
 def test_separator_to_coloring_stable_set_case():
     g = empty_graph(4)
     cert = PackingCertificate(g, ())
-    fam = CutFamily(0, [Cut(0, 0)])
+    fam = CutFamily(0, [0])
     colors = separator_to_coloring(g, cert, fam)
     assert len(set(colors)) == 1
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from csslab.graphs import (bits, complement, complete_graph, cycle_graph,
                            empty_graph, from_edges, gen_gnp, is_clique, is_stable,
                            mask_of, set_of)
-from csslab.separator import (AppendixBoundReport, Cut, CutFamily, SeparationReport,
+from csslab.separator import (AppendixBoundReport, CutFamily, SeparationReport,
                               SeparatorBuildError, build_random_separator,
                               check_appendix_bound, disjoint_maximal_pairs,
                               extend_to_full_separator, family_from_masks,
@@ -25,35 +25,34 @@ def all_cliques(g):
 
 
 def separated_by_family(family, k, s):
-    return any(separates(c, k, s) for c in family.cuts)
+    return any(separates(a, k, s) for a in family.masks)
 
 
 # ---------------------------------------------------------------- cuts
 
 
 def test_separates_examples():
-    cut_all = Cut(5, 0b11111)
-    assert separates(cut_all, frozenset({0, 1}), frozenset())
-    cut_none = Cut(5, 0)
-    assert not separates(cut_none, frozenset({0}), frozenset())
-    cut = Cut(5, 0b00011)
-    assert separates(cut, frozenset({0, 1}), frozenset({3}))
+    assert separates(0b11111, frozenset({0, 1}), frozenset())
+    assert not separates(0, frozenset({0}), frozenset())
+    assert separates(0b00011, frozenset({0, 1}), frozenset({3}))
 
 
 def test_cut_family_rejects_duplicates_and_mismatch():
-    with pytest.raises(ValueError):
-        CutFamily(3, [Cut(3, 1), Cut(3, 1)])
-    with pytest.raises(ValueError):
-        CutFamily(3, [Cut(4, 1)])
-    with pytest.raises(ValueError):
-        Cut(2, 0b100)
+    with pytest.raises(ValueError, match="duplicate"):
+        CutFamily(3, [1, 1])
+    with pytest.raises(ValueError, match="outside the host"):
+        CutFamily(3, [0b1000])  # vertex 3 of a 3-vertex host
+    with pytest.raises(ValueError, match="outside the host"):
+        CutFamily(3, [-1])
+    with pytest.raises(ValueError, match="outside the host"):
+        CutFamily(2, [0b100])
 
 
 # ---------------------------------------------------------------- verify
 
 
 def test_verify_k3_single_cut():
-    rep = verify_cs_separator(complete_graph(3), CutFamily(3, [Cut(3, 0b111)]))
+    rep = verify_cs_separator(complete_graph(3), CutFamily(3, [0b111]))
     assert rep.ok and rep.pairs_checked == 0
 
 
@@ -78,7 +77,7 @@ def test_verify_host_mismatch():
 
 def test_verify_deterministic():
     g = gen_gnp(7, 0.5, 3)
-    fam = CutFamily(7, [Cut(7, 0b1010101)])
+    fam = CutFamily(7, [0b1010101])
     assert verify_cs_separator(g, fam) == verify_cs_separator(g, fam)
 
 
@@ -88,7 +87,7 @@ def test_verify_deterministic():
 def test_extend_single_vertex():
     g = complete_graph(1)
     fam = extend_to_full_separator(g, CutFamily(1, []))
-    assert sorted(c.side_a_mask for c in fam.cuts) == [0, 1]
+    assert sorted(fam.masks) == [0, 1]
 
 
 def test_extend_size_bound():
@@ -193,7 +192,7 @@ def test_random_separator_beyond_one_word():
     fam = build_random_separator(g, 0.5, seed=3)
     assert fam == greedy_separator(g, 0.5, seed=3)
     assert verify_cs_separator(g, fam).ok
-    assert max(c.side_a_mask for c in fam.cuts) >> 64
+    assert max(fam.masks) >> 64
 
 
 # ---------------------------------------------------------------- rectangle verifier
@@ -213,7 +212,7 @@ def graphs_with_subfamilies(draw):
     g = draw(small_graphs(max_n=12))
     fam = build_random_separator(g, 0.5, draw(st.integers(0, 2 ** 64 - 1)))
     keep = draw(st.lists(st.booleans(), min_size=len(fam), max_size=len(fam)))
-    masks = [c.side_a_mask for c, k in zip(fam.cuts, keep) if k]
+    masks = [a for a, k in zip(fam.masks, keep) if k]
     masks += draw(st.sets(st.sampled_from([0, (1 << g.n) - 1])))
     return g, family_from_masks(g.n, masks)
 
@@ -245,7 +244,7 @@ def test_verify_matches_oracle_beyond_one_word():
         fam = build_random_separator(g, 0.5, seed=n)
         assert agree(g, fam).ok
         for _ in range(3):
-            rep = agree(g, CutFamily(n, [c for c in fam.cuts if rnd.random() < 0.9]))
+            rep = agree(g, CutFamily(n, [a for a in fam.masks if rnd.random() < 0.9]))
             if not rep.ok and max(rep.witness[0] | rep.witness[1]) >= 64:
                 high_witnesses += 1
     assert high_witnesses >= 8
@@ -257,8 +256,8 @@ def test_verify_in_small_blocks(monkeypatch, cells):
     cases = [(cycle_graph(5), CutFamily(5, []))]
     for g in [gen_gnp(11, 0.5, seed) for seed in range(4)] + [spread_graph(70, 3)]:
         fam = build_random_separator(g, 0.5, seed=1)
-        cases += [(g, fam), (g, CutFamily(g.n, fam.cuts[:-1])),
-                  (g, CutFamily(g.n, fam.cuts[::2]))]
+        cases += [(g, fam), (g, CutFamily(g.n, fam.masks[:-1])),
+                  (g, CutFamily(g.n, fam.masks[::2]))]
     expected = [pair_list_verify(g, fam) for g, fam in cases]
     assert sum(not rep.ok for rep in expected) >= 8
     monkeypatch.setattr(separator, "_BLOCK_CELLS", cells)
@@ -286,7 +285,7 @@ def test_verify_empty_and_full_cut_cover_nothing():
     g = gen_gnp(9, 0.5, 2)
     full = (1 << 9) - 1
     assert agree(g, family_from_masks(9, [0, full])) == agree(g, CutFamily(9, []))
-    masks = [c.side_a_mask for c in build_random_separator(g, 0.5, seed=1).cuts]
+    masks = build_random_separator(g, 0.5, seed=1).masks
     assert agree(g, family_from_masks(9, [0, *masks, full])).ok
     assert not agree(g, family_from_masks(9, [0, *masks[:-1], full])).ok
 
