@@ -6,11 +6,13 @@ reimplemented in any language.  State update adds the golden-gamma constant;
 the output mix is the standard two-multiply finalizer.
 
 SplitMix64 is counter-based: the k-th state after seed s is s + k*gamma
-mod 2^64, so ``bernoulli_mask`` makes any number of draws in one vectorised
+mod 2^64, so ``bernoulli_flags`` makes any number of draws in one vectorised
 pass with the same values, in the same order, as that many ``next_u64``
-calls.  A greedy round of the random separator builder draws its 32*n bits
-with one ``bernoulli_mask(32*n)`` call, candidate-major and vertex-minor:
-candidate i is bits i*n .. i*n+n-1.
+calls; ``bernoulli_mask`` packs those flags into an int.  A greedy round of
+the random separator builder uses the bits of one ``bernoulli_mask(32*n)``
+call, candidate-major and vertex-minor: candidate i is bits i*n .. i*n+n-1.
+The builder draws several rounds' bits in one call, which gives the same
+bits because the stream is counter-based.
 """
 
 import numpy as np
@@ -54,18 +56,19 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & MASK64
         return mix64(self._state)
 
-    def bernoulli_mask(self, n: int, threshold: int) -> int:
-        """Bitmask over n vertices, bit v set iff the v-th draw is below threshold.
+    def bernoulli_flags(self, n: int, threshold: int) -> np.ndarray:
+        """Bool array over n draws, flag v set iff the v-th draw is below
+        threshold.
 
-        Consumes exactly n draws in vertex order; callers document their
-        consumption order in terms of this primitive.
+        Consumes exactly n draws; callers document their consumption order in
+        terms of this primitive or ``bernoulli_mask``.
         """
         start = self._state
         self._state = (start + n * _GAMMA) & MASK64
         if threshold <= 0:
-            return 0
+            return np.zeros(n, dtype=bool)
         if threshold >= TWO64:  # does not fit a uint64, and every draw is below it
-            return (1 << n) - 1
+            return np.ones(n, dtype=bool)
         # uint64 arrays wrap silently, which is the mod 2^64 wanted here
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(start)
         z ^= z >> 30
@@ -73,5 +76,9 @@ class SplitMix64:
         z ^= z >> 27
         z *= _MIX2
         z ^= z >> 31
-        bits = np.packbits(z < threshold, bitorder="little")
+        return z < threshold
+
+    def bernoulli_mask(self, n: int, threshold: int) -> int:
+        """``bernoulli_flags`` packed into a bitmask: bit v is flag v."""
+        bits = np.packbits(self.bernoulli_flags(n, threshold), bitorder="little")
         return int.from_bytes(bits.tobytes(), "little")

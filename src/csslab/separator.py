@@ -14,6 +14,11 @@ times the stable sets outside A, and every cell of that rectangle is a
 disjoint pair.  A family is a CS-separator exactly when its rectangles cover
 every disjoint cell.  The cells are scanned row by row, so the witness of a
 failure is the lexicographically first uncovered disjoint pair.
+
+The random builder runs the greedy set cover on the same matrix: it holds
+the uncovered disjoint cells as bit rows, one per clique, and scores each
+candidate cut by the uncovered cells of its rectangle, so it never tests a
+candidate against the pairs one by one.
 """
 
 from __future__ import annotations
@@ -190,6 +195,15 @@ def _words(masks, w: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(-1, w)
 
 
+def _word_rows(flags: np.ndarray, w: int) -> np.ndarray:
+    """Rows of a bool matrix as rows of ``w`` uint64 words; bit j of row i
+    is cell (i, j)."""
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    out = np.zeros((len(flags), 8 * w), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8")
+
+
 def build_random_separator(g: Graph, p: float, seed: int,
                            max_rounds: int | None = None, *,
                            stats_out: dict | None = None) -> CutFamily:
@@ -197,12 +211,28 @@ def build_random_separator(g: Graph, p: float, seed: int,
 
     Each round draws 32 candidate bipartitions (vertex joins side A with
     probability p), keeps the one covering the most still-uncovered disjoint
-    maximal pairs, and drops the pairs it covers.  Rounds that cover nothing
-    add no cut.  The default round cap is 2 n^7.  When ``stats_out`` is given
-    it receives the round count, the cap and the initial pair count.
+    maximal pairs, first on ties, and marks the pairs it covers.  Rounds
+    that cover nothing add no cut.  The default round cap is 2 n^7.  When
+    ``stats_out`` is given it receives the round count, the cap and the
+    initial pair count.
 
-    A round makes one ``bernoulli_mask(32 n)`` draw; candidate i is its bits
-    i n .. i n + n - 1 (candidate-major, vertex-minor).
+    The pairs are the disjoint cells of the maximal clique x maximal stable
+    set matrix (see the module docstring), held as one row of uint64 words
+    per clique, one bit per stable set.  A candidate covers the cells of
+    the cliques inside it against the stable sets outside it, so its score
+    is the popcount of those rows ANDed with its outside row, and a kept
+    cut clears its outside bits in the rows of its inside cliques.  Rounds
+    are scored in batches: the batch's candidates are drawn at once and
+    matched against every clique and stable set, and then its rounds run
+    one after another on the uncovered rows.  Batches start at one round
+    and double while the candidate x clique and candidate x stable set
+    matrices stay within ``_BLOCK_CELLS``.
+
+    A round uses the bits of one ``bernoulli_mask(32 n)`` draw; candidate i
+    is its bits i n .. i n + n - 1 (candidate-major, vertex-minor).  A batch
+    of b rounds makes one ``bernoulli_mask(32 n b)`` draw, which gives the
+    same bits since the stream is counter-based, so the stream may run up
+    to one batch past the last round.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
@@ -222,33 +252,56 @@ def build_random_separator(g: Graph, p: float, seed: int,
         raise ValueError(f"p={p} makes every candidate cut empty or full, "
                          "which covers no disjoint pair")
     n = g.n
-    full = (1 << n) - 1
     w = (n + 63) // 64
-    k_words = _words((k for k, _ in pairs), w)
-    s_words = _words((s for _, s in pairs), w)
+    # one row per clique with a disjoint cell, one column per stable set
+    # that has one
+    rows: dict[int, int] = {}
+    column: dict[int, int] = {}
+    for k, s in pairs:
+        rows[k] = rows.get(k, 0) | 1 << column.setdefault(s, len(column))
+    k_words = _words(rows, w)
+    s_words = _words(column, w)
+    uncovered = _words(rows.values(), (len(column) + 63) // 64).copy()
+    remaining = len(pairs)
     chosen: list[int] = []
     rounds = 0
-    while len(k_words) and rounds < cap:
-        rounds += 1
-        draw = rng.bernoulli_mask(32 * n, threshold)
-        cands = [(draw >> (i * n)) & full for i in range(32)]
-        c_words = _words(cands, w)
-        covered = np.ones((32, len(k_words)), dtype=bool)
-        for j in range(w):
-            covered &= (k_words[:, j] & ~c_words[:, j, None]) == 0
-            covered &= (s_words[:, j] & c_words[:, j, None]) == 0
-        counts = covered.sum(axis=1)
-        best = int(counts.argmax())
-        if counts[best] == 0:
-            continue
-        chosen.append(cands[best])
-        keep = ~covered[best]
-        k_words = k_words[keep]
-        s_words = s_words[keep]
+    batch = 1
+    while remaining and rounds < cap:
+        live = uncovered.any(axis=1)
+        if not live.all():  # cliques whose cells are all covered score nothing
+            uncovered, k_words = uncovered[live], k_words[live]
+        b = min(batch, cap - rounds)
+        # drawn as a mask and unpacked, since bench/tracer.py counts the
+        # draws at ``bernoulli_mask``
+        draw = rng.bernoulli_mask(32 * n * b, threshold)
+        flags = np.unpackbits(np.frombuffer(draw.to_bytes(4 * n * b, "little"), np.uint8),
+                              bitorder="little")
+        cands = _word_rows(flags.reshape(32 * b, n), w)
+        outside = _word_rows(_apart(cands, s_words), uncovered.shape[1])
+        # a clique lies inside A when it misses ~A; the clique words have no
+        # bits past n, so ~A's high bits do not matter
+        cand_of, clique = _apart(~cands, k_words).nonzero()
+        bounds = np.searchsorted(cand_of, np.arange(0, 32 * b + 1, 32)).tolist()
+        for r in range(b):
+            rounds += 1
+            c = cand_of[bounds[r]:bounds[r + 1]]
+            k = clique[bounds[r]:bounds[r + 1]]
+            gain = np.bitwise_count(uncovered[k] & outside[c]).sum(axis=1)
+            counts = np.bincount(c - 32 * r, weights=gain, minlength=32)
+            best = int(counts.argmax())
+            if counts[best] == 0:
+                continue
+            a = 32 * r + best
+            uncovered[k[c == a]] &= ~outside[a]
+            remaining -= int(counts[best])
+            chosen.append(int.from_bytes(cands[a].tobytes(), "little"))
+            if not remaining:
+                break
+        batch = min(2 * batch, max(1, _BLOCK_CELLS // (32 * max(len(k_words), len(s_words)))))
     if stats_out is not None:
         stats_out["rounds"] = rounds
-    if len(k_words):
-        raise SeparatorBuildError(len(k_words), rounds)
+    if remaining:
+        raise SeparatorBuildError(remaining, rounds)
     return family_from_masks(g.n, chosen)
 
 

@@ -37,17 +37,21 @@ def scalar_bernoulli_mask(rng: SplitMix64, n: int, threshold: int) -> int:
     return mask
 
 
-def greedy_separator(g, p: float, seed: int, max_rounds: int | None = None) -> CutFamily:
+def greedy_separator(g, p: float, seed: int, max_rounds: int | None = None, *,
+                     stats_out: dict | None = None) -> CutFamily:
     """Pure-Python greedy random-cut construction on Python-int masks.
 
-    Same contract as ``build_random_separator``: each round draws 32
-    candidates of n draws each, candidate after candidate, and keeps the
-    first one covering the most uncovered disjoint maximal pairs.
+    Same contract as ``build_random_separator``, ``stats_out`` included:
+    each round draws 32 candidates of n draws each, candidate after
+    candidate, and keeps the first one covering the most uncovered disjoint
+    maximal pairs.
     """
     pairs = disjoint_maximal_pairs(g)
+    cap = 2 * g.n ** 7 if max_rounds is None else max_rounds
+    if stats_out is not None:
+        stats_out.update(rounds=0, cap=cap, pairs=len(pairs))
     if not pairs:
         return CutFamily(g.n, ())
-    cap = 2 * g.n ** 7 if max_rounds is None else max_rounds
     rng = SplitMix64(seed)
     threshold = bernoulli_threshold(p)
     chosen = []
@@ -65,6 +69,8 @@ def greedy_separator(g, p: float, seed: int, max_rounds: int | None = None) -> C
         chosen.append(cands[best])
         drop = set(best_covered)
         pairs = [pr for j, pr in enumerate(pairs) if j not in drop]
+    if stats_out is not None:
+        stats_out["rounds"] = rounds
     if pairs:
         raise SeparatorBuildError(len(pairs), rounds)
     return family_from_masks(g.n, chosen)

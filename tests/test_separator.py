@@ -148,10 +148,14 @@ def test_random_separator_bit_identical_and_paths_agree():
 
 
 def build_outcome(build, g, p, seed, max_rounds=None):
+    """The family or the round-cap error's (remaining, rounds), and the
+    build's ``stats_out``."""
+    stats = {}
     try:
-        return build(g, p, seed, max_rounds)
+        outcome = build(g, p, seed, max_rounds, stats_out=stats)
     except SeparatorBuildError as exc:
-        return ("cap", exc.remaining, exc.rounds)
+        outcome = ("cap", exc.remaining, exc.rounds)
+    return outcome, stats
 
 
 @st.composite
@@ -172,7 +176,31 @@ def test_random_separator_matches_greedy_oracle(g, p, seed, max_rounds):
     capped = build_outcome(build_random_separator, g, p, seed, max_rounds)
     assert capped == build_outcome(greedy_separator, g, p, seed, max_rounds)
     if disjoint_maximal_pairs(g) and max_rounds == 0:
-        assert capped[:2] == ("cap", len(disjoint_maximal_pairs(g)))
+        assert capped[0][:2] == ("cap", len(disjoint_maximal_pairs(g)))
+
+
+# round caps inside and on the edges of the builder's batches of 1, 2, 4, ... rounds
+BATCH_EDGE_CAPS = (1, 2, 3, 4, 5, 7, 8, 9, 31, 33, 65)
+
+
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_random_separator_matches_oracle_across_batch_edges(n):
+    for seed in range(3):
+        g = gen_gnp(n, 0.5, 100 * n + seed)
+        for max_rounds in BATCH_EDGE_CAPS + (None,):
+            got = build_outcome(build_random_separator, g, 0.5, seed, max_rounds)
+            assert got == build_outcome(greedy_separator, g, 0.5, seed, max_rounds), \
+                (n, seed, max_rounds)
+
+
+def test_random_separator_matches_oracle_on_two_word_rows():
+    # the disjoint cells span more than 64 maximal stable sets, so each
+    # uncovered row takes two uint64 words
+    g = gen_gnp(22, 0.5, 7)
+    assert len({s for _, s in disjoint_maximal_pairs(g)}) > 64
+    for max_rounds in (5, 33, None):
+        got = build_outcome(build_random_separator, g, 0.5, 11, max_rounds)
+        assert got == build_outcome(greedy_separator, g, 0.5, 11, max_rounds), max_rounds
 
 
 def clique_beside_five_cycle():
