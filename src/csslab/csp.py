@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import (Graph, bits, from_edges, induced, is_split_graph, mask_of,
-                     maximal_cliques, split_partitions)
+from .graphs import (Graph, bits, induced, is_clique, is_split_graph, is_stable,
+                     mask_of, maximal_cliques, set_of, split_partitions)
 from .rng import SplitMix64
 from .separator import CutFamily, family_from_masks
 
 COLOR_NAMES = "ABC"
+_COLORS = frozenset((0, 1, 2))
 PART_NAMES = ("A1", "A2", "A3", "A4")
 
 ListAssignment = tuple  # tuple[frozenset[int], ...], one list per vertex
@@ -41,32 +42,25 @@ class NotReallyThreeColorable(RuntimeError):
 
 
 class CcpInstance:
-    """Edge 3-coloring of the complete graph on n vertices."""
+    """Edge 3-coloring of the complete graph on n vertices.  ``colors`` holds
+    the color of every pair u < v in lexicographic order; ``classes[c][x]``
+    is the mask of the vertices joined to x by an edge of color c."""
 
-    __slots__ = ("n", "colors")
+    __slots__ = ("n", "colors", "classes")
 
     def __init__(self, n: int, colors):
         colors = tuple(colors)
         if len(colors) != n * (n - 1) // 2:
             raise ValueError("color vector length must be n(n-1)/2")
-        if any(c not in (0, 1, 2) for c in colors):
+        if not _COLORS.issuperset(colors):
             raise ValueError("edge colors must be 0, 1 or 2")
+        classes = ([0] * n, [0] * n, [0] * n)
+        for (u, v), c in zip(itertools.combinations(range(n), 2), colors):
+            classes[c][u] |= 1 << v
+            classes[c][v] |= 1 << u
         self.n = n
         self.colors = colors
-
-    def _index(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        if u == v or not 0 <= u < self.n or v >= self.n:
-            raise ValueError(f"bad vertex pair ({u}, {v})")
-        return u * (2 * self.n - u - 1) // 2 + (v - u - 1)
-
-    def color(self, u: int, v: int) -> int:
-        return self.colors[self._index(u, v)]
-
-    def edge_neighborhood(self, x: int, color: int) -> frozenset:
-        return frozenset(y for y in range(self.n)
-                         if y != x and self.color(x, y) == color)
+        self.classes = tuple(map(tuple, classes))
 
     def __eq__(self, other):
         return (isinstance(other, CcpInstance) and self.n == other.n
@@ -84,21 +78,27 @@ def random_ccp_instance(n: int, seed: int) -> CcpInstance:
 
 def ccp_of_graph(g: Graph) -> CcpInstance:
     """Two-color encoding of a graph: edges get color A, non-edges color B."""
-    colors = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            colors.append(0 if g.has_edge(u, v) else 1)
-    return CcpInstance(g.n, colors)
+    return CcpInstance(g.n, [0 if g.has_edge(u, v) else 1
+                             for u, v in itertools.combinations(range(g.n), 2)])
+
+
+def _check_vertex(inst: CcpInstance, x: int) -> None:
+    if not 0 <= x < inst.n:
+        raise ValueError(f"vertex {x} is not in the {inst.n}-vertex instance")
 
 
 def verify_3ccp_solution(inst: CcpInstance, coloring) -> bool:
     """True iff no pair shares its edge color with both endpoints."""
     if len(coloring) != inst.n:
         raise ValueError("coloring length must match the instance")
-    for u in range(inst.n):
-        for v in range(u + 1, inst.n):
-            if coloring[u] == coloring[v] == inst.color(u, v):
-                return False
+    if not _COLORS.issuperset(coloring):
+        raise ValueError("vertex colors must be 0, 1 or 2")
+    classes = inst.classes
+    seen = [0, 0, 0]  # per color, the vertices before v that carry it
+    for v, c in enumerate(coloring):
+        if classes[c][v] & seen[c]:
+            return False
+        seen[c] |= 1 << v
     return True
 
 
@@ -240,13 +240,11 @@ def two_list_to_2sat(inst: CcpInstance, la: ListAssignment):
         else:
             x = var_of[(v, lst[0])] + 1
             clauses.append((x, x))
-    for u in range(inst.n):
-        for v in range(u + 1, inst.n):
-            c = inst.color(u, v)
-            xu = var_of.get((u, c))
-            xv = var_of.get((v, c))
-            if xu is not None and xv is not None:
-                clauses.append((-(xu + 1), -(xv + 1)))
+    for (u, v), c in zip(itertools.combinations(range(inst.n), 2), inst.colors):
+        xu = var_of.get((u, c))
+        xv = var_of.get((v, c))
+        if xu is not None and xv is not None:
+            clauses.append((-(xu + 1), -(xv + 1)))
     ts = TwoSatInstance(len(var_of), tuple(clauses))
 
     def decode(assignment) -> tuple[int, ...]:
@@ -273,13 +271,11 @@ class CoveringTree:
     level_removals: tuple[tuple[int, int], ...]  # (pool size, vertices constrained)
 
 
-def majority_color(inst: CcpInstance, x: int, pool) -> int:
-    counts = [0, 0, 0]
-    for y in pool:
-        if y != x:
-            counts[inst.color(x, y)] += 1
-    best = max(counts)
-    return counts.index(best)  # ties fall to the lowest color
+def majority_color(inst: CcpInstance, x: int, pool: int) -> int:
+    """The color of most edges from x into the vertex mask ``pool``."""
+    _check_vertex(inst, x)
+    counts = [(row[x] & pool).bit_count() for row in inst.classes]
+    return counts.index(max(counts))  # ties fall to the lowest color
 
 
 def build_quasipoly_covering(inst: CcpInstance) -> CoveringTree:
@@ -295,30 +291,29 @@ def build_quasipoly_covering(inst: CcpInstance) -> CoveringTree:
         raise ValueError("instance must have at least one vertex")
     leaves: list[tuple[ListAssignment, int]] = []
     removals: list[tuple[int, int]] = []
-    full = frozenset((0, 1, 2))
 
-    def rec(pool: tuple[int, ...], constraints: dict, depth: int):
+    def rec(pool: int, constraints: dict, depth: int):
         if not pool:
             leaves.append((tuple(constraints[v] for v in range(inst.n)), depth))
             return
-        majors = {x: majority_color(inst, x, pool) for x in pool}
-        for x in pool:
-            alpha = majors[x]
-            nbhd = [y for y in pool if y != x and inst.color(x, y) == alpha]
+        size = pool.bit_count()
+        majors = {x: majority_color(inst, x, pool) for x in bits(pool)}
+        for x, alpha in majors.items():
+            nbhd = inst.classes[alpha][x] & pool
             child = dict(constraints)
             child[x] = frozenset({alpha})
-            rest = full - {alpha}
-            for y in nbhd:
+            rest = _COLORS - {alpha}
+            for y in bits(nbhd):
                 child[y] = rest
-            next_pool = tuple(y for y in pool if y != x and y not in set(nbhd))
-            removals.append((len(pool), len(pool) - len(next_pool)))
+            next_pool = pool & ~nbhd & ~(1 << x)
+            removals.append((size, size - next_pool.bit_count()))
             rec(next_pool, child, depth + 1)
         extra = dict(constraints)
-        for x in pool:
-            extra[x] = full - {majors[x]}
+        for x, alpha in majors.items():
+            extra[x] = _COLORS - {alpha}
         leaves.append((tuple(extra[v] for v in range(inst.n)), depth + 1))
 
-    rec(tuple(range(inst.n)), {}, 0)
+    rec((1 << inst.n) - 1, {}, 0)
     height = max(d for _, d in leaves)
     assignments = tuple(dict.fromkeys(la for la, _ in leaves))
     return CoveringTree(assignments, len(leaves), height, tuple(removals))
@@ -332,13 +327,13 @@ def really_3colorable(inst: CcpInstance, x: int, alpha: int
     """True iff every maximal clique using the other two colors inside the
     alpha-edge-neighborhood of x splits into a clique of one color and a
     clique of the other; otherwise the first non-split witness is returned."""
+    _check_vertex(inst, x)
     others = [c for c in (0, 1, 2) if c != alpha]
-    beta = others[0]
-    u = tuple(sorted(inst.edge_neighborhood(x, alpha)))
-    for z in maximal_cliques(_derived_graph(inst, u, others)):
-        members = tuple(u[i] for i in sorted(z))
-        if not is_split_graph(_derived_graph(inst, members, (beta,))):
-            return False, frozenset(members)
+    derived, ids = _derived_graph(inst, inst.classes[alpha][x], others)
+    for z in maximal_cliques(derived):
+        members = mask_of(ids[i] for i in z)
+        if not is_split_graph(_derived_graph(inst, members, (others[0],))[0]):
+            return False, set_of(members)
     return True, None
 
 
@@ -374,17 +369,16 @@ def verify_stubborn_solution(inst: StubbornInstance, part) -> StubbornCheck:
     g = inst.graph
     if len(part) != g.n or any(p not in (1, 2, 3, 4) for p in part):
         raise ValueError("assignment must give every vertex a part in 1..4")
-    masks = {i: mask_of(v for v in range(g.n) if part[v] == i) for i in (1, 2, 3, 4)}
-    for v in range(g.n):
-        if part[v] not in inst.lists[v]:
+    masks = [0] * 5  # masks[i]: the vertices in part i
+    for v, p in enumerate(part):
+        if p not in inst.lists[v]:
             return StubbornCheck(False, False, f"vertex {v} violates its list")
-    for v in bits(masks[4]):
-        if masks[4] & ~g.adj[v] & ~(1 << v):
-            return StubbornCheck(False, False, "part 4 is not a clique")
+        masks[p] |= 1 << v
+    if not is_clique(g, masks[4]):
+        return StubbornCheck(False, False, "part 4 is not a clique")
     for i in (1, 2):
-        for v in bits(masks[i]):
-            if g.adj[v] & masks[i]:
-                return StubbornCheck(False, False, f"part {i} is not stable")
+        if not is_stable(g, masks[i]):
+            return StubbornCheck(False, False, f"part {i} is not stable")
     for v in bits(masks[1]):
         if g.adj[v] & masks[3]:
             return StubbornCheck(False, False, "parts 1 and 3 are adjacent")
@@ -460,11 +454,12 @@ def _table_key(lst: frozenset) -> frozenset:
     return key
 
 
-def _derived_graph(inst: CcpInstance, pool: tuple[int, ...], colors) -> Graph:
-    pos = {v: i for i, v in enumerate(pool)}
-    edges = [(pos[a], pos[b]) for a, b in itertools.combinations(pool, 2)
-             if inst.color(a, b) in colors]
-    return from_edges(len(pool), edges)
+def _derived_graph(inst: CcpInstance, pool: int, colors) -> tuple[Graph, tuple[int, ...]]:
+    """The graph of the edges with a color in ``colors``, induced on the
+    vertex mask ``pool``, and its map from new index to vertex."""
+    # a pair has one color, so the classes are disjoint and their sum is their union
+    union = [sum(inst.classes[c][v] for c in colors) for v in range(inst.n)]
+    return induced(Graph(inst.n, union, validate=False), bits(pool))
 
 
 def _relabel(inst: CcpInstance, perm) -> CcpInstance:
@@ -496,9 +491,10 @@ def _c_side(inst: CcpInstance, x: int, cover_stubborn
     edges alone (refine), and each pair of their assignments translates
     into one list per vertex.  The B side is the C side of the instance with
     B and C swapped."""
-    pool = tuple(sorted(inst.edge_neighborhood(x, 2)))
-    main_cov = cover_stubborn(trivial_stubborn(_derived_graph(inst, pool, (1, 2))))
-    refine_cov = cover_stubborn(trivial_stubborn(_derived_graph(inst, pool, (1,))))
+    main, pool = _derived_graph(inst, inst.classes[2][x], (1, 2))
+    refine, _ = _derived_graph(inst, inst.classes[2][x], (1,))
+    main_cov = cover_stubborn(trivial_stubborn(main))
+    refine_cov = cover_stubborn(trivial_stubborn(refine))
     if not pool:  # the empty neighborhood has one list assignment, the empty one
         return pool, [()]
     return pool, list(dict.fromkeys(
@@ -516,8 +512,7 @@ def stubborn_to_3ccp_covering(inst: CcpInstance, x: int, cover_stubborn,
     If x cannot take the target color at all the empty covering is returned;
     if the structural test fails for one of the other two colors the
     construction is unsound and raises."""
-    if not 0 <= x < inst.n:
-        raise ValueError(f"vertex {x} is not in the {inst.n}-vertex instance")
+    _check_vertex(inst, x)
     if target not in (0, 1, 2):
         raise ValueError("target color must be 0, 1 or 2")
     if target != 0:
@@ -537,7 +532,7 @@ def stubborn_to_3ccp_covering(inst: CcpInstance, x: int, cover_stubborn,
     c_pool, c_side = _c_side(inst, x, cover_stubborn)
     b_pool, b_side = _c_side(_relabel(inst, _SWAP_BC), x, cover_stubborn)
     b_side = [_relabel_lists(bl, _SWAP_BC) for bl in b_side]
-    ua = inst.edge_neighborhood(x, 0)
+    ua = tuple(bits(inst.classes[0][x]))
     out = []
     for cl in c_side:
         for bl in b_side:

@@ -17,6 +17,8 @@ Formats (vertex indices are 0-based, lists sorted ascending):
 
 from __future__ import annotations
 
+import itertools
+
 from .csp import COLOR_NAMES, PART_NAMES, CcpInstance, StubbornInstance
 from .graphs import Graph, bits, from_edges, mask_of
 from .packing import BicliqueCovering, FoolingSet, PackingCertificate
@@ -248,9 +250,8 @@ def parse_fooling(text: str, host: Graph) -> FoolingSet:
 
 def emit_ccp(inst: CcpInstance) -> str:
     lines = [f"ccp {inst.n}"]
-    for u in range(inst.n):
-        for v in range(u + 1, inst.n):
-            lines.append(f"{u} {v} {COLOR_NAMES[inst.color(u, v)]}")
+    lines += [f"{u} {v} {COLOR_NAMES[c]}"
+              for (u, v), c in zip(itertools.combinations(range(inst.n), 2), inst.colors)]
     return "\n".join(lines) + "\n"
 
 
@@ -274,11 +275,7 @@ def parse_ccp(text: str) -> CcpInstance:
         colors[(u, v)] = COLOR_NAMES.index(parts[2])
     if len(colors) != want:
         raise FormatError(f"expected {want} colored pairs, found {len(colors)}")
-    flat = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            flat.append(colors[(u, v)])
-    return CcpInstance(n, flat)
+    return CcpInstance(n, [colors[pair] for pair in itertools.combinations(range(n), 2)])
 
 
 # token -> list value, one table per list alphabet

@@ -91,19 +91,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-def from_edges(n: int, edges, *, validate_input: bool = True) -> Graph:
+def from_edges(n: int, edges) -> Graph:
     adj = [0] * n
     seen = set()
     for u, v in edges:
-        if validate_input:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range")
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v})")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ValueError(f"duplicate edge {key}")
+        seen.add(key)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, adj, validate=False)

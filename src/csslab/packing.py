@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import (Graph, _all_clique_masks, _sort_key, bits, complement,
                      complete_graph, from_edges, induced, is_clique,
                      is_proper_coloring, is_stable, mask_of, set_of)
@@ -359,15 +357,18 @@ def pairs_packing(g: Graph) -> tuple[Graph, list[tuple[frozenset, frozenset]],
     cliques = all_cliques_including_empty(g)
     stables = all_cliques_including_empty(complement(g))
     pairs = [(k, s) for k in cliques for s in stables if not k & s]
-    km = np.array([mask_of(k) for k, _ in pairs], dtype=np.uint64)
-    sm = np.array([mask_of(s) for _, s in pairs], dtype=np.uint64)
-    cross = ((km[:, None] & sm[None, :]) != 0)
-    adjm = cross | cross.T
-    np.fill_diagonal(adjm, False)
-    edges = [(i, j) for i, j in zip(*np.nonzero(np.triu(adjm)))]
-    aux = from_edges(len(pairs), [(int(i), int(j)) for i, j in edges],
-                     validate_input=False)
-    cert = PackingCertificate(aux, _vertex_bicliques(g.n, pairs))
+    bicliques = _vertex_bicliques(g.n, pairs)
+    # pairs cross when a vertex lies in the clique of one and the stable set
+    # of the other: the aux graph is the union of the vertex bicliques
+    adj = [0] * len(pairs)
+    for a, b in bicliques:
+        am, bm = mask_of(a), mask_of(b)
+        for i in a:
+            adj[i] |= bm
+        for j in b:
+            adj[j] |= am
+    aux = Graph(len(pairs), adj, validate=False)
+    cert = PackingCertificate(aux, bicliques)
     out = verify_packing(cert)
     if not out.ok:
         raise RuntimeError(f"pair packing invalid: {out.violation} {out.detail}")

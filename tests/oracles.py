@@ -1,6 +1,7 @@
 """Slow scalar reference implementations that the library is tested
 against, and fixture builders that only tests use."""
 
+import itertools
 from fractions import Fraction
 
 from csslab.graphs import greedy_coloring, set_of
@@ -21,6 +22,20 @@ def as_covering(cert, t: int) -> BicliqueCovering:
 def all_cuts_family(n: int) -> CutFamily:
     """Every side-A subset of n vertices, which separates every pair."""
     return family_from_masks(n, range(1 << n))
+
+
+def pairwise_3ccp_solution(inst, coloring) -> bool:
+    """``verify_3ccp_solution`` pair by pair: no pair uv whose endpoints both
+    carry the color of uv, read from the flat ``inst.colors``."""
+    return not any(coloring[u] == coloring[v] == c for (u, v), c in
+                   zip(itertools.combinations(range(inst.n), 2), inst.colors))
+
+
+def pairs_cross(p, q) -> bool:
+    """Two (clique, stable set) pairs of vertex sets cross when the clique of
+    one meets the stable set of the other: the adjacency of the pair graph
+    that ``pairs_packing`` builds."""
+    return bool(p[0] & q[1] or q[0] & p[1])
 
 
 def greedy_base_colorer(h, partition) -> tuple[int, ...]:

@@ -24,6 +24,8 @@ from csslab.csp import (CcpInstance, MalformedCovering, NotReallyThreeColorable,
                         two_list_to_2sat, verify_3ccp_solution,
                         verify_stubborn_solution)
 
+from oracles import pairwise_3ccp_solution
+
 
 def separator_provider(seed):
     def provider(sub_inst):
@@ -61,6 +63,30 @@ def test_verify_3ccp_examples():
     assert verify_3ccp_solution(inst, (1, 1))
     assert not verify_3ccp_solution(inst, (0, 0))
     assert verify_3ccp_solution(inst, (0, 1))
+
+
+def test_verify_3ccp_matches_pairwise_oracle():
+    for n in range(7):
+        for seed in range(4):
+            inst = random_ccp_instance(n, 300 + seed)
+            for coloring in itertools.product((0, 1, 2), repeat=n):
+                assert (verify_3ccp_solution(inst, coloring)
+                        == pairwise_3ccp_solution(inst, coloring)), (n, seed, coloring)
+
+
+def test_colors_and_vertices_outside_the_instance_raise():
+    inst = CcpInstance(2, (0,))
+    for coloring in ((5, 5), (-3, -3)):
+        with pytest.raises(ValueError, match="colors must be"):
+            verify_3ccp_solution(inst, coloring)
+    # a bad color is reported even after a violated pair
+    with pytest.raises(ValueError, match="colors must be"):
+        verify_3ccp_solution(CcpInstance(3, (0, 0, 0)), (0, 0, 3))
+    for x in (inst.n, -1):
+        with pytest.raises(ValueError, match="not in the"):
+            really_3colorable(inst, x, 0)
+        with pytest.raises(ValueError, match="not in the"):
+            majority_color(inst, x, 0b11)
 
 
 def test_fixture_demo_solution():

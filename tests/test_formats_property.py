@@ -1,26 +1,33 @@
-"""Property tests for the packing, covering and fooling-set codec: random
-certificates on graphs with at most 8 vertices survive emit -> parse -> emit
-byte for byte, and a file with one line deleted, duplicated or garbled parses
-to a certificate or raises FormatError, never another exception."""
+"""Property tests for the text codecs: random certificates and instances on
+graphs with at most 8 vertices survive emit -> parse -> emit byte for byte,
+and a packing, covering or fooling-set file with one line deleted,
+duplicated or garbled parses to a certificate or raises FormatError, never
+another exception."""
 
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csslab.formats import (FormatError, emit_covering, emit_fooling,
-                            emit_packing, parse_covering, parse_fooling,
-                            parse_packing)
+from csslab.csp import CcpInstance, StubbornInstance
+from csslab.formats import (FormatError, emit_ccp, emit_covering, emit_cut_family,
+                            emit_fooling, emit_graph, emit_hypergraph,
+                            emit_packing, emit_stubborn, parse_ccp,
+                            parse_covering, parse_cut_family, parse_fooling,
+                            parse_graph, parse_hypergraph, parse_packing,
+                            parse_stubborn)
 from csslab.graphs import from_edges, set_of
 from csslab.packing import BicliqueCovering, FoolingSet, PackingCertificate
+from csslab.separator import CutFamily
+from csslab.transversal import Hypergraph
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(0, 8))
+def graphs(draw, n=st.integers(0, 8)):
+    n = draw(n)
     pairs = list(itertools.combinations(range(n), 2))
     mask = draw(st.integers(0, (1 << len(pairs)) - 1))
     return from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
@@ -72,3 +79,42 @@ def test_one_damaged_line_parses_or_raises_format_error(case, data):
         parse("\n".join(lines) + "\n", cert.host)
     except FormatError:
         pass
+
+
+@st.composite
+def instances(draw, kind: str, n: int):
+    """(value, emit, parse) for a random ``kind`` file on ``n`` vertices."""
+    g = draw(graphs(st.just(n)))
+    subsets = st.integers(0, (1 << n) - 1)
+    if kind == "graph":
+        return g, emit_graph, parse_graph
+    if kind == "cuts":
+        masks = draw(st.lists(subsets, unique=True, max_size=6))
+        return CutFamily(n, masks), emit_cut_family, parse_cut_family
+    if kind == "hgraph":
+        edges = draw(st.lists(subsets.map(set_of), max_size=6))
+        return Hypergraph(n, edges), emit_hypergraph, parse_hypergraph
+    m = n * (n - 1) // 2
+    if kind == "ccp":
+        colors = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        return CcpInstance(n, colors), emit_ccp, parse_ccp
+    lists = draw(st.lists(st.frozensets(st.integers(1, 4), min_size=1),
+                          min_size=n, max_size=n))
+    return StubbornInstance(g, tuple(lists)), emit_stubborn, parse_stubborn
+
+
+def _value(x):
+    """What equality compares; Hypergraph defines no ``__eq__``."""
+    return (x.n, x.edges) if isinstance(x, Hypergraph) else x
+
+
+@settings(SETTINGS, max_examples=20)
+@given(st.data())
+def test_instance_files_round_trip(data):
+    for kind in ("graph", "cuts", "hgraph", "ccp", "stubborn"):
+        for n in range(9):
+            value, emit, parse = data.draw(instances(kind, n))
+            text = emit(value)
+            back = parse(text)
+            assert _value(back) == _value(value), (kind, n)
+            assert emit(back) == text, (kind, n)

@@ -1,6 +1,7 @@
 """Cross-module invariants that do not belong to a single operation."""
 
 import ast
+import importlib
 import itertools
 import random
 import re
@@ -205,3 +206,18 @@ def test_public_names_are_used_or_documented():
                           for where, line, name in uses)
               and not re.search(rf"\b{d.name}\b", readme)]
     assert unused == []
+
+
+def test_every_traced_span_names_a_callable(monkeypatch):
+    """The benchmark's tracer (bench/tracer.py) wraps csslab functions by
+    name; a rename that unhooks one fails here, not only in traced runs."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    tracer = importlib.import_module("tracer")
+    dangling = []
+    for module, attr, *_ in tracer.SPANS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            dangling.append(f"{module}.{attr}")
+    assert tracer.SPANS and dangling == []

@@ -19,7 +19,7 @@ from csslab.packing import (BicliqueCovering, CapExceeded, FoolingSet,
 from csslab.separator import (CutFamily, build_random_separator,
                               extend_to_full_separator, verify_cs_separator)
 
-from oracles import as_covering, greedy_base_colorer
+from oracles import as_covering, greedy_base_colorer, pairs_cross
 
 
 def crossed_biclique_graph():
@@ -224,6 +224,19 @@ def test_pairs_packing_routes_to_separator():
         fam = pair_coloring_to_separator(g, pairs, colors)
         assert verify_cs_separator(g, fam).ok
         assert len(fam) <= len(set(colors))
+
+
+def test_pairs_packing_aux_is_the_crossing_relation():
+    hosts = [from_edges(n, [e for i, e in enumerate(itertools.combinations(range(n), 2))
+                            if m >> i & 1])
+             for n in range(5) for m in range(1 << n * (n - 1) // 2)]
+    hosts += [gen_gnp(n, 0.5, seed) for n in (7, 8) for seed in (1, 2, 3)]
+    for g in hosts:
+        aux, pairs, _ = pairs_packing(g)
+        assert aux.n == len(pairs)
+        for i, p in enumerate(pairs):
+            assert aux.adj[i] == mask_of(j for j, q in enumerate(pairs)
+                                         if pairs_cross(p, q)), (g, i)
 
 
 # ---------------------------------------------------------------- coverings
