@@ -451,14 +451,18 @@ def find_biclique_pair(g: Graph, min_size: int) -> BicliquePair | None:
 
 
 def greedy_coloring(g: Graph) -> tuple[int, ...]:
-    """First-fit proper coloring in vertex order."""
-    colors = [-1] * g.n
-    for v in range(g.n):
-        taken = {colors[w] for w in bits(g.adj[v]) if colors[w] >= 0}
+    """First-fit proper coloring in vertex order: v takes the first color
+    class, held as a vertex mask, that holds no neighbor of v."""
+    colors = []
+    classes = []
+    for v, row in enumerate(g.adj):
         c = 0
-        while c in taken:
+        while c < len(classes) and row & classes[c]:
             c += 1
-        colors[v] = c
+        if c == len(classes):
+            classes.append(0)
+        classes[c] |= 1 << v
+        colors.append(c)
     return tuple(colors)
 
 

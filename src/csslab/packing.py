@@ -68,8 +68,10 @@ def verify_packing(cert: PackingCertificate) -> VerifyResult:
     if bad is not None:
         return bad
     cover_out = [0] * g.n
+    cover_in = [0] * g.n
     seen_dup = None
     for left, right in cert.bicliques:
+        am = mask_of(left)
         bm = mask_of(right)
         for a in left:
             dup = cover_out[a] & bm
@@ -78,9 +80,13 @@ def verify_packing(cert: PackingCertificate) -> VerifyResult:
                 if seen_dup is None or (a, b) < seen_dup:
                     seen_dup = (a, b)
             cover_out[a] |= bm
-    for u, v in g.edges():
-        if not (cover_out[u] >> v & 1 or cover_out[v] >> u & 1):
-            return VerifyResult(False, "uncovered-edge", (u, v))
+        for b in right:
+            cover_in[b] |= am
+    for u, row in enumerate(g.adj):
+        # edges uv with v > u covered in neither direction; the lowest v first
+        missed = row >> (u + 1) << (u + 1) & ~(cover_out[u] | cover_in[u])
+        if missed:
+            return VerifyResult(False, "uncovered-edge", (u, (missed & -missed).bit_length() - 1))
     if seen_dup is not None:
         return VerifyResult(False, "doubly-covered-arc", seen_dup)
     return VerifyResult(True)

@@ -163,9 +163,24 @@ def build_hypergraph(g: Graph, base: frozenset,
     if base & opposite:
         raise ValueError("base and opposite sets intersect")
     ids = tuple(sorted(base))
-    edges = [frozenset(i for i, v in enumerate(ids) if not g.has_edge(x, v))
+    edges = [frozenset(i for i, v in enumerate(ids) if not g.adj[x] >> v & 1)
              for x in sorted(opposite)]
     return Hypergraph(len(ids), edges), ids
+
+
+def _canonical(h: Hypergraph) -> tuple[int, frozenset, frozenset]:
+    """(n, distinct edge masks, inclusion-minimal edge masks).  Dropping
+    duplicate edges and edges that contain another edge leaves the covering
+    program's optimum, and so the side choice and tau*, unchanged."""
+    edges = frozenset(mask_of(e) for e in h.edges)
+    minimal = frozenset(e for e in edges if not any(f != e and f & e == f for f in edges))
+    return h.n, edges, minimal
+
+
+def _memoised(memo: dict, key, compute):
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def fractional_transversality(h: Hypergraph) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -285,14 +300,29 @@ def transversal_budget(phi: int) -> float:
 
 
 def separate_pair_split_free(g: Graph, k: frozenset, s: frozenset,
-                             budget: float) -> PairPipelineReport:
+                             budget: float, *, memo: dict | None = None
+                             ) -> PairPipelineReport:
     """Run the weight/hypergraph/transversal pipeline on one disjoint pair and
     return the separating cut with its certificates.  The stable side runs on
-    complement(g), and its cut is complemented back to g."""
-    sw = side_weights(conflict_digraph(g, k, s), g)
-    h_g, base, opposite = _side_view(g, k, s, sw.side)
-    h, ids = build_hypergraph(h_g, base, opposite)
-    tau_star, _ = fractional_transversality(h)
+    complement(g), and its cut is complemented back to g.
+
+    ``memo`` carries the side, tau* and VC dimension already found for
+    equivalent hypergraphs during one build (see ``_canonical``); the side is
+    keyed on the K-side hypergraph.  Without it the pair gets a memo of its
+    own.  The transversal and both exact checks run for every pair."""
+    if memo is None:
+        memo = {}
+    h, ids = build_hypergraph(g, k, s)
+    n, edges, minimal = _canonical(h)
+    side = _memoised(memo, ("side", n, minimal),
+                     lambda: side_weights(conflict_digraph(g, k, s), g).side)
+    h_g = g
+    if side == "S":
+        h_g = complement(g)
+        h, ids = build_hypergraph(h_g, s, k)
+        n, edges, minimal = _canonical(h)
+    tau_star = _memoised(memo, ("tau*", n, minimal),
+                         lambda: fractional_transversality(h)[0])
     transversal = greedy_transversal(h)
     if len(transversal) > budget:
         raise RuntimeError(
@@ -301,12 +331,12 @@ def separate_pair_split_free(g: Graph, k: frozenset, s: frozenset,
     u = h_g.full_mask
     for i in transversal:
         u &= h_g.adj[ids[i]] | (1 << ids[i])
-    if sw.side == "S":
+    if side == "S":
         u = g.full_mask & ~u
     if mask_of(k) & ~u or mask_of(s) & u:
         raise RuntimeError("pipeline produced a non-separating cut: implementation bug")
-    vc = vc_dimension(h, cap=h.n + 1)
-    return PairPipelineReport(k, s, sw.side, len(transversal), tau_star, vc, u)
+    vc = _memoised(memo, ("vc", n, edges), lambda: vc_dimension(h, cap=h.n + 1))
+    return PairPipelineReport(k, s, side, len(transversal), tau_star, vc, u)
 
 
 def split_free_report(g: Graph, gamma: Graph
@@ -327,8 +357,9 @@ def split_free_report(g: Graph, gamma: Graph
     budget = transversal_budget(phi)
     reports = []
     masks = []
+    memo: dict = {}
     for kmask, smask in disjoint_maximal_pairs(g):
-        rep = separate_pair_split_free(g, set_of(kmask), set_of(smask), budget)
+        rep = separate_pair_split_free(g, set_of(kmask), set_of(smask), budget, memo=memo)
         reports.append(rep)
         masks.append(rep.cut_mask)
     return family_from_masks(g.n, masks), reports

@@ -4,12 +4,15 @@ against, and fixture builders that only tests use."""
 import itertools
 from fractions import Fraction
 
-from csslab.graphs import greedy_coloring, set_of
+from csslab.graphs import bits, complement, greedy_coloring, mask_of, set_of
 from csslab.lp import LpResult
-from csslab.packing import BicliqueCovering
+from csslab.packing import BicliqueCovering, VerifyResult, _first_bad_biclique
 from csslab.rng import SplitMix64, bernoulli_threshold
 from csslab.separator import (CutFamily, SeparationReport, SeparatorBuildError,
                               disjoint_maximal_pairs, family_from_masks)
+from csslab.transversal import (PairPipelineReport, build_hypergraph,
+                                conflict_digraph, fractional_transversality,
+                                greedy_transversal, side_weights, vc_dimension)
 
 
 def as_covering(cert, t: int) -> BicliqueCovering:
@@ -41,6 +44,68 @@ def pairs_cross(p, q) -> bool:
 def greedy_base_colorer(h, partition) -> tuple[int, ...]:
     """First-fit greedy base colorer for ``compose_coloring``."""
     return greedy_coloring(h)
+
+
+def set_greedy_coloring(g) -> tuple[int, ...]:
+    """First-fit coloring in vertex order from the set of colors already on
+    each vertex's neighbors: the reference for ``greedy_coloring``."""
+    colors = [-1] * g.n
+    for v in range(g.n):
+        taken = {colors[w] for w in bits(g.adj[v]) if colors[w] >= 0}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return tuple(colors)
+
+
+def pair_walk_verify_packing(cert) -> VerifyResult:
+    """``verify_packing`` with the coverage check walking ``g.edges()`` and
+    testing both directions of each edge: the reference for its verdict and
+    witness."""
+    g = cert.host
+    bad = _first_bad_biclique(g, cert.bicliques)
+    if bad is not None:
+        return bad
+    cover_out = [0] * g.n
+    seen_dup = None
+    for left, right in cert.bicliques:
+        bm = mask_of(right)
+        for a in left:
+            dup = cover_out[a] & bm
+            if dup:
+                b = next(bits(dup))
+                if seen_dup is None or (a, b) < seen_dup:
+                    seen_dup = (a, b)
+            cover_out[a] |= bm
+    for u, v in g.edges():
+        if not (cover_out[u] >> v & 1 or cover_out[v] >> u & 1):
+            return VerifyResult(False, "uncovered-edge", (u, v))
+    if seen_dup is not None:
+        return VerifyResult(False, "doubly-covered-arc", seen_dup)
+    return VerifyResult(True)
+
+
+def unmemoised_pair_pipeline(g, k, s, budget: float) -> PairPipelineReport:
+    """``separate_pair_split_free`` with nothing shared between pairs: the
+    side from ``side_weights`` on the pair's conflict digraph, then tau* and
+    the VC dimension solved on the chosen side's own hypergraph."""
+    side = side_weights(conflict_digraph(g, k, s), g).side
+    h_g, base, opposite = (g, k, s) if side == "K" else (complement(g), s, k)
+    h, ids = build_hypergraph(h_g, base, opposite)
+    tau_star, _ = fractional_transversality(h)
+    transversal = greedy_transversal(h)
+    if len(transversal) > budget:
+        raise RuntimeError(f"transversal size {len(transversal)} exceeds the budget")
+    u = h_g.full_mask
+    for i in transversal:
+        u &= h_g.adj[ids[i]] | (1 << ids[i])
+    if side == "S":
+        u = g.full_mask & ~u
+    if mask_of(k) & ~u or mask_of(s) & u:
+        raise RuntimeError("pipeline produced a non-separating cut")
+    vc = vc_dimension(h, cap=h.n + 1)
+    return PairPipelineReport(k, s, side, len(transversal), tau_star, vc, u)
 
 
 def scalar_bernoulli_mask(rng: SplitMix64, n: int, threshold: int) -> int:

@@ -13,7 +13,7 @@ from csslab.graphs import (BicliquePair, Graph, bits, complement,
                            is_proper_coloring, is_split_graph, is_stable,
                            mask_of, maximal_cliques, maximal_stables,
                            net_graph, path_graph, set_of, split_partitions)
-from oracles import has_edge_contains_induced
+from oracles import has_edge_contains_induced, set_greedy_coloring
 
 # ---------------------------------------------------------------- oracles
 
@@ -301,3 +301,9 @@ def test_greedy_coloring_proper():
     for seed in range(5):
         g = gen_gnp(12, 0.5, seed)
         assert is_proper_coloring(g, greedy_coloring(g))
+
+
+def test_greedy_coloring_matches_set_first_fit():
+    for seed in range(40):
+        g = gen_gnp(seed % 25, (0.1, 0.5, 0.9)[seed % 3], 300 + seed)
+        assert greedy_coloring(g) == set_greedy_coloring(g)

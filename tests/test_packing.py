@@ -19,7 +19,8 @@ from csslab.packing import (BicliqueCovering, CapExceeded, FoolingSet,
 from csslab.separator import (CutFamily, build_random_separator,
                               extend_to_full_separator, verify_cs_separator)
 
-from oracles import as_covering, greedy_base_colorer, pairs_cross
+from oracles import (as_covering, greedy_base_colorer, pair_walk_verify_packing,
+                     pairs_cross)
 
 
 def crossed_biclique_graph():
@@ -54,6 +55,28 @@ def test_verify_packing_trivia():
     bad = (frozenset({0}), frozenset({1}))
     res = verify_packing(PackingCertificate(empty_graph(2), (bad,)))
     assert not res.ok and res.violation == "incomplete-biclique"
+
+
+def test_verify_packing_witness_matches_pair_walk():
+    # every packing with one biclique dropped leaves edges uncovered; the
+    # reported edge must be the pair walk's first, and a repeated biclique
+    # must give the same doubly-covered arc
+    certs = [crossed_biclique_graph()[1], star_partition(5)]
+    for seed in range(12):
+        g = gen_gnp(4 + seed % 5, 0.5, 900 + seed)
+        certs.append(star_cover(g))
+        certs.append(pairs_packing(g)[2])
+    checked = 0
+    for cert in certs:
+        bcs = cert.bicliques
+        variants = [bcs] + [bcs[:i] + bcs[i + 1:] for i in range(len(bcs))]
+        variants += [bcs[:i] + bcs[i + 1:] + bcs[:1] for i in range(1, len(bcs))]
+        for bicliques in variants:
+            cand = PackingCertificate(cert.host, bicliques)
+            got = verify_packing(cand)
+            assert got == pair_walk_verify_packing(cand), bicliques
+            checked += got.violation == "uncovered-edge"
+    assert checked > 50
 
 
 def test_verify_fooling_trivia():

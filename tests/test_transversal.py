@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csslab.graphs import (complement, complete_graph,
                            comparability_from_random_poset, contains_induced,
@@ -20,6 +22,7 @@ from csslab.transversal import (BicliquePairNotFound, ConflictDigraph, Digraph,
                                 greedy_transversal, separate_pair_split_free,
                                 side_weights, split_free_report,
                                 transversal_budget, vc_dimension)
+from oracles import unmemoised_pair_pipeline
 
 # ---------------------------------------------------------------- digraphs
 
@@ -256,6 +259,50 @@ def test_split_free_pipeline_certificates():
             # the emitted cut separates its generating pair
             assert mask_of(rep.clique) & ~rep.cut_mask == 0
             assert mask_of(rep.stable) & rep.cut_mask == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2 ** 31 - 1))
+def test_split_free_reports_match_unmemoised_pipeline(n, seed):
+    g = comparability_from_random_poset(n, seed)
+    budget = transversal_budget(3)
+    _, reports = split_free_report(g, net_graph())
+    assert reports == [unmemoised_pair_pipeline(g, rep.clique, rep.stable, budget)
+                       for rep in reports]
+
+
+def test_shared_memo_matches_unmemoised_pipeline_on_random_graphs():
+    # G(12, 1/2) holds nets, so the build's loop runs here by hand: every
+    # disjoint maximal pair through one memo, as split_free_report does
+    budget = transversal_budget(3)
+    sides = set()
+    for seed in range(4):
+        g = gen_gnp(12, 0.5, 1200 + seed)
+        memo = {}
+        for kmask, smask in disjoint_maximal_pairs(g):
+            k, s = set_of(kmask), set_of(smask)
+            rep = separate_pair_split_free(g, k, s, budget, memo=memo)
+            assert rep == unmemoised_pair_pipeline(g, k, s, budget)
+            assert rep == separate_pair_split_free(g, k, s, budget)
+            sides.add(rep.side)
+    assert sides == {"K", "S"}
+
+
+def test_split_free_memo_lives_for_one_build(monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return fractional_transversality(h)
+
+    monkeypatch.setattr(transversal, "fractional_transversality", counted)
+    g = comparability_from_random_poset(13, 4)
+    first, reports = split_free_report(g, net_graph())
+    per_build = len(calls)
+    assert 0 < per_build < len(reports)
+    second, _ = split_free_report(g, net_graph())
+    assert len(calls) == 2 * per_build
+    assert first.masks == second.masks
 
 
 def test_split_free_advisory_bounds():
