@@ -117,8 +117,7 @@ def _uncovered_stubborn(report: RunReport, inst, covering) -> list:
     no assignment of ``covering`` allows."""
     maxsols = csp.all_maximal_stubborn_solutions(inst)
     report.metric("maximal_solutions", len(maxsols))
-    return [s for s in maxsols
-            if not any(csp.stubborn_assignment_compatible(la, s) for la in covering)]
+    return csp.covering_covers(covering, maxsols)
 
 
 def _refine(report: RunReport, g, cov):

@@ -108,15 +108,11 @@ def all_3ccp_solutions(inst: CcpInstance):
             if verify_3ccp_solution(inst, c)]
 
 
-def assignment_compatible(la: ListAssignment, solution) -> bool:
-    return all(solution[v] in la[v] for v in range(len(solution)))
-
-
 def covering_covers(covering, solutions) -> list:
     """Solutions from the list not compatible with any assignment."""
     missed = []
     for sol in solutions:
-        if not any(assignment_compatible(la, sol) for la in covering):
+        if not any(stubborn_assignment_compatible(la, sol) for la in covering):
             missed.append(sol)
     return missed
 
@@ -387,8 +383,10 @@ def verify_stubborn_solution(inst: StubbornInstance, part) -> StubbornCheck:
 
 
 def all_maximal_stubborn_solutions(inst: StubbornInstance):
+    """Exhaustive list of the maximal solutions, in lexicographic order; only
+    assignments that the lists allow are tried."""
     out = []
-    for part in itertools.product((1, 2, 3, 4), repeat=inst.graph.n):
+    for part in itertools.product(*map(sorted, inst.lists)):
         chk = verify_stubborn_solution(inst, part)
         if chk.valid and chk.maximal:
             out.append(part)
@@ -396,6 +394,8 @@ def all_maximal_stubborn_solutions(inst: StubbornInstance):
 
 
 def stubborn_assignment_compatible(la, part) -> bool:
+    """Whether every vertex's value in ``part`` lies on its list in ``la``;
+    checks any list assignment, of parts or of colors."""
     return all(part[v] in la[v] for v in range(len(part)))
 
 
@@ -462,18 +462,6 @@ def _derived_graph(inst: CcpInstance, pool: int, colors) -> tuple[Graph, tuple[i
     return induced(Graph(inst.n, union, validate=False), bits(pool))
 
 
-def _relabel(inst: CcpInstance, perm) -> CcpInstance:
-    """The instance with every edge color c recolored perm[c]."""
-    return CcpInstance(inst.n, tuple(perm[c] for c in inst.colors))
-
-
-def _relabel_lists(la: ListAssignment, perm) -> ListAssignment:
-    return tuple(frozenset(perm[c] for c in lst) for lst in la)
-
-
-_SWAP_BC = (0, 2, 1)
-
-
 def _translate(main: frozenset, refine: frozenset) -> frozenset:
     key = _table_key(main)
     val = (_REFINE_TABLE.get(_table_key(refine)) if key == frozenset({3, 4})
@@ -483,31 +471,36 @@ def _translate(main: frozenset, refine: frozenset) -> frozenset:
     return val
 
 
-def _c_side(inst: CcpInstance, x: int, cover_stubborn
-            ) -> tuple[tuple[int, ...], list[tuple]]:
-    """The C-edge-neighborhood of x and color lists on it for solutions
-    coloring x with color A.  ``cover_stubborn`` covers two list-partition
-    instances on the neighborhood, on its B and C edges (main) and on its B
-    edges alone (refine), and each pair of their assignments translates
-    into one list per vertex.  The B side is the C side of the instance with
-    B and C swapped."""
-    main, pool = _derived_graph(inst, inst.classes[2][x], (1, 2))
-    refine, _ = _derived_graph(inst, inst.classes[2][x], (1,))
+def _side(inst: CcpInstance, x: int, cover_stubborn, frame
+          ) -> tuple[tuple[int, ...], list[tuple]]:
+    """The ``far``-edge-neighborhood of x and color lists on it for solutions
+    coloring x with color ``a``, where ``frame = (a, near, far)``.
+    ``cover_stubborn`` covers two list-partition instances on the
+    neighborhood, on its near and far edges (main) and on its near edges
+    alone (refine), and each pair of their assignments translates into one
+    list per vertex; the table's colors A, B, C stand for a, near, far."""
+    _, near, far = frame
+    main, pool = _derived_graph(inst, inst.classes[far][x], (near, far))
+    refine, _ = _derived_graph(inst, inst.classes[far][x], (near,))
     main_cov = cover_stubborn(trivial_stubborn(main))
     refine_cov = cover_stubborn(trivial_stubborn(refine))
     if not pool:  # the empty neighborhood has one list assignment, the empty one
         return pool, [()]
     return pool, list(dict.fromkeys(
-        tuple(_translate(f[v], fp[v]) for v in range(len(pool)))
+        tuple(frozenset(frame[c] for c in _translate(f[v], fp[v]))
+              for v in range(len(pool)))
         for f in main_cov for fp in refine_cov))
 
 
 def stubborn_to_3ccp_covering(inst: CcpInstance, x: int, cover_stubborn,
                               target: int = 0) -> list[ListAssignment]:
     """2-list assignments covering every solution that gives x the target
-    color.  ``cover_stubborn`` maps a list-partition instance to a covering of
-    its maximal solutions and is invoked on the derived instances, C side
-    first.  A target other than A swaps it with A and swaps the covering back.
+    color.  With ``(a, b, c)`` the colors 0, 1, 2 with the target swapped into
+    the first place, x gets a and its a-neighbors b or c; the lists on its
+    c-neighbors (C side) and on its b-neighbors (B side, the C side with b and
+    c swapped) come from ``cover_stubborn``, which maps a list-partition
+    instance to a covering of its maximal solutions and is invoked C side
+    first.
 
     If x cannot take the target color at all the empty covering is returned;
     if the structural test fails for one of the other two colors the
@@ -515,31 +508,28 @@ def stubborn_to_3ccp_covering(inst: CcpInstance, x: int, cover_stubborn,
     _check_vertex(inst, x)
     if target not in (0, 1, 2):
         raise ValueError("target color must be 0, 1 or 2")
-    if target != 0:
-        perm = [0, 1, 2]
-        perm[0], perm[target] = target, 0
-        covering = stubborn_to_3ccp_covering(_relabel(inst, perm), x, cover_stubborn)
-        return [_relabel_lists(la, perm) for la in covering]
+    perm = [0, 1, 2]
+    perm[0], perm[target] = target, 0
+    a, b, c = perm
 
-    ok, _ = really_3colorable(inst, x, 0)
+    ok, _ = really_3colorable(inst, x, a)
     if not ok:
         return []
-    for other in (1, 2):
+    for other in (b, c):
         ok, wit = really_3colorable(inst, x, other)
         if not ok:
             raise NotReallyThreeColorable(x, other, wit)
 
-    c_pool, c_side = _c_side(inst, x, cover_stubborn)
-    b_pool, b_side = _c_side(_relabel(inst, _SWAP_BC), x, cover_stubborn)
-    b_side = [_relabel_lists(bl, _SWAP_BC) for bl in b_side]
-    ua = tuple(bits(inst.classes[0][x]))
+    c_pool, c_side = _side(inst, x, cover_stubborn, (a, b, c))
+    b_pool, b_side = _side(inst, x, cover_stubborn, (a, c, b))
+    ua = tuple(bits(inst.classes[a][x]))
     out = []
     for cl in c_side:
         for bl in b_side:
             la: list[frozenset] = [None] * inst.n
-            la[x] = frozenset({0})
+            la[x] = frozenset({a})
             for v in ua:
-                la[v] = frozenset({1, 2})
+                la[v] = frozenset({b, c})
             for v, lst in zip(c_pool, cl):
                 la[v] = lst
             for v, lst in zip(b_pool, bl):

@@ -33,15 +33,15 @@ class FormatError(ValueError):
         self.line = line
 
 
-def _ints(parts, n, lineno, what="vertex"):
+def _ints(parts, n, lineno):
     out = []
     for p in parts:
         try:
             v = int(p)
         except ValueError:
-            raise FormatError(f"bad {what} token {p!r}", lineno)
+            raise FormatError(f"bad vertex token {p!r}", lineno)
         if not 0 <= v < n:
-            raise FormatError(f"{what} {v} out of range [0, {n})", lineno)
+            raise FormatError(f"vertex {v} out of range [0, {n})", lineno)
         out.append(v)
     return out
 

@@ -18,7 +18,7 @@ from .graphs import (Graph, bits, complement, contains_induced,
                      find_biclique_pair, induced, is_clique, is_stable, mask_of,
                      path_graph, set_of, split_partitions)
 from .lp import ZERO, lp_feasible, solve_lp
-from .separator import CutFamily, disjoint_maximal_pairs, family_from_masks
+from .separator import CutFamily, disjoint_maximal_pairs, family_from_masks, separates
 
 
 class BicliquePairNotFound(RuntimeError):
@@ -333,7 +333,7 @@ def separate_pair_split_free(g: Graph, k: frozenset, s: frozenset,
         u &= h_g.adj[ids[i]] | (1 << ids[i])
     if side == "S":
         u = g.full_mask & ~u
-    if mask_of(k) & ~u or mask_of(s) & u:
+    if not separates(u, k, s):
         raise RuntimeError("pipeline produced a non-separating cut: implementation bug")
     vc = _memoised(memo, ("vc", n, edges), lambda: vc_dimension(h, cap=h.n + 1))
     return PairPipelineReport(k, s, side, len(transversal), tau_star, vc, u)

@@ -4,6 +4,7 @@ against, and fixture builders that only tests use."""
 import itertools
 from fractions import Fraction
 
+from csslab.csp import verify_stubborn_solution
 from csslab.graphs import bits, complement, greedy_coloring, mask_of, set_of
 from csslab.lp import LpResult
 from csslab.packing import BicliqueCovering, VerifyResult, _first_bad_biclique
@@ -32,6 +33,13 @@ def pairwise_3ccp_solution(inst, coloring) -> bool:
     carry the color of uv, read from the flat ``inst.colors``."""
     return not any(coloring[u] == coloring[v] == c for (u, v), c in
                    zip(itertools.combinations(range(inst.n), 2), inst.colors))
+
+
+def product_filter_maximal_stubborn(inst) -> list:
+    """``all_maximal_stubborn_solutions`` by filtering all of {1, 2, 3, 4}^n,
+    the lists checked only by ``verify_stubborn_solution``."""
+    return [part for part in itertools.product((1, 2, 3, 4), repeat=inst.graph.n)
+            if (chk := verify_stubborn_solution(inst, part)).valid and chk.maximal]
 
 
 def pairs_cross(p, q) -> bool:

@@ -14,7 +14,7 @@ from csslab.separator import (CutFamily, build_random_separator,
 from csslab.csp import (CcpInstance, MalformedCovering, NotReallyThreeColorable,
                         StubbornInstance, TwoSatInstance,
                         all_3ccp_solutions, all_maximal_stubborn_solutions,
-                        assignment_compatible, build_quasipoly_covering,
+                        build_quasipoly_covering,
                         ccp_covering_to_separator, ccp_of_graph,
                         covering_covers, full_3ccp_covering_via_stubborn,
                         majority_color, random_ccp_instance, really_3colorable,
@@ -24,7 +24,7 @@ from csslab.csp import (CcpInstance, MalformedCovering, NotReallyThreeColorable,
                         two_list_to_2sat, verify_3ccp_solution,
                         verify_stubborn_solution)
 
-from oracles import pairwise_3ccp_solution
+from oracles import pairwise_3ccp_solution, product_filter_maximal_stubborn
 
 
 def separator_provider(seed):
@@ -134,7 +134,7 @@ def test_two_list_bijection_exhaustive():
         sats = [a for a in itertools.product([False, True], repeat=ts.nvars)
                 if clause_sat(ts.clauses, a)]
         compatible = [s for s in all_3ccp_solutions(inst)
-                      if assignment_compatible(la, s)]
+                      if stubborn_assignment_compatible(la, s)]
         assert len(sats) == len(compatible)
         assert sorted(dec(a) for a in sats) == sorted(compatible)
 
@@ -294,6 +294,17 @@ def test_stubborn_covering_exhaustive():
         cov = separator_to_stubborn_covering(inst, square_cut_family(full))
         for sol in all_maximal_stubborn_solutions(inst):
             assert any(stubborn_assignment_compatible(la, sol) for la in cov)
+
+
+def test_maximal_stubborn_solutions_match_product_filter():
+    rnd = random.Random(67)
+    for trial in range(30):
+        n = rnd.randint(0, 6)
+        g = gen_gnp(n, rnd.choice((0.2, 0.5, 0.8)), 7100 + trial)
+        lists = tuple(frozenset(rnd.sample([1, 2, 3, 4], rnd.randint(1, 4)))
+                      for _ in range(n))
+        inst = StubbornInstance(g, lists)
+        assert all_maximal_stubborn_solutions(inst) == product_filter_maximal_stubborn(inst)
 
 
 # ---------------------------------------------------------------- the transformer

@@ -19,7 +19,9 @@ it replaced.  Sections:
   ``full_3ccp_covering_via_stubborn``, with the command line's stubborn
   covering provider; each row keeps the provider's calls in order (vertex
   count and edge mask of each instance) and the covering or the raised
-  ``NotReallyThreeColorable``.
+  ``NotReallyThreeColorable``.  The capture named the failing colour of
+  ``random_ccp_instance(5, 47)``, x = 1, in a recoloured copy of the
+  instance; those three rows were corrected by hand to colour A (0).
 - ``pk_free``: ``build_pk_free_separator`` cut masks on two disjoint cliques
   and on a complete multipartite graph, which takes the complement route.
 """
@@ -31,7 +33,7 @@ from pathlib import Path
 from csslab.cli import _stubborn_covering_provider
 from csslab.csp import (COLOR_NAMES, NotReallyThreeColorable, ccp_of_graph,
                         full_3ccp_covering_via_stubborn, random_ccp_instance,
-                        stubborn_to_3ccp_covering)
+                        really_3colorable, stubborn_to_3ccp_covering)
 from csslab.graphs import (comparability_from_random_poset, contains_induced,
                            find_biclique_pair, from_edges, gen_gnp, mask_of,
                            net_graph, set_of)
@@ -121,15 +123,21 @@ def _covering_row(inst, x, seed, target):
     return [x, target, calls, result]
 
 
+def _covering_instance(kind, n, seed):
+    if kind == "random":
+        return random_ccp_instance(n, seed)
+    return ccp_of_graph(gen_gnp(n, 0.5, seed))
+
+
 def _coverings():
     # seeds 47 (n = 5) and 11 (n = 6) hold vertices that cannot take one
     # colour, so the other two targets raise
-    cases = [(n, seed) for n in (3, 4, 5, 6) for seed in range(4)] + [(5, 47), (6, 11)]
-    instances = [("random", n, seed, random_ccp_instance(n, seed)) for n, seed in cases]
-    instances += [("graph", 6, seed, ccp_of_graph(gen_gnp(6, 0.5, seed)))
-                  for seed in range(2)]
+    cases = [("random", n, seed) for n in (3, 4, 5, 6) for seed in range(4)]
+    cases += [("random", 5, 47), ("random", 6, 11)]
+    cases += [("graph", 6, seed) for seed in range(2)]
     out = []
-    for kind, n, seed, inst in instances:
+    for kind, n, seed in cases:
+        inst = _covering_instance(kind, n, seed)
         for x in range(min(n, 3)):
             for target in (0, 1, 2, None):
                 out.append([kind, n, seed] + _covering_row(inst, x, seed, target))
@@ -176,6 +184,15 @@ def test_split_free_reports_match_golden_table():
 
 def test_list_coverings_match_golden_table():
     assert _coverings() == _golden("coverings")
+
+
+def test_raised_coverings_name_the_failing_colour():
+    raised = [row for row in _golden("coverings") if isinstance(row[-1], dict)]
+    assert raised
+    for kind, n, seed, *_, result in raised:
+        vertex, colour, witness = result["raised"]
+        inst = _covering_instance(kind, n, seed)
+        assert really_3colorable(inst, vertex, colour) == (False, frozenset(witness))
 
 
 def test_pk_free_separators_match_golden_table():
