@@ -15,6 +15,7 @@ call.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -442,7 +443,11 @@ def _bound_label_count(args, report, g, cov):
 # -- parser ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` call in the process.  It reads nothing from the
+    environment: ``main`` fills the ``--seed`` default on each call."""
     parser = argparse.ArgumentParser(
         prog="csslab",
         description="build, transform and verify clique/stable-set separation certificates")
@@ -458,14 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gen", "generate instance graphs")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
 
     p = command("build", "build certificates, verifying before writing")
     p.add_argument("--instance", help="edge-coloring file (quasipoly-covering)")
     p.add_argument("--n", type=int, default=4, help="size for star-partition")
     p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--pattern", default="net", help="split pattern: 'net' or a graph file")
     p.add_argument("--k", type=int, default=5, help="forbidden path length")
@@ -476,11 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("reduce", "transform certificates between formulations")
     p.add_argument("--vertex", type=int, default=0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
 
     p = command("roundtrip", "equivalence round trips with verification")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
 
     p = command("bound-check", "closed-form and advisory bound checks")
     p.add_argument("--n", type=int, default=10 ** 6)
@@ -493,6 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        seed = _default_seed()
         parser = build_parser()
         # Files may follow options; argparse leaves those after the first
         # option unmatched, so they join the positional ones here.
@@ -504,6 +510,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # from _default_seed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "seed", 0) is None:  # a command with --seed, not given
+        args.seed = seed
     roles, handler = COMMANDS[args.command, args.kind]
     paths = args.inputs + rest
     if getattr(args, "instance", None):  # build quasipoly-covering --instance FILE

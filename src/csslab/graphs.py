@@ -116,6 +116,8 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)), validate=False)
 

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import os
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import csslab
-from csslab import fixture_text
+from csslab import cli, fixture_text, graphs
 from csslab.cli import main
 from csslab.csp import (CcpInstance, StubbornInstance, random_ccp_instance,
                         trivial_stubborn)
@@ -436,6 +437,8 @@ def test_cli_reduce_tour(tmp_path, capsys):
     ["roundtrip", "theorem16-loop", "{stub}"],             # no lists section
     ["bound-check", "haussler-welzl", "{h}", "--cap", "-1"],  # negative cap
     ["reduce", "stubborn-to-ccp", "{ccp0}"],               # no vertex 0 to branch on
+    ["CSSLAB_SEED=abc", "verify", "separator", "{g}", "{cuts}"],  # seed variable, no --seed
+    ["CSSLAB_SEED=abc", "bound-check", "appendix-a"],      # seed variable, no --seed
 ])
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
     if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell
@@ -443,14 +446,19 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, 
         monkeypatch.setenv(name, value)
         argv = argv[1:]
     g = tmp_path / "g.txt"
-    g.write_text(emit_graph(gen_gnp(8, 0.5, 3)))
+    graph = gen_gnp(8, 0.5, 3)
+    g.write_text(emit_graph(graph))
+    cuts = tmp_path / "cuts.txt"  # a separator of g: verifies without the seed variable
+    cuts.write_text(emit_cut_family(extend_to_full_separator(
+        graph, build_random_separator(graph, 0.5, 1))))
     stub = tmp_path / "stub.txt"
     stub.write_text("stubborn 6\ne 0 1\n")
     h = tmp_path / "h.txt"
     h.write_text("hgraph 3 3\n0 1\n1 2\n0 2\n")
     ccp0 = tmp_path / "ccp0.txt"
     ccp0.write_text("ccp 0\n")
-    assert main([a.format(g=g, dir=tmp_path, stub=stub, h=h, ccp0=ccp0) for a in argv]) == 2
+    assert main([a.format(g=g, cuts=cuts, dir=tmp_path, stub=stub, h=h, ccp0=ccp0)
+                 for a in argv]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -508,3 +516,83 @@ def test_cli_files_may_follow_options(tmp_path, capsys):
     assert run_cli(tmp_path, "roundtrip", "theorem7", "--seed", 2, g) == 0
     assert capsys.readouterr() == after
     assert run_cli(tmp_path, "roundtrip", "theorem7", "--seed", 2, g, "--bogus") == 2
+
+
+@pytest.mark.parametrize("kind", ["complete", "path"])
+def test_negative_vertex_count_message(capsys, kind):
+    """``gen complete`` and ``gen path`` reject a negative size with the same
+    message, from the library and through the CLI."""
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        getattr(graphs, f"{kind}_graph")(-2)
+    assert main(["gen", kind, "--n", "-2"]) == 2
+    assert capsys.readouterr().err == "error: vertex count must be nonnegative\n"
+
+
+def test_cli_seed_variable_read_at_every_call(tmp_path, capsys, monkeypatch):
+    """The parser is shared by every ``main`` call, yet each call takes its
+    default seed from ``CSSLAB_SEED`` as set at that call."""
+    def gnp(name, *seed):
+        out = tmp_path / name
+        assert run_cli(tmp_path, "gen", "gnp", "--n", 12, *seed, "--out", out) == 0
+        return out.read_text()
+
+    monkeypatch.setenv("CSSLAB_SEED", "5")
+    from_env_5 = gnp("env5.txt")
+    monkeypatch.setenv("CSSLAB_SEED", "11")
+    from_env_11 = gnp("env11.txt")
+    explicit_5 = gnp("seed5.txt", "--seed", 5)  # wins over CSSLAB_SEED=11
+    monkeypatch.delenv("CSSLAB_SEED")
+    explicit_11 = gnp("seed11.txt", "--seed", 11)
+    unset = gnp("unset.txt")
+    assert from_env_5 == explicit_5 == emit_graph(gen_gnp(12, 0.5, 5))
+    assert from_env_11 == explicit_11 == emit_graph(gen_gnp(12, 0.5, 11))
+    assert unset == emit_graph(gen_gnp(12, 0.5, 1))
+    assert from_env_5 != from_env_11
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_parser_built_once_and_reused_after_errors(tmp_path, capsys, monkeypatch):
+    """Usage errors and ``--help`` leave the shared parser fit for the next
+    call: its help and reports are byte-identical to a fresh process's, and
+    no parser is constructed after the first call."""
+    g, cuts = tmp_path / "g.txt", tmp_path / "cuts.txt"
+    graph = gen_gnp(9, 0.5, 3)
+    g.write_text(emit_graph(graph))
+    cuts.write_text(emit_cut_family(extend_to_full_separator(
+        graph, build_random_separator(graph, 0.5, 5))))
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+
+    def fresh_process(*argv):
+        src = str(Path(csslab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "csslab.cli", *map(str, argv)],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+
+    constructed, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert main(["build"]) == 2
+        first = len(constructed)
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        help_text = capsys.readouterr().out
+        assert main(["verify", "separator", str(g), str(cuts), "--bogus"]) == 2
+        capsys.readouterr()
+        assert run_cli(tmp_path, "verify", "separator", g, cuts) == 0
+        report = capsys.readouterr().out
+        assert first > 0 and len(constructed) == first
+        assert cli.build_parser() is cli.build_parser()
+    finally:
+        cli.build_parser.cache_clear()  # the next test builds an uncounted parser
+    assert "outcome pass" in report
+    assert help_text == fresh_process("--help")
+    assert report == fresh_process("verify", "separator", g, cuts)
