@@ -103,18 +103,63 @@ def verify_3ccp_solution(inst: CcpInstance, coloring) -> bool:
 
 
 def all_3ccp_solutions(inst: CcpInstance):
-    """Exhaustive solution list; use only at desk scale."""
-    return [c for c in itertools.product((0, 1, 2), repeat=inst.n)
-            if verify_3ccp_solution(inst, c)]
+    """Exhaustive solution list, in the order of ``itertools.product``; use
+    only at desk scale.  A depth-first search colors the vertices in order
+    and prunes color c at v when an earlier c-colored vertex is joined to v
+    by a c-colored pair: every constraint is on a pair, so the prune is the
+    pair check of ``verify_3ccp_solution`` and loses no solution."""
+    n, classes = inst.n, inst.classes
+    out = []
+    coloring = [0] * n
+    seen = [0, 0, 0]  # per color, the vertices before v that carry it
+
+    def extend(v: int) -> None:
+        if v == n:
+            out.append(tuple(coloring))
+            return
+        bit = 1 << v
+        for c in (0, 1, 2):
+            if not classes[c][v] & seen[c]:
+                coloring[v] = c
+                seen[c] |= bit
+                extend(v + 1)
+                seen[c] ^= bit
+
+    extend(0)
+    return out
 
 
 def covering_covers(covering, solutions) -> list:
-    """Solutions from the list not compatible with any assignment."""
-    missed = []
-    for sol in solutions:
-        if not any(stubborn_assignment_compatible(la, sol) for la in covering):
-            missed.append(sol)
-    return missed
+    """Solutions from the list not compatible with any assignment, in list
+    order.
+
+    An index holds one solution bitset per (vertex, value): bit i is set when
+    solution i gives the vertex that value.  An assignment then allows the
+    AND over the vertices of the OR of the bitsets of the values on its list.
+    Each newly covered solution is confirmed once by
+    ``stubborn_assignment_compatible``."""
+    solutions = list(solutions)
+    index = [{} for _ in range(len(solutions[0]))] if solutions else []
+    for i, sol in enumerate(solutions):
+        for row, value in zip(index, sol):
+            row[value] = row.get(value, 0) | 1 << i
+    uncovered = (1 << len(solutions)) - 1
+    for la in covering:
+        if not uncovered:
+            break
+        allowed = uncovered
+        for row, lst in zip(index, la):
+            ored = 0
+            for value in lst:
+                ored |= row.get(value, 0)
+            allowed &= ored
+        for i in bits(allowed):
+            if not stubborn_assignment_compatible(la, solutions[i]):
+                raise RuntimeError(
+                    f"implementation bug: solution index allows {solutions[i]} "
+                    f"under an assignment that does not")
+        uncovered &= ~allowed
+    return [solutions[i] for i in bits(uncovered)]
 
 
 # -- 2-SAT --------------------------------------------------------------------
@@ -383,13 +428,41 @@ def verify_stubborn_solution(inst: StubbornInstance, part) -> StubbornCheck:
 
 
 def all_maximal_stubborn_solutions(inst: StubbornInstance):
-    """Exhaustive list of the maximal solutions, in lexicographic order; only
-    assignments that the lists allow are tried."""
+    """Exhaustive list of the maximal solutions, in the order of
+    ``itertools.product`` over the sorted lists.  A depth-first search places
+    the vertices in order, each on a part of its list, and prunes with the
+    pair conditions of ``verify_stubborn_solution`` against the parts of the
+    earlier vertices: part 4 joins every earlier part-4 vertex, part 1 (kept
+    off vertices whose list holds 3, for maximality) and part 2 meet no
+    earlier vertex of their own part, and parts 1 and 3 meet no earlier
+    vertex of the other."""
+    n, adj = inst.graph.n, inst.graph.adj
+    lists = [sorted(lst) for lst in inst.lists]
     out = []
-    for part in itertools.product(*map(sorted, inst.lists)):
-        chk = verify_stubborn_solution(inst, part)
-        if chk.valid and chk.maximal:
-            out.append(part)
+    part = [0] * n
+    masks = [0] * 5  # masks[i]: the vertices before v in part i
+
+    def extend(v: int) -> None:
+        if v == n:
+            out.append(tuple(part))
+            return
+        bit, nbrs = 1 << v, adj[v]
+        for p in lists[v]:
+            if p == 4:
+                ok = not masks[4] & ~nbrs
+            elif p == 1:
+                ok = 3 not in lists[v] and not nbrs & (masks[1] | masks[3])
+            elif p == 2:
+                ok = not nbrs & masks[2]
+            else:
+                ok = not nbrs & masks[1]
+            if ok:
+                part[v] = p
+                masks[p] |= bit
+                extend(v + 1)
+                masks[p] ^= bit
+
+    extend(0)
     return out
 
 

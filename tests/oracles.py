@@ -4,7 +4,8 @@ against, and fixture builders that only tests use."""
 import itertools
 from fractions import Fraction
 
-from csslab.csp import verify_stubborn_solution
+from csslab.csp import (stubborn_assignment_compatible, verify_3ccp_solution,
+                        verify_stubborn_solution)
 from csslab.graphs import bits, complement, greedy_coloring, mask_of, set_of
 from csslab.lp import LpResult
 from csslab.packing import BicliqueCovering, VerifyResult, _first_bad_biclique
@@ -33,6 +34,19 @@ def pairwise_3ccp_solution(inst, coloring) -> bool:
     carry the color of uv, read from the flat ``inst.colors``."""
     return not any(coloring[u] == coloring[v] == c for (u, v), c in
                    zip(itertools.combinations(range(inst.n), 2), inst.colors))
+
+
+def product_filter_3ccp(inst) -> list:
+    """``all_3ccp_solutions`` by filtering all of {0, 1, 2}^n through
+    ``verify_3ccp_solution``."""
+    return [c for c in itertools.product((0, 1, 2), repeat=inst.n)
+            if verify_3ccp_solution(inst, c)]
+
+
+def scan_covering_covers(covering, solutions) -> list:
+    """``covering_covers`` by scanning the covering for each solution."""
+    return [sol for sol in solutions
+            if not any(stubborn_assignment_compatible(la, sol) for la in covering)]
 
 
 def product_filter_maximal_stubborn(inst) -> list:

@@ -1,7 +1,9 @@
-"""Property test for the command line: a valid input file with one damaged
-line (deleted, duplicated, garbled, or the file cut off before it) ends in
-exit code 0, 1 or 2, and no exception escapes ``cli.main``."""
+"""Property test for the command line: a valid input file with one or two
+damaged lines (deleted, duplicated, garbled, or the file cut off before it)
+ends in exit code 0, 1 or 2, and no exception escapes ``cli.main``."""
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
@@ -56,6 +58,7 @@ GARBLE = st.text(max_size=12) | st.sampled_from([
     "", "--", "lists 3", "lists 5", "e 0 1", "e 0 9", "e 2 1", "A", "B C D",
     "A1 A4", "A5", "0 1 9", "0 -1", "graph 5", "cuts 6 1", "hgraph 4 2",
     "ccp 3", "stubborn 5", "0 1 A", "0 1 Z"])
+DAMAGE = st.sampled_from(["delete", "duplicate", "garble", "truncate"])
 
 
 def _damage(text, damage, line, garble):
@@ -86,3 +89,22 @@ def test_one_damaged_line_exits_0_1_or_2(fmt, damage, line, garble):
                                    if name == fmt else text)
         command, kind, *roles = COMMANDS[fmt]
         assert main([command, kind] + [str(paths[role]) for role in roles]) in (0, 1, 2)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(fmt=st.sampled_from(sorted(FILES)), damages=st.tuples(DAMAGE, DAMAGE),
+       lines=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+       garbles=st.tuples(GARBLE, GARBLE))
+def test_two_damaged_lines_exit_0_1_or_2(fmt, damages, lines, garbles):
+    text = FILES[fmt]
+    for damage, line, garble in zip(damages, lines, garbles):
+        text = _damage(text, damage, line, garble)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        paths = {}
+        for name, valid in FILES.items():
+            paths[name] = Path(tmp) / f"{name}.txt"
+            paths[name].write_text(text if name == fmt else valid)
+        command, kind, *roles = COMMANDS[fmt]
+        code = main([command, kind] + [str(paths[role]) for role in roles])
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()

@@ -11,6 +11,7 @@ from csslab.graphs import (complement, complete_graph, cycle_graph, empty_graph,
 from csslab.separator import (CutFamily, build_random_separator,
                               extend_to_full_separator, separates,
                               verify_cs_separator)
+from csslab import csp
 from csslab.csp import (CcpInstance, MalformedCovering, NotReallyThreeColorable,
                         StubbornInstance, TwoSatInstance,
                         all_3ccp_solutions, all_maximal_stubborn_solutions,
@@ -24,7 +25,8 @@ from csslab.csp import (CcpInstance, MalformedCovering, NotReallyThreeColorable,
                         two_list_to_2sat, verify_3ccp_solution,
                         verify_stubborn_solution)
 
-from oracles import pairwise_3ccp_solution, product_filter_maximal_stubborn
+from oracles import (pairwise_3ccp_solution, product_filter_3ccp,
+                     product_filter_maximal_stubborn, scan_covering_covers)
 
 
 def separator_provider(seed):
@@ -72,6 +74,15 @@ def test_verify_3ccp_matches_pairwise_oracle():
             for coloring in itertools.product((0, 1, 2), repeat=n):
                 assert (verify_3ccp_solution(inst, coloring)
                         == pairwise_3ccp_solution(inst, coloring)), (n, seed, coloring)
+
+
+def test_3ccp_solutions_match_product_filter():
+    for n in range(8):
+        for seed in range(4):
+            inst = random_ccp_instance(n, 400 + seed)
+            assert all_3ccp_solutions(inst) == product_filter_3ccp(inst), (n, seed)
+        inst = ccp_of_graph(gen_gnp(n, 0.5, 410 + n))
+        assert all_3ccp_solutions(inst) == product_filter_3ccp(inst), n
 
 
 def test_colors_and_vertices_outside_the_instance_raise():
@@ -185,6 +196,70 @@ def test_quasipoly_exhaustive_and_bounds():
             assert removed >= math.ceil(pool / 3)
         for la in tree.assignments:
             assert all(1 <= len(lst) <= 2 for lst in la)
+
+
+def covering_cases():
+    """(covering, solutions) pairs over color lists (quasi-polynomial
+    coverings of 3-CCP instances) and part lists (separator coverings of
+    list-partition instances), each covering with about half its
+    assignments dropped so that some solutions are missed."""
+    rnd = random.Random(83)
+    cases = []
+    for trial in range(12):
+        n = rnd.randint(1, 7)
+        inst = random_ccp_instance(n, 8000 + trial)
+        cov = build_quasipoly_covering(inst).assignments
+        cases.append(([la for la in cov if rnd.random() < 0.5], all_3ccp_solutions(inst)))
+        g = gen_gnp(n, rnd.choice((0.2, 0.5, 0.8)), 8100 + trial)
+        lists = tuple(frozenset(rnd.sample([1, 2, 3, 4], rnd.randint(1, 4)))
+                      for _ in range(n))
+        sinst = StubbornInstance(g, lists)
+        full = extend_to_full_separator(g, build_random_separator(g, 0.5, seed=trial))
+        cov = separator_to_stubborn_covering(sinst, square_cut_family(full))
+        cases.append(([la for la in cov if rnd.random() < 0.5],
+                      all_maximal_stubborn_solutions(sinst)))
+    return cases
+
+
+def test_covering_covers_matches_scan():
+    cases = covering_cases()
+    with_misses = 0
+    for cov, sols in cases:
+        for as_list in (frozenset, set, lambda lst: tuple(sorted(lst))):
+            plain = [tuple(as_list(lst) for lst in la) for la in cov]
+            missed = covering_covers(plain, sols)
+            assert missed == scan_covering_covers(plain, sols)
+        with_misses += bool(missed)
+    assert with_misses >= len(cases) // 2
+    cov, sols = cases[0]
+    assert covering_covers([], sols) == sols
+    assert covering_covers(cov, []) == [] and covering_covers([], []) == []
+    empty = all_3ccp_solutions(CcpInstance(0, ()))
+    assert empty == [()]
+    assert covering_covers([()], empty) == [] and covering_covers([], empty) == empty
+
+
+def test_covering_covers_confirms_each_covered_solution_once(monkeypatch):
+    """``covering_covers`` runs the per-solution predicate once for every
+    covered solution and never for a missed one (the benchmark's tracer
+    requires the predicate to run), and a disagreement between the predicate
+    and the solution index raises."""
+    real = csp.stubborn_assignment_compatible
+    calls = []
+
+    def counted(la, part):
+        calls.append(part)
+        return real(la, part)
+
+    monkeypatch.setattr(csp, "stubborn_assignment_compatible", counted)
+    for cov, sols in covering_cases():
+        calls.clear()
+        missed = covering_covers(cov, sols)
+        assert sorted(calls) == sorted(s for s in sols if s not in missed)
+    monkeypatch.setattr(csp, "stubborn_assignment_compatible", lambda la, part: False)
+    cov, sols = covering_cases()[0]
+    with pytest.raises(RuntimeError, match="implementation bug"):
+        covering_covers(cov, sols)
 
 
 # ---------------------------------------------------------------- really-3-colorable

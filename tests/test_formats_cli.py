@@ -11,8 +11,10 @@ import pytest
 import csslab
 from csslab import cli, fixture_text, graphs
 from csslab.cli import main
-from csslab.csp import (CcpInstance, StubbornInstance, random_ccp_instance,
-                        trivial_stubborn)
+from csslab.csp import (CcpInstance, StubbornInstance, all_3ccp_solutions,
+                        all_maximal_stubborn_solutions, build_quasipoly_covering,
+                        random_ccp_instance, separator_to_stubborn_covering,
+                        square_cut_family, trivial_stubborn)
 from csslab.graphs import (complete_graph, cycle_graph, from_edges, gen_gnp,
                            net_graph)
 from csslab.packing import (BicliqueCovering, FoolingSet, build_fooling_set,
@@ -29,7 +31,7 @@ from csslab.formats import (FormatError, emit_ccp, emit_ccp_covering,
                             parse_hypergraph, parse_packing, parse_stubborn,
                             parse_stubborn_covering)
 
-from oracles import as_covering
+from oracles import as_covering, scan_covering_covers
 from test_separator import clique_beside_five_cycle
 
 # ---------------------------------------------------------------- round trips
@@ -481,6 +483,34 @@ def test_cli_covering_list_count_must_match_instance(tmp_path, capsys, kind, ext
     err = capsys.readouterr().err
     assert f"assignment 2 has {n + extra} lists" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["ccp-covering", "stubborn-covering"])
+def test_cli_covering_with_dropped_assignments_fails(tmp_path, capsys, kind):
+    """A covering that misses solutions exits 1 and reports as many
+    uncovered solutions as the scan oracle finds."""
+    n = 6
+    if kind == "ccp-covering":
+        inst = random_ccp_instance(n, 77)
+        cov = build_quasipoly_covering(inst).assignments
+        sols, text, emit = all_3ccp_solutions(inst), emit_ccp(inst), emit_ccp_covering
+    else:
+        inst = trivial_stubborn(gen_gnp(n, 0.5, 12))
+        full = extend_to_full_separator(inst.graph,
+                                        build_random_separator(inst.graph, 0.5, 5))
+        cov = separator_to_stubborn_covering(inst, square_cut_family(full))
+        sols = all_maximal_stubborn_solutions(inst)
+        text, emit = emit_stubborn(inst), emit_stubborn_covering
+    kept = cov[::3]
+    missed = scan_covering_covers(kept, sols)
+    assert kept and missed
+    instf, covf = tmp_path / "inst.txt", tmp_path / "cov.txt"
+    instf.write_text(text)
+    covf.write_text(emit(kept))
+    assert run_cli(tmp_path, "verify", kind, instf, covf) == 1
+    out = capsys.readouterr().out
+    assert f"metric uncovered_solutions {len(missed)}\n" in out
+    assert "outcome fail" in out
 
 
 def test_cli_random_separator_beyond_one_word(tmp_path, capsys):
