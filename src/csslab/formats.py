@@ -163,12 +163,12 @@ def parse_cut_family(text: str) -> CutFamily:
 
 
 def emit_hypergraph(h: Hypergraph) -> str:
-    return _emit_rows(f"hgraph {h.n} {len(h.edges)}", h.edges)
+    return _emit_rows(f"hgraph {h.n} {len(h.edges)}", map(bits, h.edges))
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
     n, rows = _parse_rows(text, "hgraph", "hyperedge")
-    return Hypergraph(n, [frozenset(members) for _, members in rows])
+    return Hypergraph(n, [mask_of(members) for _, members in rows])
 
 
 # -- packings, coverings and fooling sets -------------------------------------------

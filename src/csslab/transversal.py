@@ -137,17 +137,16 @@ def side_weights(cd: ConflictDigraph, g: Graph) -> SideWeights:
 
 
 class Hypergraph:
-    """Vertices 0..n-1; ``edges`` is a tuple of frozensets, duplicates kept
-    (one hyperedge per generating vertex)."""
+    """Vertices 0..n-1; ``edges`` is a tuple of vertex masks, duplicates kept
+    (one hyperedge per generating vertex).  Masks reaching past vertex n-1
+    (negative ones too) are rejected."""
 
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges):
-        edges = tuple(frozenset(e) for e in edges)
-        for e in edges:
-            for v in e:
-                if not 0 <= v < n:
-                    raise ValueError(f"hyperedge vertex {v} out of range")
+        edges = tuple(edges)
+        if any(e >> n for e in edges):
+            raise ValueError("hyperedge references vertices out of range")
         self.n = n
         self.edges = edges
 
@@ -163,16 +162,16 @@ def build_hypergraph(g: Graph, base: frozenset,
     if base & opposite:
         raise ValueError("base and opposite sets intersect")
     ids = tuple(sorted(base))
-    edges = [frozenset(i for i, v in enumerate(ids) if not g.adj[x] >> v & 1)
+    edges = [mask_of(i for i, v in enumerate(ids) if not g.adj[x] >> v & 1)
              for x in sorted(opposite)]
     return Hypergraph(len(ids), edges), ids
 
 
 def _canonical(h: Hypergraph) -> tuple[int, frozenset, frozenset]:
-    """(n, distinct edge masks, inclusion-minimal edge masks).  Dropping
-    duplicate edges and edges that contain another edge leaves the covering
-    program's optimum, and so the side choice and tau*, unchanged."""
-    edges = frozenset(mask_of(e) for e in h.edges)
+    """(n, distinct edges, inclusion-minimal edges).  Dropping duplicate
+    edges and edges that contain another edge leaves the covering program's
+    optimum, and so the side choice and tau*, unchanged."""
+    edges = frozenset(h.edges)
     minimal = frozenset(e for e in edges if not any(f != e and f & e == f for f in edges))
     return h.n, edges, minimal
 
@@ -186,17 +185,11 @@ def _memoised(memo: dict, key, compute):
 def fractional_transversality(h: Hypergraph) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact optimum of the fractional covering program together with an
     optimal weight vector."""
-    for e in h.edges:
-        if not e:
-            raise ValueError("empty hyperedge: covering program infeasible")
+    if not all(h.edges):
+        raise ValueError("empty hyperedge: covering program infeasible")
     if not h.edges:
         return ZERO, (ZERO,) * h.n
-    a_ub = []
-    for e in h.edges:
-        row = [0] * h.n
-        for v in e:
-            row[v] = -1
-        a_ub.append(row)
+    a_ub = [[-(e >> v & 1) for v in range(h.n)] for e in h.edges]
     res = solve_lp([1] * h.n, a_ub=a_ub, b_ub=[-1] * len(h.edges))
     if res.status != "optimal":
         raise RuntimeError(f"fractional transversal LP is {res.status}, not optimal")
@@ -204,46 +197,41 @@ def fractional_transversality(h: Hypergraph) -> tuple[Fraction, tuple[Fraction, 
 
 
 def greedy_transversal(h: Hypergraph) -> frozenset:
-    """Hitting set by repeated max-coverage choice (lowest index on ties)."""
-    for e in h.edges:
-        if not e:
-            raise ValueError("empty hyperedge cannot be hit")
-    uncovered = list(range(len(h.edges)))
-    chosen = set()
+    """Hitting set by repeated max-coverage choice (lowest index on ties).
+    ``inc[v]`` has bit i set when edge i holds v."""
+    if not all(h.edges):
+        raise ValueError("empty hyperedge cannot be hit")
+    inc = [0] * h.n
+    for i, e in enumerate(h.edges):
+        for v in bits(e):
+            inc[v] |= 1 << i
+    uncovered = (1 << len(h.edges)) - 1
+    chosen = 0
     while uncovered:
-        best_v, best_hits = -1, -1
-        for v in range(h.n):
-            hits = sum(1 for i in uncovered if v in h.edges[i])
-            if hits > best_hits:
-                best_v, best_hits = v, hits
-        chosen.add(best_v)
-        uncovered = [i for i in uncovered if best_v not in h.edges[i]]
-    return frozenset(chosen)
+        best = max(range(h.n), key=lambda v: (inc[v] & uncovered).bit_count())
+        chosen |= 1 << best
+        uncovered &= ~inc[best]
+    return set_of(chosen)
 
 
 def exact_min_transversal(h: Hypergraph) -> frozenset:
     """Minimum hitting set by branch and bound; intended for n <= 20."""
     if h.n > 20:
         raise ValueError("exact transversal capped at 20 vertices")
-    for e in h.edges:
-        if not e:
-            raise ValueError("empty hyperedge cannot be hit")
-    best = [frozenset(greedy_transversal(h))]
+    best = mask_of(greedy_transversal(h))
 
-    def search(chosen: set, remaining: list[frozenset]):
-        if len(chosen) >= len(best[0]):
+    def search(chosen: int, remaining: list[int]):
+        nonlocal best
+        if chosen.bit_count() >= best.bit_count():
             return
         if not remaining:
-            best[0] = frozenset(chosen)
+            best = chosen
             return
-        pivot = min(remaining, key=len)
-        for v in sorted(pivot):
-            chosen.add(v)
-            search(chosen, [e for e in remaining if v not in e])
-            chosen.discard(v)
+        for v in bits(min(remaining, key=int.bit_count)):
+            search(chosen | 1 << v, [e for e in remaining if not e >> v & 1])
 
-    search(set(), list(h.edges))
-    return best[0]
+    search(0, list(h.edges))
+    return set_of(best)
 
 
 @dataclass(frozen=True)
@@ -259,16 +247,15 @@ def vc_dimension(h: Hypergraph, cap: int) -> VcResult:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     if not h.edges:
         return VcResult(0, True, True)
-    edge_masks = [mask_of(e) for e in h.edges]
     best = 0
     size = 1
     while size <= min(cap, h.n):
-        if len(edge_masks) < (1 << size):
+        if len(h.edges) < (1 << size):
             break  # not enough traces to shatter anything this large
         found = False
         for combo in itertools.combinations(range(h.n), size):
             a = mask_of(combo)
-            traces = {e & a for e in edge_masks}
+            traces = {e & a for e in h.edges}
             if len(traces) == (1 << size):
                 found = True
                 break
@@ -373,16 +360,27 @@ def build_split_free_separator(g: Graph, gamma: Graph) -> CutFamily:
 # -- separator for graphs excluding a long path and its complement ------------
 
 
+PK_BASE_SIZE = 12  # recursion levels this small take every bipartition
+
+
 def path_free_constant(t_k: float) -> float:
-    return -1.0 / math.log2(1.0 - t_k)
+    """-1 / log2(1 - t_k), through ``log1p``: ``1 - t_k`` rounds to 1 for a
+    tiny t_k, whose constant is huge (inf below about 1e-308)."""
+    return -math.log(2) / math.log1p(-t_k)
 
 
-def build_pk_free_separator(g: Graph, k: int, t_k: float,
-                            base_size: int = 12) -> CutFamily:
+def _exceeds_power(x: int, n: int, c: float) -> bool:
+    """x > n^c for c > 0, compared in log space since n^c overflows a float."""
+    if n <= 1:
+        return x > n
+    return x > 0 and math.log(x) > c * math.log(n)
+
+
+def build_pk_free_separator(g: Graph, k: int, t_k: float) -> CutFamily:
     """Recursive construction: peel off a completely non-adjacent pair of
     linear size (working in the complement when only an adjacent pair
     exists), separate the two overlapping remainders, and lift their cuts.
-    Levels of at most ``base_size`` vertices take every bipartition."""
+    Levels of at most ``PK_BASE_SIZE`` vertices take every bipartition."""
     if not 0.0 < t_k < 1.0:
         raise ValueError("t_k must lie strictly inside (0, 1)")
     pk = path_graph(k)
@@ -397,7 +395,7 @@ def build_pk_free_separator(g: Graph, k: int, t_k: float,
 
     def rec(h: Graph, ids: tuple[int, ...]) -> list[int]:
         m = h.n
-        if m <= base_size:
+        if m <= PK_BASE_SIZE:
             base_budget[0] += 1 << m
             return [mask_of(ids[i] for i in bits(sub)) for sub in range(1 << m)]
         needed = math.ceil(t_k * m)
@@ -419,7 +417,6 @@ def build_pk_free_separator(g: Graph, k: int, t_k: float,
 
     masks = rec(g, tuple(range(g.n)))
     family = family_from_masks(g.n, masks)
-    c = path_free_constant(t_k)
-    if len(family) > g.n ** c + base_budget[0]:
+    if _exceeds_power(len(family) - base_budget[0], g.n, path_free_constant(t_k)):
         raise RuntimeError("path-free separator exceeds its size bound")
     return family

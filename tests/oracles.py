@@ -130,6 +130,24 @@ def unmemoised_pair_pipeline(g, k, s, budget: float) -> PairPipelineReport:
     return PairPipelineReport(k, s, side, len(transversal), tau_star, vc, u)
 
 
+def scan_greedy_transversal(n: int, edge_sets) -> frozenset:
+    """``greedy_transversal`` on vertex sets: each round counts, per vertex in
+    index order, the uncovered edges holding it, and takes the first vertex
+    with the most (the lowest index on ties)."""
+    edges = [frozenset(e) for e in edge_sets]
+    uncovered = list(range(len(edges)))
+    chosen = set()
+    while uncovered:
+        best_v, best_hits = -1, -1
+        for v in range(n):
+            hits = sum(1 for i in uncovered if v in edges[i])
+            if hits > best_hits:
+                best_v, best_hits = v, hits
+        chosen.add(best_v)
+        uncovered = [i for i in uncovered if best_v not in edges[i]]
+    return frozenset(chosen)
+
+
 def scalar_bernoulli_mask(rng: SplitMix64, n: int, threshold: int) -> int:
     """One ``next_u64`` per vertex: bit v set iff the v-th draw is below threshold."""
     mask = 0

@@ -32,7 +32,7 @@ def _files():
         "graph": emit_graph(g),
         "cuts": emit_cut_family(extend_to_full_separator(
             g, build_random_separator(g, 0.5, 5))),
-        "hgraph": emit_hypergraph(Hypergraph(4, [{0, 1}, {1, 2}, {2, 3}, {0, 3}])),
+        "hgraph": emit_hypergraph(Hypergraph(4, [0b0011, 0b0110, 0b1100, 0b1001])),
         "ccp": emit_ccp(ccp),
         "ccp-covering": emit_ccp_covering(build_quasipoly_covering(ccp).assignments),
         "stubborn": emit_stubborn(stubborn),

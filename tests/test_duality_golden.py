@@ -29,7 +29,9 @@ it replaced.  Sections:
 import itertools
 import json
 from pathlib import Path
+from unittest.mock import patch
 
+from csslab import transversal
 from csslab.cli import _stubborn_covering_provider
 from csslab.csp import (COLOR_NAMES, NotReallyThreeColorable, ccp_of_graph,
                         full_3ccp_covering_via_stubborn, random_ccp_instance,
@@ -150,12 +152,12 @@ def _pk_free():
     parts = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13)]
     multipartite = [(u, v) for a, b in itertools.combinations(parts, 2)
                     for u in a for v in b]
-    return {
-        "two_cliques": _masks(build_pk_free_separator(
-            from_edges(14, cliques), k=5, t_k=0.5, base_size=7)),
-        "multipartite": _masks(build_pk_free_separator(
-            from_edges(14, multipartite), k=5, t_k=0.4, base_size=8)),
-    }
+    out = {}
+    for name, edges, t_k, base_size in [("two_cliques", cliques, 0.5, 7),
+                                        ("multipartite", multipartite, 0.4, 8)]:
+        with patch.object(transversal, "PK_BASE_SIZE", base_size):
+            out[name] = _masks(build_pk_free_separator(from_edges(14, edges), k=5, t_k=t_k))
+    return out
 
 
 SECTIONS = {"pairs": _pairs, "sides": _sides, "split_free": _split_free,

@@ -19,7 +19,8 @@ from csslab.graphs import (complete_graph, cycle_graph, from_edges, gen_gnp,
                            net_graph)
 from csslab.packing import (BicliqueCovering, FoolingSet, build_fooling_set,
                             star_partition, verify_packing)
-from csslab.separator import build_random_separator, extend_to_full_separator
+from csslab.separator import (CutFamily, build_random_separator,
+                              extend_to_full_separator)
 from csslab.transversal import Hypergraph
 from csslab import formats
 from csslab.formats import (FormatError, emit_ccp, emit_ccp_covering,
@@ -70,11 +71,18 @@ def test_cut_family_roundtrip():
 
 
 def test_hypergraph_roundtrip():
-    h = Hypergraph(4, [{0, 1}, set(), {1, 2, 3}])
+    h = Hypergraph(4, [0b0011, 0, 0b1110])
     text = emit_hypergraph(h)
     back = parse_hypergraph(text)
     assert back.n == h.n and back.edges == h.edges
     assert emit_hypergraph(back) == text
+
+
+def test_hypergraph_parse_locates_out_of_range_vertex():
+    with pytest.raises(FormatError, match=r"^line 3: vertex 4 out of range \[0, 4\)"):
+        parse_hypergraph("hgraph 4 2\n0 1\n2 4\n")
+    with pytest.raises(FormatError, match=r"^line 2: vertex -1 out of range"):
+        parse_hypergraph("hgraph 4 1\n-1 2\n")
 
 
 @pytest.mark.parametrize("parse, text", [
@@ -320,6 +328,25 @@ def test_cli_build_verifies_before_writing(tmp_path, capsys):
     assert "failed_level_size" in out
 
 
+def test_cli_pk_free_tiny_t_k_builds_the_base_case(tmp_path):
+    """1 - t_k rounds to 1 for t_k = 1e-300, and n^c overflows for 1e-10:
+    both builds pass with the same cuts as t_k = 0.25 and print no traceback."""
+    g = tmp_path / "p4.txt"
+    g.write_text(emit_graph(graphs.path_graph(4)))
+    src = str(Path(csslab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cuts = []
+    for t_k in ("1e-300", "1e-10", "0.25"):
+        out = tmp_path / f"cuts_{t_k}.txt"
+        run = subprocess.run([sys.executable, "-m", "csslab.cli", "build", "pk-free", str(g),
+                              "--k", "5", "--tk", t_k, "--out", str(out)],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+        cuts.append(out.read_text())
+    assert cuts[0] == cuts[1] == cuts[2] == emit_cut_family(CutFamily(4, range(16)))
+
+
 def test_cli_quasipoly_and_ccp_route(tmp_path, capsys):
     ccp = tmp_path / "inst.txt"
     cover = tmp_path / "cover.txt"
@@ -358,7 +385,8 @@ def test_cli_reduce_tour(tmp_path, capsys):
     from csslab.formats import emit_packing, emit_cut_family
     from csslab.packing import star_cover, certificate_aux_pairs
     from csslab.graphs import cycle_graph
-    from csslab.separator import build_random_separator, extend_to_full_separator
+    from csslab.separator import (CutFamily, build_random_separator,
+                              extend_to_full_separator)
     cert = star_cover(cycle_graph(5))
     certf = tmp_path / "cert.txt"
     certf.write_text(emit_packing(cert))

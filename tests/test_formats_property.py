@@ -92,7 +92,7 @@ def instances(draw, kind: str, n: int):
         masks = draw(st.lists(subsets, unique=True, max_size=6))
         return CutFamily(n, masks), emit_cut_family, parse_cut_family
     if kind == "hgraph":
-        edges = draw(st.lists(subsets.map(set_of), max_size=6))
+        edges = draw(st.lists(subsets, max_size=6))
         return Hypergraph(n, edges), emit_hypergraph, parse_hypergraph
     m = n * (n - 1) // 2
     if kind == "ccp":

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import csslab
 
-from csslab import formats, separator
+from csslab import formats, separator, transversal
 from csslab.cli import main
 from csslab.csp import _MAIN_TABLE, _REFINE_TABLE
 from csslab.graphs import (complement, comparability_from_random_poset,
@@ -41,7 +41,7 @@ def full_pair_check(g, family):
                     (sorted(k), sorted(s))
 
 
-def test_every_builder_output_extends_to_full_separator():
+def test_every_builder_output_extends_to_full_separator(monkeypatch):
     # random builder
     for seed in range(3):
         g = gen_gnp(7, 0.5, 500 + seed)
@@ -57,7 +57,8 @@ def test_every_builder_output_extends_to_full_separator():
     blocks = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     blocks += [(u, v) for u in range(5, 10) for v in range(u + 1, 10)]
     g = from_edges(10, blocks)
-    fam = build_pk_free_separator(g, k=5, t_k=0.4, base_size=5)
+    monkeypatch.setattr(transversal, "PK_BASE_SIZE", 5)
+    fam = build_pk_free_separator(g, k=5, t_k=0.4)
     assert verify_cs_separator(g, fam).ok
     full_pair_check(g, extend_to_full_separator(g, fam))
 
@@ -98,10 +99,10 @@ def test_vc_dimension_bruteforce_to_ten():
     for trial in range(15):
         n = rnd.randint(1, 10)
         m = rnd.randint(1, 12)
-        edges = [{v for v in range(n) if rnd.random() < 0.5} for _ in range(m)]
+        edges = [mask_of(v for v in range(n) if rnd.random() < 0.5) for _ in range(m)]
         h = Hypergraph(n, edges)
         res = vc_dimension(h, cap=n + 1)
-        masks = [mask_of(e) for e in h.edges]
+        masks = h.edges
         best = 0
         for r in range(n + 1):
             for combo in itertools.combinations(range(n), r):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csslab.graphs import (complement, complete_graph,
@@ -20,9 +20,10 @@ from csslab.transversal import (BicliquePairNotFound, ConflictDigraph, Digraph,
                                 build_split_free_separator, conflict_digraph,
                                 exact_min_transversal, fractional_transversality,
                                 greedy_transversal, separate_pair_split_free,
-                                side_weights, split_free_report,
-                                transversal_budget, vc_dimension)
-from oracles import unmemoised_pair_pipeline
+                                path_free_constant, side_weights,
+                                split_free_report, transversal_budget,
+                                vc_dimension)
+from oracles import scan_greedy_transversal, unmemoised_pair_pipeline
 
 # ---------------------------------------------------------------- digraphs
 
@@ -129,10 +130,10 @@ def test_build_hypergraph_examples():
     g = from_edges(3, [(0, 2)])  # K={0,1}, S={2}; 2 adjacent to 0 only
     h, ids = build_hypergraph(g, frozenset({0, 1}), frozenset({2}))
     assert ids == (0, 1)
-    assert h.edges == (frozenset({1}),)
+    assert h.edges == (0b10,)
     # neighbors in g are the non-neighbors in the complement
     h2, _ = build_hypergraph(complement(g), frozenset({2}), frozenset({0, 1}))
-    assert h2.edges == (frozenset({0}), frozenset())
+    assert h2.edges == (0b1, 0)
     h3, _ = build_hypergraph(g, frozenset({0, 1}), frozenset())
     assert h3.edges == ()
     with pytest.raises(ValueError):
@@ -140,35 +141,35 @@ def test_build_hypergraph_examples():
 
 
 def brute_fractional_transversality(h):
-    rows = [[-1 if v in e else 0 for v in range(h.n)] for e in h.edges]
+    rows = [[-1 if v in set_of(e) else 0 for v in range(h.n)] for e in h.edges]
     res = solve_lp([1] * h.n, a_ub=rows, b_ub=[-1] * len(h.edges))
     return res.value
 
 
 def test_fractional_transversality_examples():
-    assert fractional_transversality(Hypergraph(2, [{0, 1}]))[0] == 1
-    tri = Hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
+    assert fractional_transversality(Hypergraph(2, [0b11]))[0] == 1
+    tri = Hypergraph(3, [0b011, 0b110, 0b101])
     value, weights = fractional_transversality(tri)
     assert value == Fraction(3, 2)
     for e in tri.edges:
-        assert sum(weights[v] for v in e) >= 1
+        assert sum(weights[v] for v in set_of(e)) >= 1
     with pytest.raises(ValueError):
-        fractional_transversality(Hypergraph(2, [set()]))
+        fractional_transversality(Hypergraph(2, [0]))
     assert fractional_transversality(Hypergraph(3, []))[0] == 0
 
 
 def brute_min_hitting(h):
     for r in range(h.n + 1):
         for combo in itertools.combinations(range(h.n), r):
-            if all(set(combo) & e for e in h.edges):
+            if all(set(combo) & set_of(e) for e in h.edges):
                 return r
     return None
 
 
 def test_transversal_examples_and_oracle():
     assert greedy_transversal(Hypergraph(3, [])) == frozenset()
-    assert greedy_transversal(Hypergraph(2, [{0}, {1}])) == frozenset({0, 1})
-    tri = Hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
+    assert greedy_transversal(Hypergraph(2, [0b01, 0b10])) == frozenset({0, 1})
+    tri = Hypergraph(3, [0b011, 0b110, 0b101])
     assert len(greedy_transversal(tri)) == 2
     assert len(exact_min_transversal(tri)) == 2
     rnd = random.Random(23)
@@ -178,17 +179,51 @@ def test_transversal_examples_and_oracle():
         edges = []
         for _ in range(m):
             e = {v for v in range(n) if rnd.random() < 0.5} or {rnd.randrange(n)}
-            edges.append(e)
+            edges.append(mask_of(e))
         h = Hypergraph(n, edges)
         exact = exact_min_transversal(h)
         assert len(exact) == brute_min_hitting(h)
         greedy = greedy_transversal(h)
-        assert all(set(greedy) & e for e in h.edges)
+        assert all(set(greedy) & set_of(e) for e in h.edges)
         assert len(greedy) >= len(exact)
 
 
+@st.composite
+def hitting_instances(draw):
+    """(n, edge masks) with n <= 10 and at most 12 nonempty edges, each new
+    edge fresh, a copy of an earlier one, or a superset of one."""
+    n = draw(st.integers(0, 10))
+    edges = []
+    for _ in range(draw(st.integers(0, 12)) if n else 0):
+        how = draw(st.sampled_from(("fresh", "duplicate", "superset")))
+        if how == "fresh" or not edges:
+            edges.append(draw(st.integers(1, (1 << n) - 1)))
+        else:
+            e = draw(st.sampled_from(edges))
+            edges.append(e if how == "duplicate" else e | draw(st.integers(0, (1 << n) - 1)))
+    return n, edges
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(hitting_instances())
+@example((3, []))
+@example((4, [0b0011, 0b1100]))            # all four vertices tie: {0, 2}
+@example((5, [0b00110, 0b11000, 0b00110]))  # 1 and 2 tie at two hits
+def test_greedy_transversal_matches_scan_oracle(instance):
+    n, edges = instance
+    assert greedy_transversal(Hypergraph(n, edges)) == \
+        scan_greedy_transversal(n, map(set_of, edges))
+
+
+def test_hypergraph_rejects_masks_outside_its_vertices():
+    assert Hypergraph(3, [0b111, 0]).edges == (0b111, 0)
+    for bad in (0b1000, 0b1001, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            Hypergraph(3, [0b1, bad])
+
+
 def brute_vc(h):
-    masks = [mask_of(e) for e in h.edges]
+    masks = h.edges
     best = 0
     for r in range(h.n + 1):
         for combo in itertools.combinations(range(h.n), r):
@@ -203,7 +238,7 @@ def test_vc_dimension_examples_and_oracle():
         vc_dimension(Hypergraph(3, []), cap=5)
     res = vc_dimension(Hypergraph(3, []), cap=5)
     assert res.value == 0 and res.degenerate
-    power = Hypergraph(2, [set(), {0}, {1}, {0, 1}])
+    power = Hypergraph(2, [0b00, 0b01, 0b10, 0b11])
     assert vc_dimension(power, cap=5).value == 2
     capped = vc_dimension(power, cap=1)
     assert capped.value == 1 and not capped.exact
@@ -211,7 +246,7 @@ def test_vc_dimension_examples_and_oracle():
     for trial in range(25):
         n = rnd.randint(1, 8)
         m = rnd.randint(1, 10)
-        edges = [{v for v in range(n) if rnd.random() < 0.5} for _ in range(m)]
+        edges = [mask_of(v for v in range(n) if rnd.random() < 0.5) for _ in range(m)]
         h = Hypergraph(n, edges)
         res = vc_dimension(h, cap=n + 1)
         assert res.exact
@@ -219,10 +254,10 @@ def test_vc_dimension_examples_and_oracle():
 
 
 def test_vc_dimension_rejects_negative_cap():
-    for h in (Hypergraph(3, []), Hypergraph(2, [{0}, {0, 1}])):
+    for h in (Hypergraph(3, []), Hypergraph(2, [0b01, 0b11])):
         with pytest.raises(ValueError, match="nonnegative"):
             vc_dimension(h, cap=-1)
-    assert vc_dimension(Hypergraph(2, [{0}, {0, 1}]), cap=0).value == 0
+    assert vc_dimension(Hypergraph(2, [0b01, 0b11]), cap=0).value == 0
 
 
 # ---------------------------------------------------------------- split-free builder
@@ -327,28 +362,43 @@ def test_split_free_advisory_bounds():
 
 def test_pk_free_base_case_full_cuts():
     g = gen_gnp(4, 0.5, 77)
-    fam = build_pk_free_separator(g, k=5, t_k=0.25, base_size=12)
+    fam = build_pk_free_separator(g, k=5, t_k=0.25)
     assert len(fam) == 16
     assert verify_cs_separator(g, fam).ok
 
 
-def test_pk_free_two_cliques_single_level():
+def test_pk_free_two_cliques_single_level(monkeypatch):
+    monkeypatch.setattr(transversal, "PK_BASE_SIZE", 7)
     blocks = [(u, v) for u in range(7) for v in range(u + 1, 7)]
     blocks += [(u, v) for u in range(7, 14) for v in range(u + 1, 14)]
     g = from_edges(14, blocks)
-    fam = build_pk_free_separator(g, k=5, t_k=0.5, base_size=7)
+    fam = build_pk_free_separator(g, k=5, t_k=0.5)
     assert verify_cs_separator(g, fam).ok
 
 
-def test_pk_free_complement_route():
+def test_pk_free_complement_route(monkeypatch):
+    monkeypatch.setattr(transversal, "PK_BASE_SIZE", 8)
     # complete multipartite: adjacent pair found first, recursion flips
     parts = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13)]
     edges = [(u, v) for i, a in enumerate(parts) for b in parts[i + 1:]
              for u in a for v in b]
     g = from_edges(14, edges)
     assert contains_induced(g, path_graph(5)) is None
-    fam = build_pk_free_separator(g, k=5, t_k=0.4, base_size=8)
+    fam = build_pk_free_separator(g, k=5, t_k=0.4)
     assert verify_cs_separator(g, fam).ok
+
+
+@pytest.mark.parametrize("g", [path_graph(4), cycle_graph(5), complete_graph(12)],
+                         ids=["P4", "C5", "K12"])
+def test_pk_free_tiny_t_k_keeps_the_base_case(g):
+    """1 - t_k rounds to 1 for a tiny t_k, and n^c overflows a float; a build
+    on at most 12 vertices is the base case whatever t_k is."""
+    assert math.isinf(path_free_constant(5e-324))
+    assert math.isfinite(path_free_constant(1e-300))
+    families = [build_pk_free_separator(g, k=5, t_k=t_k)
+                for t_k in (5e-324, 1e-300, 1e-10, 0.25)]
+    assert all(fam == families[-1] for fam in families)
+    assert len(families[-1]) == 1 << g.n
 
 
 def test_pk_free_rejects_paths():
@@ -358,14 +408,15 @@ def test_pk_free_rejects_paths():
         build_pk_free_separator(complement(path_graph(6)), k=5, t_k=0.25)
 
 
-def test_pk_free_pair_not_found_reported():
+def test_pk_free_pair_not_found_reported(monkeypatch):
+    monkeypatch.setattr(transversal, "PK_BASE_SIZE", 4)
     # a cograph whose top split is very unbalanced: demanding 90 percent of
     # the vertices on both sides cannot succeed
     star_edges = [(0, v) for v in range(1, 14)]
     g = from_edges(14, star_edges)
     assert contains_induced(g, path_graph(5)) is None
     with pytest.raises(BicliquePairNotFound) as exc:
-        build_pk_free_separator(g, k=5, t_k=0.9, base_size=4)
+        build_pk_free_separator(g, k=5, t_k=0.9)
     assert exc.value.needed == math.ceil(0.9 * 14)
     assert len(exc.value.level_vertices) == 14
 
@@ -384,7 +435,8 @@ def random_cograph(rnd, n):
     return from_edges(left.n + right.n, edges)
 
 
-def test_pk_free_random_cographs():
+def test_pk_free_random_cographs(monkeypatch):
+    monkeypatch.setattr(transversal, "PK_BASE_SIZE", 6)
     rnd = random.Random(59)
     built = 0
     reported = 0
@@ -394,7 +446,7 @@ def test_pk_free_random_cographs():
         assert contains_induced(g, path_graph(5)) is None
         assert contains_induced(complement(g), path_graph(5)) is None
         try:
-            fam = build_pk_free_separator(g, k=5, t_k=0.25, base_size=6)
+            fam = build_pk_free_separator(g, k=5, t_k=0.25)
         except BicliquePairNotFound as exc:
             assert exc.needed == math.ceil(0.25 * len(exc.level_vertices))
             reported += 1
