@@ -101,8 +101,8 @@ def _separator_verdict(report: RunReport, g, fam) -> bool:
     report.metric("family_size", len(fam))
     report.metric("pairs_checked", rep.pairs_checked)
     if not rep.ok:
-        report.metric("witness_clique", " ".join(map(str, sorted(rep.witness[0]))))
-        report.metric("witness_stable", " ".join(map(str, sorted(rep.witness[1]))))
+        report.metric("witness_clique", " ".join(map(str, graphs.bits(rep.witness[0]))))
+        report.metric("witness_stable", " ".join(map(str, graphs.bits(rep.witness[1]))))
     return rep.ok
 
 
@@ -424,12 +424,12 @@ def _bound_haussler_welzl(args, report, h):
     report.metric("vc_dimension", vc.value)
     report.metric("vc_exact", vc.exact)
     report.metric("tau_star", tau_star)
-    report.metric("greedy_tau", len(greedy))
+    report.metric("greedy_tau", greedy.bit_count())
     if vc.value > 0 and tau_star > 0:
         bound = 16 * vc.value * float(tau_star) * \
             max(math.log2(vc.value * float(tau_star)), 1.0)
         report.metric("hw_bound", bound)
-        report.metric("greedy_within_bound", len(greedy) <= bound)
+        report.metric("greedy_within_bound", greedy.bit_count() <= bound)
     report.set_outcome("advisory")
     print(report.emit(), end="")
     return EXIT_PASS

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import (Graph, bits, induced, is_clique, is_split_graph, is_stable,
-                     mask_of, maximal_cliques, set_of, split_partitions)
+                     mask_of, maximal_cliques, split_partitions)
 from .rng import SplitMix64
 from .separator import CutFamily, family_from_masks
 
@@ -29,10 +29,10 @@ class MalformedCovering(ValueError):
 
 
 class NotReallyThreeColorable(RuntimeError):
-    def __init__(self, vertex: int, color: int, witness: frozenset):
+    def __init__(self, vertex: int, color: int, witness: int):
         super().__init__(
             f"vertex {vertex} is not really 3-colorable for color "
-            f"{COLOR_NAMES[color]}: non-split clique {sorted(witness)}")
+            f"{COLOR_NAMES[color]}: non-split clique {list(bits(witness))}")
         self.vertex = vertex
         self.color = color
         self.witness = witness
@@ -364,17 +364,18 @@ def build_quasipoly_covering(inst: CcpInstance) -> CoveringTree:
 
 
 def really_3colorable(inst: CcpInstance, x: int, alpha: int
-                      ) -> tuple[bool, frozenset | None]:
+                      ) -> tuple[bool, int | None]:
     """True iff every maximal clique using the other two colors inside the
     alpha-edge-neighborhood of x splits into a clique of one color and a
-    clique of the other; otherwise the first non-split witness is returned."""
+    clique of the other; otherwise the mask of the first non-split witness
+    is returned."""
     _check_vertex(inst, x)
     others = [c for c in (0, 1, 2) if c != alpha]
     derived, ids = _derived_graph(inst, inst.classes[alpha][x], others)
     for z in maximal_cliques(derived):
-        members = mask_of(ids[i] for i in z)
+        members = mask_of(ids[i] for i in bits(z))
         if not is_split_graph(_derived_graph(inst, members, (others[0],))[0]):
-            return False, set_of(members)
+            return False, members
     return True, None
 
 
@@ -635,21 +636,18 @@ def ccp_covering_to_separator(g: Graph, covering) -> CutFamily:
     for la in covering:
         if len(la) != g.n:
             raise ValueError("assignment length must match the graph")
-        x_set, y_mask = [], 0
+        x_mask = y_mask = 0
         for v, lst in enumerate(la):
             lst = frozenset(lst)
             if lst == ab:
-                x_set.append(v)
+                x_mask |= 1 << v
             elif lst == bc or lst == frozenset({1}) or lst == frozenset({2}):
                 y_mask |= 1 << v
             elif lst == ac or lst == frozenset({0}):
                 pass  # lands on the B side implicitly
             else:
                 raise MalformedCovering(f"vertex {v} carries unusable list {sorted(lst)}")
-        sub, ids = induced(g, x_set)
+        sub, ids = induced(g, bits(x_mask))
         for sp in split_partitions(sub):
-            u = y_mask
-            for i in sp.clique_part:
-                u |= 1 << ids[i]
-            masks.append(u)
+            masks.append(y_mask | mask_of(ids[i] for i in bits(sp.clique_part)))
     return family_from_masks(g.n, masks)

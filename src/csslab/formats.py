@@ -124,10 +124,10 @@ def parse_graph(text: str) -> Graph:
 # -- cut families and hypergraphs: one row of sorted vertices per member -------
 
 
-def _emit_rows(header: str, members) -> str:
+def _emit_rows(header: str, masks) -> str:
     lines = [header]
-    for m in members:
-        lines.append(" ".join(str(v) for v in sorted(m)))
+    for m in masks:
+        lines.append(" ".join(map(str, bits(m))))
     return "\n".join(lines) + "\n"
 
 
@@ -148,7 +148,7 @@ def _parse_rows(text: str, keyword: str, noun: str):
 
 
 def emit_cut_family(f: CutFamily) -> str:
-    return _emit_rows(f"cuts {f.host_n} {len(f.masks)}", map(bits, f.masks))
+    return _emit_rows(f"cuts {f.host_n} {len(f.masks)}", f.masks)
 
 
 def parse_cut_family(text: str) -> CutFamily:
@@ -163,7 +163,7 @@ def parse_cut_family(text: str) -> CutFamily:
 
 
 def emit_hypergraph(h: Hypergraph) -> str:
-    return _emit_rows(f"hgraph {h.n} {len(h.edges)}", map(bits, h.edges))
+    return _emit_rows(f"hgraph {h.n} {len(h.edges)}", h.edges)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -175,18 +175,19 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 
 def _emit_blocks(header: str, blocks, tags: str) -> str:
-    """``header``, then per (first, second) block one ``<tags[0]>: ...``
-    line and one ``<tags[1]>: ...`` line of sorted members."""
+    """``header``, then per (first, second) block of masks one
+    ``<tags[0]>: ...`` line and one ``<tags[1]>: ...`` line of sorted
+    members."""
     lines = [header]
     for block in blocks:
-        for tag, members in zip(tags, block):
-            lines.append(f"{tag}: {' '.join(str(v) for v in sorted(members))}".rstrip())
+        for tag, mask in zip(tags, block):
+            lines.append(f"{tag}: {' '.join(map(str, bits(mask)))}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def _parse_blocks(rows, n: int, k: int, host: Graph, tags: str,
-                  noun: str) -> list[tuple[frozenset, frozenset]]:
-    """The ``k`` (first, second) blocks of ``_emit_blocks`` output whose
+                  noun: str) -> list[tuple[int, int]]:
+    """The ``k`` (first, second) mask blocks of ``_emit_blocks`` output whose
     header, ``rows[0]``, declared ``n`` vertices; ``noun`` names the file's
     certificate in errors."""
     if n != host.n:
@@ -198,7 +199,7 @@ def _parse_blocks(rows, n: int, k: int, host: Graph, tags: str,
         tag, row = tags[lineno % 2], rows[lineno - 1]
         if not row.startswith(f"{tag}:"):
             raise FormatError(f"expected a '{tag}:' line", lineno)
-        sides.append(frozenset(_ints(row[len(tag) + 1:].split(), n, lineno)))
+        sides.append(mask_of(_ints(row[len(tag) + 1:].split(), n, lineno)))
     _reject_rows_past(rows, 1 + 2 * k)
     return list(zip(sides[::2], sides[1::2]))
 

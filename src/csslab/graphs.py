@@ -2,9 +2,12 @@
 machinery every other module builds on: maximal cliques and stable sets,
 split partitions, induced-pattern search and large (non-)adjacent pairs.
 
-Adjacency is stored as one bitmask per vertex (bit v of adj[u] set iff uv is
-an edge), which keeps the branch-and-bound enumerations fast without leaving
-pure Python integers.
+A vertex set is an int mask throughout csslab: bit v is set iff vertex v is
+a member.  Adjacency is one such mask per vertex (bit v of adj[u] set iff uv
+is an edge), and cliques, stable sets, cut sides and certificate sides are
+masks too.  Lists of colours and of parts hold values, not vertices, and
+stay frozensets.  Lists of vertex sets come in lexicographic order of their
+sorted member lists, ``tuple(bits(m))``.
 """
 
 from __future__ import annotations
@@ -28,10 +31,6 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def set_of(mask: int) -> frozenset:
-    return frozenset(bits(mask))
 
 
 class Graph:
@@ -200,16 +199,14 @@ def induced(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(ids), adj, validate=False), ids
 
 
-def is_clique(g: Graph, members: int | frozenset) -> bool:
-    m = members if isinstance(members, int) else mask_of(members)
+def is_clique(g: Graph, m: int) -> bool:
     for v in bits(m):
         if m & ~g.adj[v] & ~(1 << v):
             return False
     return True
 
 
-def is_stable(g: Graph, members: int | frozenset) -> bool:
-    m = members if isinstance(members, int) else mask_of(members)
+def is_stable(g: Graph, m: int) -> bool:
     for v in bits(m):
         if g.adj[v] & m:
             return False
@@ -219,11 +216,7 @@ def is_stable(g: Graph, members: int | frozenset) -> bool:
 # -- maximal cliques and stable sets --------------------------------------
 
 
-def _sort_key(s: frozenset):
-    return tuple(sorted(s))
-
-
-def maximal_cliques(g: Graph) -> list[frozenset]:
+def maximal_cliques(g: Graph) -> list[int]:
     """All inclusion-maximal cliques, Bron-Kerbosch with pivoting, returned in
     lexicographic order of their sorted member lists."""
     if g.n == 0:
@@ -249,10 +242,10 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
             x |= bv
 
     expand(0, g.full_mask, 0)
-    return sorted((set_of(m) for m in out), key=_sort_key)
+    return sorted(out, key=lambda m: tuple(bits(m)))
 
 
-def maximal_stables(g: Graph) -> list[frozenset]:
+def maximal_stables(g: Graph) -> list[int]:
     return maximal_cliques(complement(g))
 
 
@@ -261,8 +254,8 @@ def maximal_stables(g: Graph) -> list[frozenset]:
 
 @dataclass(frozen=True)
 class SplitPartition:
-    clique_part: frozenset
-    stable_part: frozenset
+    clique_part: int
+    stable_part: int
 
 
 def is_split_graph(g: Graph) -> bool:
@@ -280,8 +273,8 @@ def is_split_graph(g: Graph) -> bool:
 
 
 def _all_clique_masks(g: Graph):
-    """Every vertex subset inducing a clique (including the empty set),
-    emitted in increasing lexicographic-order of sorted member lists."""
+    """Every vertex subset inducing a clique (including the empty set), in
+    lexicographic order of sorted member lists."""
     n = g.n
     adj = g.adj
 
@@ -297,7 +290,8 @@ def _all_clique_masks(g: Graph):
 
 
 def split_partitions(g: Graph) -> list[SplitPartition]:
-    """All bipartitions (U, W) of the vertices with U a clique and W stable.
+    """All bipartitions (U, W) of the vertices with U a clique and W stable,
+    in the order of their clique parts.
 
     Empty iff the graph is not split.  Brute force over clique candidates,
     guarded by the degree-sequence split test; capped at 20 vertices.
@@ -307,13 +301,8 @@ def split_partitions(g: Graph) -> list[SplitPartition]:
     if not is_split_graph(g):
         return []
     full = g.full_mask
-    out = []
-    for u in _all_clique_masks(g):
-        w = full & ~u
-        if is_stable(g, w):
-            out.append(SplitPartition(set_of(u), set_of(w)))
-    out.sort(key=lambda sp: _sort_key(sp.clique_part))
-    return out
+    return [SplitPartition(u, full & ~u) for u in _all_clique_masks(g)
+            if is_stable(g, full & ~u)]
 
 
 # -- induced pattern search ------------------------------------------------
@@ -372,8 +361,8 @@ def contains_induced(g: Graph, pattern: Graph) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class BicliquePair:
-    a: frozenset
-    b: frozenset
+    a: int
+    b: int
     mode: str  # "adjacent" | "nonadjacent"
     exact: bool
 
@@ -445,7 +434,7 @@ def find_biclique_pair(g: Graph, min_size: int) -> BicliquePair | None:
     for mode, h in (("nonadjacent", g), ("adjacent", complement(g))):
         hit = search(h, min_size)
         if hit is not None:
-            return BicliquePair(set_of(hit[0]), set_of(hit[1]), mode, exact)
+            return BicliquePair(*hit, mode, exact)
     return None
 
 

@@ -1,6 +1,7 @@
 """Oriented biclique packings, biclique coverings, fooling sets, and the
 transformations tying them to colorings and separators.
 
+Every side of a biclique or of a fooling pair is a vertex mask.
 Verification is exhaustive and reports the lexicographically first violation,
 so re-running in any order yields the same result.
 """
@@ -9,30 +10,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (Graph, _all_clique_masks, _sort_key, bits, complement,
+from .graphs import (Graph, _all_clique_masks, bits, complement,
                      complete_graph, from_edges, induced, is_clique,
-                     is_proper_coloring, is_stable, mask_of, set_of)
+                     is_proper_coloring, is_stable, mask_of)
 from .separator import CutFamily, family_from_masks, separates
 
 
 @dataclass(frozen=True)
 class PackingCertificate:
-    """Oriented bicliques of ``host``, each an (A, B) pair oriented A to B."""
+    """Oriented bicliques of ``host``, each an (A, B) pair of masks oriented
+    A to B."""
     host: Graph
-    bicliques: tuple[tuple[frozenset, frozenset], ...]
+    bicliques: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class BicliqueCovering:
     host: Graph
-    bicliques: tuple[tuple[frozenset, frozenset], ...]
+    bicliques: tuple[tuple[int, int], ...]
     t: int
 
 
 @dataclass(frozen=True)
 class FoolingSet:
+    """(clique, stable set) pairs of ``host``, as masks."""
     host: Graph
-    pairs: tuple[tuple[frozenset, frozenset], ...]
+    pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -49,11 +52,10 @@ def _first_bad_biclique(g: Graph, sides) -> VerifyResult | None:
     """The first (left, right) in ``sides`` whose sides meet, or that misses
     an edge between them; None when every one is a biclique of ``g``."""
     for i, (left, right) in enumerate(sides):
-        lm, rm = mask_of(left), mask_of(right)
-        if lm & rm:
+        if left & right:
             return VerifyResult(False, "sides-intersect", (i,))
-        for a in sorted(left):
-            missing = rm & ~g.adj[a]
+        for a in bits(left):
+            missing = right & ~g.adj[a]
             if missing:
                 return VerifyResult(False, "incomplete-biclique",
                                     (i, a, next(bits(missing))))
@@ -71,17 +73,15 @@ def verify_packing(cert: PackingCertificate) -> VerifyResult:
     cover_in = [0] * g.n
     seen_dup = None
     for left, right in cert.bicliques:
-        am = mask_of(left)
-        bm = mask_of(right)
-        for a in left:
-            dup = cover_out[a] & bm
+        for a in bits(left):
+            dup = cover_out[a] & right
             if dup:
                 b = next(bits(dup))
                 if seen_dup is None or (a, b) < seen_dup:
                     seen_dup = (a, b)
-            cover_out[a] |= bm
-        for b in right:
-            cover_in[b] |= am
+            cover_out[a] |= right
+        for b in bits(right):
+            cover_in[b] |= left
     for u, row in enumerate(g.adj):
         # edges uv with v > u covered in neither direction; the lowest v first
         missed = row >> (u + 1) << (u + 1) & ~(cover_out[u] | cover_in[u])
@@ -102,8 +102,8 @@ def verify_covering(cov: BicliqueCovering) -> VerifyResult:
         return bad
     counts: dict[tuple[int, int], int] = {}
     for left, right in cov.bicliques:
-        for a in left:
-            for b in right:
+        for a in bits(left):
+            for b in bits(right):
                 key = (a, b) if a < b else (b, a)
                 counts[key] = counts.get(key, 0) + 1
     for u, v in g.edges():
@@ -152,22 +152,25 @@ def build_fooling_set(g: Graph) -> FoolingSet:
         part2 = [(k, s | bv) for k, s in rec(nonnb)]
         return part1 + part2
 
-    pairs = [(set_of(k), set_of(s)) for k, s in rec(g.full_mask)]
-    return FoolingSet(g, tuple(pairs))
+    return FoolingSet(g, tuple(rec(g.full_mask)))
 
 
-def _transpose(n: int, pairs) -> list[tuple[frozenset, frozenset]]:
-    """For each vertex x < n, the indices of the (first, second) pairs whose
-    first side holds x and those whose second side holds x."""
-    return [(frozenset(i for i, (first, _) in enumerate(pairs) if x in first),
-             frozenset(i for i, (_, second) in enumerate(pairs) if x in second))
-            for x in range(n)]
+def _transpose(n: int, pairs) -> list[tuple[int, int]]:
+    """For each vertex x < n, the index masks of the (first, second) pairs
+    whose first side holds x and of those whose second side holds x."""
+    firsts, seconds = [0] * n, [0] * n
+    for i, (first, second) in enumerate(pairs):
+        for x in bits(first):
+            firsts[x] |= 1 << i
+        for x in bits(second):
+            seconds[x] |= 1 << i
+    return list(zip(firsts, seconds))
 
 
-def _vertex_bicliques(n: int, pairs) -> tuple[tuple[frozenset, frozenset], ...]:
+def _vertex_bicliques(n: int, pairs) -> tuple[tuple[int, int], ...]:
     """For each vertex x < n with both sides nonempty, the oriented biclique
-    (indices of pairs whose clique holds x, indices of pairs whose stable
-    set holds x)."""
+    (index mask of pairs whose clique holds x, index mask of pairs whose
+    stable set holds x)."""
     return tuple((a, b) for a, b in _transpose(n, pairs) if a and b)
 
 
@@ -187,12 +190,12 @@ def fooling_to_packing(fs: FoolingSet) -> PackingCertificate:
 
 
 def certificate_aux_pairs(cert: PackingCertificate
-                          ) -> tuple[Graph, list[tuple[frozenset, frozenset]]]:
+                          ) -> tuple[Graph, list[tuple[int, int]]]:
     """Auxiliary graph on the bicliques (edge when two A-sides meet) plus, for
     each host vertex x, the clique of bicliques whose A-side holds x and the
     stable set of those whose B-side holds x."""
     nb = len(cert.bicliques)
-    a_masks = [mask_of(a) for a, _ in cert.bicliques]
+    a_masks = [a for a, _ in cert.bicliques]
     edges = [(i, j) for i in range(nb) for j in range(i + 1, nb)
              if a_masks[i] & a_masks[j]]
     return from_edges(nb, edges), _transpose(cert.host.n, cert.bicliques)
@@ -223,7 +226,7 @@ def star_partition(n: int) -> PackingCertificate:
     if n < 0:
         raise ValueError("n must be nonnegative")
     host = complete_graph(n)
-    bicliques = [(frozenset({i}), frozenset(range(i + 1, n))) for i in range(n - 1)]
+    bicliques = [(1 << i, host.full_mask >> (i + 1) << (i + 1)) for i in range(n - 1)]
     return PackingCertificate(host, tuple(bicliques))
 
 
@@ -234,7 +237,7 @@ def star_cover(g: Graph) -> PackingCertificate:
     for i in range(g.n):
         hi = g.adj[i] >> (i + 1) << (i + 1)
         if hi:
-            bicliques.append((frozenset({i}), set_of(hi)))
+            bicliques.append((1 << i, hi))
     return PackingCertificate(g, tuple(bicliques))
 
 
@@ -350,29 +353,23 @@ def separator_to_coloring(g: Graph, cert: PackingCertificate,
     return colors
 
 
-def all_cliques_including_empty(g: Graph) -> list[frozenset]:
-    return sorted((set_of(m) for m in _all_clique_masks(g)), key=_sort_key)
-
-
-def pairs_packing(g: Graph) -> tuple[Graph, list[tuple[frozenset, frozenset]],
+def pairs_packing(g: Graph) -> tuple[Graph, list[tuple[int, int]],
                                      PackingCertificate]:
     """Auxiliary graph on every disjoint (clique, stable set) pair, both sides
     possibly empty, together with the vertex-indexed oriented packing of it."""
     if g.n > 8:
         raise ValueError("pair enumeration capped at 8 vertices")
-    cliques = all_cliques_including_empty(g)
-    stables = all_cliques_including_empty(complement(g))
-    pairs = [(k, s) for k in cliques for s in stables if not k & s]
+    stables = list(_all_clique_masks(complement(g)))
+    pairs = [(k, s) for k in _all_clique_masks(g) for s in stables if not k & s]
     bicliques = _vertex_bicliques(g.n, pairs)
     # pairs cross when a vertex lies in the clique of one and the stable set
     # of the other: the aux graph is the union of the vertex bicliques
     adj = [0] * len(pairs)
     for a, b in bicliques:
-        am, bm = mask_of(a), mask_of(b)
-        for i in a:
-            adj[i] |= bm
-        for j in b:
-            adj[j] |= am
+        for i in bits(a):
+            adj[i] |= b
+        for j in bits(b):
+            adj[j] |= a
     aux = Graph(len(pairs), adj, validate=False)
     cert = PackingCertificate(aux, bicliques)
     out = verify_packing(cert)
@@ -383,21 +380,17 @@ def pairs_packing(g: Graph) -> tuple[Graph, list[tuple[frozenset, frozenset]],
 
 def pair_coloring_to_separator(g: Graph, pairs, coloring) -> CutFamily:
     """Each color class of the pair graph yields one cut: the union of its
-    cliques against the rest."""
-    by_color: dict[int, int] = {}
-    for idx, (k, _) in enumerate(pairs):
-        c = coloring[idx]
-        by_color[c] = by_color.get(c, 0) | mask_of(k)
-    # sanity: within a class, clique union must avoid stable union
-    for c in by_color:
-        smask = 0
-        for idx, (_, s) in enumerate(pairs):
-            if coloring[idx] == c:
-                smask |= mask_of(s)
-        if by_color[c] & smask:
+    cliques against the rest.  Within a class the clique union must miss the
+    stable-set union."""
+    by_color: dict[int, tuple[int, int]] = {}
+    for idx, (k, s) in enumerate(pairs):
+        kc, sc = by_color.get(coloring[idx], (0, 0))
+        by_color[coloring[idx]] = (kc | k, sc | s)
+    for c, (kc, sc) in by_color.items():
+        if kc & sc:
             raise ValueError(f"color class {c} mixes intersecting pairs; "
                              "coloring is not proper for the pair graph")
-    return family_from_masks(g.n, (by_color[c] for c in sorted(by_color)))
+    return family_from_masks(g.n, (by_color[c][0] for c in sorted(by_color)))
 
 
 # -- multiplicity refinement (labels) and coloring composition -----------------
@@ -427,8 +420,8 @@ def refine_t_covering(g: Graph, cov: BicliqueCovering) -> RefinedPartition:
     t = cov.t
     cover_lists: dict[tuple[int, int], list[int]] = {}
     for idx, (left, right) in enumerate(cov.bicliques):
-        for a in left:
-            for b in right:
+        for a in bits(left):
+            for b in bits(right):
                 key = (a, b) if a < b else (b, a)
                 cover_lists.setdefault(key, []).append(idx)
     exact_edges = [e for e in g.edges() if len(cover_lists.get(e, ())) == t]
@@ -436,29 +429,21 @@ def refine_t_covering(g: Graph, cov: BicliqueCovering) -> RefinedPartition:
     classes: dict[tuple, list[tuple[int, int]]] = {}
     for (u, v) in exact_edges:
         idxs = tuple(sorted(cover_lists[(u, v)]))
-        anchor = u if u in cov.bicliques[idxs[0]][0] else v
-        signs = []
-        for i in idxs:
-            left, _ = cov.bicliques[i]
-            signs.append(-1 if anchor in left else 1)
-        classes.setdefault((idxs, tuple(signs)), []).append((u, v))
+        anchor = u if cov.bicliques[idxs[0]][0] >> u & 1 else v
+        signs = tuple(-1 if cov.bicliques[i][0] >> anchor & 1 else 1 for i in idxs)
+        classes.setdefault((idxs, signs), []).append((u, v))
     bicliques = []
     labels = []
     for label in sorted(classes):
-        idxs, _ = label
-        first_left, _ = cov.bicliques[idxs[0]]
-        lows = frozenset()
-        highs = frozenset()
+        first_left = cov.bicliques[label[0][0]][0]
+        lows = highs = 0
         for (u, v) in classes[label]:
-            if u in first_left:
-                lows |= {u}
-                highs |= {v}
-            else:
-                lows |= {v}
-                highs |= {u}
-        got = {(min(u, v), max(u, v)) for u, v in classes[label]}
-        want = {(min(a, b), max(a, b)) for a in lows for b in highs}
-        if got != want:
+            low, high = (u, v) if first_left >> u & 1 else (v, u)
+            lows |= 1 << low
+            highs |= 1 << high
+        # the class's distinct edges run from lows to highs, so it is
+        # complete exactly when it has |lows| |highs| of them
+        if lows & highs or len(classes[label]) != lows.bit_count() * highs.bit_count():
             raise RuntimeError("label class is not complete bipartite: implementation bug")
         bicliques.append((lows, highs))
         labels.append(label)
@@ -487,15 +472,11 @@ def compose_coloring(g: Graph, cov: BicliqueCovering, base_colorer) -> tuple[int
         raise ValueError("base colorer returned an improper coloring")
     final: list[tuple[int, int] | None] = [None] * g.n
     for a_color in sorted(set(alpha)):
-        members = [v for v in range(g.n) if alpha[v] == a_color]
-        sub, ids = induced(g, members)
-        memset = frozenset(members)
-        restricted = []
-        for left, right in cov.bicliques:
-            l2 = frozenset(ids.index(v) for v in left & memset)
-            r2 = frozenset(ids.index(v) for v in right & memset)
-            restricted.append((l2, r2))
-        subcov = BicliqueCovering(sub, tuple(restricted), cov.t - 1)
+        sub, ids = induced(g, [v for v in range(g.n) if alpha[v] == a_color])
+        restricted = tuple(
+            tuple(mask_of(i for i, v in enumerate(ids) if side >> v & 1) for side in sides)
+            for sides in cov.bicliques)
+        subcov = BicliqueCovering(sub, restricted, cov.t - 1)
         beta = compose_coloring(sub, subcov, base_colorer)
         for local, v in enumerate(ids):
             final[v] = (a_color, beta[local])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, mask_of, maximal_cliques, maximal_stables, set_of
+from .graphs import Graph, maximal_cliques, maximal_stables
 from .rng import TWO64, SplitMix64, bernoulli_threshold
 
 
@@ -78,28 +78,27 @@ def family_from_masks(host_n: int, masks) -> CutFamily:
 @dataclass(frozen=True)
 class SeparationReport:
     """Verdict of ``verify_cs_separator``.  ``witness`` is the first
-    uncovered disjoint (maximal clique, maximal stable set) pair in
+    uncovered disjoint (maximal clique, maximal stable set) pair of masks in
     lexicographic order, or None on a pass.  ``pairs_checked`` counts the
     disjoint maximal pairs up to and including the witness, or all of them
     on a pass."""
 
     ok: bool
-    witness: tuple[frozenset, frozenset] | None
+    witness: tuple[int, int] | None
     pairs_checked: int
 
 
-def separates(a: int, clique: frozenset, stable: frozenset) -> bool:
-    """Whether the cut with side-A mask ``a`` puts ``clique`` inside A and
-    ``stable`` outside it."""
-    return mask_of(clique) & ~a == 0 and mask_of(stable) & a == 0
+def separates(a: int, clique: int, stable: int) -> bool:
+    """Whether the cut with side-A mask ``a`` puts the ``clique`` mask inside
+    A and the ``stable`` mask outside it."""
+    return clique & ~a == 0 and stable & a == 0
 
 
 def disjoint_maximal_pairs(g: Graph) -> list[tuple[int, int]]:
     """Masks of every (maximal clique, maximal stable set) pair that is
     disjoint, in lexicographic order."""
-    cliques = [mask_of(c) for c in maximal_cliques(g)]
-    stables = [mask_of(s) for s in maximal_stables(g)]
-    return [(k, s) for k in cliques for s in stables if k & s == 0]
+    stables = maximal_stables(g)
+    return [(k, s) for k in maximal_cliques(g) for s in stables if k & s == 0]
 
 
 # cells of one block of rows against stable sets or cuts: the uint64
@@ -139,8 +138,8 @@ def verify_cs_separator(g: Graph, family: CutFamily) -> SeparationReport:
         raise ValueError("family host size does not match the graph")
     if g.n == 0:
         return SeparationReport(True, None, 0)
-    cliques = [mask_of(c) for c in maximal_cliques(g)]
-    stables = [mask_of(s) for s in maximal_stables(g)]
+    cliques = maximal_cliques(g)
+    stables = maximal_stables(g)
     masks = family.masks
     nc, nm = len(cliques), len(masks)
     words = _words(cliques + list(masks) + stables, (g.n + 63) // 64)
@@ -169,7 +168,7 @@ def verify_cs_separator(g: Graph, family: CutFamily) -> SeparationReport:
                 if miss:
                     low = miss & -miss
                     checked += (disjoint & ((low << 1) - 1)).bit_count()
-                    witness = (set_of(cliques[lo + r]), set_of(stables[low.bit_length() - 1]))
+                    witness = (cliques[lo + r], stables[low.bit_length() - 1])
                     return SeparationReport(False, witness, checked)
                 checked += disjoint.bit_count()
             start = end

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .graphs import (Graph, bits, complement, contains_induced,
                      find_biclique_pair, induced, is_clique, is_stable, mask_of,
-                     path_graph, set_of, split_partitions)
+                     path_graph, split_partitions)
 from .lp import ZERO, lp_feasible, solve_lp
 from .separator import CutFamily, disjoint_maximal_pairs, family_from_masks, separates
 
@@ -62,17 +62,18 @@ class ConflictDigraph:
     stable: tuple[int, ...]   # original vertex ids, sorted; digraph ids |K|..
 
 
-def conflict_digraph(g: Graph, k: frozenset, s: frozenset) -> ConflictDigraph:
-    """Bipartite tournament on K then S: the arc runs from the clique vertex
-    to the stable vertex when they are adjacent, backwards otherwise."""
+def conflict_digraph(g: Graph, k: int, s: int) -> ConflictDigraph:
+    """Bipartite tournament on the masks K then S: the arc runs from the
+    clique vertex to the stable vertex when they are adjacent, backwards
+    otherwise."""
+    ks = tuple(bits(k))
+    ss = tuple(bits(s))
     if k & s:
-        raise ValueError(f"clique and stable set intersect in {sorted(k & s)}")
+        raise ValueError(f"clique and stable set intersect in {list(bits(k & s))}")
     if not is_clique(g, k):
-        raise ValueError(f"{sorted(k)} is not a clique")
+        raise ValueError(f"{list(ks)} is not a clique")
     if not is_stable(g, s):
-        raise ValueError(f"{sorted(s)} is not a stable set")
-    ks = tuple(sorted(k))
-    ss = tuple(sorted(s))
+        raise ValueError(f"{list(ss)} is not a stable set")
     nk = len(ks)
     n = nk + len(ss)
     out = [0] * n
@@ -154,16 +155,16 @@ class Hypergraph:
         return f"Hypergraph(n={self.n}, m={len(self.edges)})"
 
 
-def build_hypergraph(g: Graph, base: frozenset,
-                     opposite: frozenset) -> tuple[Hypergraph, tuple[int, ...]]:
+def build_hypergraph(g: Graph, base: int,
+                     opposite: int) -> tuple[Hypergraph, tuple[int, ...]]:
     """One hyperedge per opposite vertex x: the base vertices outside N(x).
     Returns the hypergraph over re-indexed base vertices plus the id map.
     For the base vertices inside N(x), pass complement(g)."""
     if base & opposite:
         raise ValueError("base and opposite sets intersect")
-    ids = tuple(sorted(base))
+    ids = tuple(bits(base))
     edges = [mask_of(i for i, v in enumerate(ids) if not g.adj[x] >> v & 1)
-             for x in sorted(opposite)]
+             for x in bits(opposite)]
     return Hypergraph(len(ids), edges), ids
 
 
@@ -196,9 +197,9 @@ def fractional_transversality(h: Hypergraph) -> tuple[Fraction, tuple[Fraction, 
     return res.value, res.x
 
 
-def greedy_transversal(h: Hypergraph) -> frozenset:
-    """Hitting set by repeated max-coverage choice (lowest index on ties).
-    ``inc[v]`` has bit i set when edge i holds v."""
+def greedy_transversal(h: Hypergraph) -> int:
+    """Mask of a hitting set by repeated max-coverage choice (lowest index on
+    ties).  ``inc[v]`` has bit i set when edge i holds v."""
     if not all(h.edges):
         raise ValueError("empty hyperedge cannot be hit")
     inc = [0] * h.n
@@ -211,14 +212,15 @@ def greedy_transversal(h: Hypergraph) -> frozenset:
         best = max(range(h.n), key=lambda v: (inc[v] & uncovered).bit_count())
         chosen |= 1 << best
         uncovered &= ~inc[best]
-    return set_of(chosen)
+    return chosen
 
 
-def exact_min_transversal(h: Hypergraph) -> frozenset:
-    """Minimum hitting set by branch and bound; intended for n <= 20."""
+def exact_min_transversal(h: Hypergraph) -> int:
+    """Mask of a minimum hitting set by branch and bound; intended for
+    n <= 20."""
     if h.n > 20:
         raise ValueError("exact transversal capped at 20 vertices")
-    best = mask_of(greedy_transversal(h))
+    best = greedy_transversal(h)
 
     def search(chosen: int, remaining: list[int]):
         nonlocal best
@@ -231,7 +233,7 @@ def exact_min_transversal(h: Hypergraph) -> frozenset:
             search(chosen | 1 << v, [e for e in remaining if not e >> v & 1])
 
     search(0, list(h.edges))
-    return set_of(best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -273,8 +275,8 @@ def vc_dimension(h: Hypergraph, cap: int) -> VcResult:
 
 @dataclass(frozen=True)
 class PairPipelineReport:
-    clique: frozenset
-    stable: frozenset
+    clique: int
+    stable: int
     side: str
     tau: int
     tau_star: Fraction
@@ -286,12 +288,12 @@ def transversal_budget(phi: int) -> float:
     return 64.0 * phi * (math.log2(phi) + 2.0)
 
 
-def separate_pair_split_free(g: Graph, k: frozenset, s: frozenset,
+def separate_pair_split_free(g: Graph, k: int, s: int,
                              budget: float, *, memo: dict | None = None
                              ) -> PairPipelineReport:
-    """Run the weight/hypergraph/transversal pipeline on one disjoint pair and
-    return the separating cut with its certificates.  The stable side runs on
-    complement(g), and its cut is complemented back to g.
+    """Run the weight/hypergraph/transversal pipeline on one disjoint pair of
+    masks and return the separating cut with its certificates.  The stable
+    side runs on complement(g), and its cut is complemented back to g.
 
     ``memo`` carries the side, tau* and VC dimension already found for
     equivalent hypergraphs during one build (see ``_canonical``); the side is
@@ -311,19 +313,20 @@ def separate_pair_split_free(g: Graph, k: frozenset, s: frozenset,
     tau_star = _memoised(memo, ("tau*", n, minimal),
                          lambda: fractional_transversality(h)[0])
     transversal = greedy_transversal(h)
-    if len(transversal) > budget:
+    tau = transversal.bit_count()
+    if tau > budget:
         raise RuntimeError(
-            f"transversal size {len(transversal)} exceeds the budget {budget:.1f}; "
+            f"transversal size {tau} exceeds the budget {budget:.1f}; "
             "input graph is probably not in the stated class")
     u = h_g.full_mask
-    for i in transversal:
+    for i in bits(transversal):
         u &= h_g.adj[ids[i]] | (1 << ids[i])
     if side == "S":
         u = g.full_mask & ~u
     if not separates(u, k, s):
         raise RuntimeError("pipeline produced a non-separating cut: implementation bug")
     vc = _memoised(memo, ("vc", n, edges), lambda: vc_dimension(h, cap=h.n + 1))
-    return PairPipelineReport(k, s, side, len(transversal), tau_star, vc, u)
+    return PairPipelineReport(k, s, side, tau, tau_star, vc, u)
 
 
 def split_free_report(g: Graph, gamma: Graph
@@ -333,9 +336,8 @@ def split_free_report(g: Graph, gamma: Graph
     options = split_partitions(gamma)
     if not options:
         raise ValueError("pattern graph is not split")
-    split = min(options, key=lambda sp: (max(len(sp.clique_part), len(sp.stable_part)),
-                                         tuple(sorted(sp.clique_part))))
-    phi = max(len(split.clique_part), len(split.stable_part))
+    phi = min(max(sp.clique_part.bit_count(), sp.stable_part.bit_count())
+              for sp in options)
     if phi == 0:
         raise ValueError("pattern graph must be nonempty")
     hit = contains_induced(g, gamma)
@@ -345,8 +347,8 @@ def split_free_report(g: Graph, gamma: Graph
     reports = []
     masks = []
     memo: dict = {}
-    for kmask, smask in disjoint_maximal_pairs(g):
-        rep = separate_pair_split_free(g, set_of(kmask), set_of(smask), budget, memo=memo)
+    for k, s in disjoint_maximal_pairs(g):
+        rep = separate_pair_split_free(g, k, s, budget, memo=memo)
         reports.append(rep)
         masks.append(rep.cut_mask)
     return family_from_masks(g.n, masks), reports
@@ -369,18 +371,17 @@ def path_free_constant(t_k: float) -> float:
     return -math.log(2) / math.log1p(-t_k)
 
 
-def _exceeds_power(x: int, n: int, c: float) -> bool:
-    """x > n^c for c > 0, compared in log space since n^c overflows a float."""
-    if n <= 1:
-        return x > n
-    return x > 0 and math.log(x) > c * math.log(n)
-
-
 def build_pk_free_separator(g: Graph, k: int, t_k: float) -> CutFamily:
     """Recursive construction: peel off a completely non-adjacent pair of
     linear size (working in the complement when only an adjacent pair
     exists), separate the two overlapping remainders, and lift their cuts.
-    Levels of at most ``PK_BASE_SIZE`` vertices take every bipartition."""
+    Levels of at most ``PK_BASE_SIZE`` vertices are leaves and take every
+    bipartition.
+
+    A split leaves two parts of at most (1 - t_k) m vertices each, so it
+    needs t_k <= 1/2, which makes c = ``path_free_constant(t_k)`` at least
+    1, and there are at most 2 (n / PK_BASE_SIZE)^c <= n^c leaves.  The
+    build raises when the leaves outnumber max(1, n^c)."""
     if not 0.0 < t_k < 1.0:
         raise ValueError("t_k must lie strictly inside (0, 1)")
     pk = path_graph(k)
@@ -391,32 +392,30 @@ def build_pk_free_separator(g: Graph, k: int, t_k: float) -> CutFamily:
     if hit is not None:
         raise ValueError(f"graph contains an induced complement path at {hit}")
 
-    base_budget = [0]
+    leaves = 0
 
     def rec(h: Graph, ids: tuple[int, ...]) -> list[int]:
+        """Cuts of the level graph ``h`` lifted to g through ``ids``."""
+        nonlocal leaves
         m = h.n
         if m <= PK_BASE_SIZE:
-            base_budget[0] += 1 << m
+            leaves += 1
             return [mask_of(ids[i] for i in bits(sub)) for sub in range(1 << m)]
         needed = math.ceil(t_k * m)
         pair = find_biclique_pair(h, needed)
         if pair is None:
             raise BicliquePairNotFound(ids, needed)
         if pair.mode == "adjacent":
-            flipped = rec(complement(h), ids)
             level = mask_of(ids)
-            return [level & ~a for a in flipped]
-        v1 = mask_of(pair.a)
-        v2 = mask_of(pair.b)
-        v3 = h.full_mask & ~v1 & ~v2
+            return [level & ~a for a in rec(complement(h), ids)]
+        rest = h.full_mask & ~pair.a & ~pair.b
         out = []
-        for part_mask in (v1 | v3, v2 | v3):
-            sub, sub_ids = induced(h, set_of(part_mask))
+        for part in (pair.a | rest, pair.b | rest):
+            sub, sub_ids = induced(h, bits(part))
             out.extend(rec(sub, tuple(ids[i] for i in sub_ids)))
         return out
 
-    masks = rec(g, tuple(range(g.n)))
-    family = family_from_masks(g.n, masks)
-    if _exceeds_power(len(family) - base_budget[0], g.n, path_free_constant(t_k)):
+    family = family_from_masks(g.n, rec(g, tuple(range(g.n))))
+    if leaves > 1 and math.log(leaves) > path_free_constant(t_k) * math.log(g.n):
         raise RuntimeError("path-free separator exceeds its size bound")
     return family

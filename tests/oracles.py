@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from csslab.csp import (stubborn_assignment_compatible, verify_3ccp_solution,
                         verify_stubborn_solution)
-from csslab.graphs import bits, complement, greedy_coloring, mask_of, set_of
+from csslab.graphs import bits, complement, from_edges, greedy_coloring
 from csslab.lp import LpResult
 from csslab.packing import BicliqueCovering, VerifyResult, _first_bad_biclique
 from csslab.rng import SplitMix64, bernoulli_threshold
@@ -15,6 +15,78 @@ from csslab.separator import (CutFamily, SeparationReport, SeparatorBuildError,
 from csslab.transversal import (PairPipelineReport, build_hypergraph,
                                 conflict_digraph, fractional_transversality,
                                 greedy_transversal, side_weights, vc_dimension)
+
+
+def set_of(mask: int) -> frozenset:
+    """The vertex set of a mask: the reference form of a vertex set."""
+    return frozenset(bits(mask))
+
+
+def set_maximal_cliques(g) -> list:
+    """``maximal_cliques`` on frozensets: Bron-Kerbosch without pivoting on
+    neighbour sets, sorted by sorted member list.  The graph on no vertices
+    has no maximal cliques, as in the library."""
+    nbrs = [frozenset(v for v in range(g.n) if g.has_edge(u, v)) for u in range(g.n)]
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(r)
+        for v in sorted(p):
+            expand(r | {v}, p & nbrs[v], x & nbrs[v])
+            p, x = p - {v}, x | {v}
+
+    if g.n:
+        expand(frozenset(), frozenset(range(g.n)), frozenset())
+    return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def set_maximal_stables(g) -> list:
+    """``maximal_stables`` on frozensets."""
+    return set_maximal_cliques(complement(g))
+
+
+def set_split_partitions(g) -> list:
+    """``split_partitions`` as (clique part, stable part) frozenset pairs, by
+    trying every vertex subset as the clique part."""
+    def edges_in(s):
+        return [g.has_edge(x, y) for x, y in itertools.combinations(sorted(s), 2)]
+
+    everyone = frozenset(range(g.n))
+    out = []
+    for r in range(g.n + 1):
+        for combo in itertools.combinations(range(g.n), r):
+            u = frozenset(combo)
+            if all(edges_in(u)) and not any(edges_in(everyone - u)):
+                out.append((u, everyone - u))
+    return sorted(out, key=lambda p: tuple(sorted(p[0])))
+
+
+def _part_sizes(rnd, n: int, k: int) -> list[int]:
+    """k positive sizes summing to n, cut at random."""
+    cuts = sorted(rnd.sample(range(1, n), k - 1))
+    return [hi - lo for lo, hi in zip([0] + cuts, cuts + [n])]
+
+
+def substitution_graph(rnd, n: int):
+    """A random graph on n vertices built from single vertices by disjoint
+    unions, joins, and substitution of five graphs into the vertices of a
+    C5 (module i complete to modules i - 1 and i + 1 mod 5).  P5 and its
+    complement are prime, and C5 is P5-free and self-complementary, so every
+    such graph is P5-free and co-P5-free."""
+    if n == 1:
+        return from_edges(1, [])
+    op = rnd.choice(("union", "join", "c5") if n >= 5 else ("union", "join"))
+    parts = [substitution_graph(rnd, m) for m in _part_sizes(rnd, n, 5 if op == "c5" else 2)]
+    start = [0]
+    for part in parts:
+        start.append(start[-1] + part.n)
+    edges = [(u + lo, v + lo) for part, lo in zip(parts, start) for u, v in part.edges()]
+    links = {"union": [], "join": [(0, 1)], "c5": [(i, (i + 1) % 5) for i in range(5)]}[op]
+    for i, j in links:
+        edges += [(min(u, v), max(u, v)) for u in range(start[i], start[i + 1])
+                  for v in range(start[j], start[j + 1])]
+    return from_edges(n, edges)
 
 
 def as_covering(cert, t: int) -> BicliqueCovering:
@@ -92,14 +164,13 @@ def pair_walk_verify_packing(cert) -> VerifyResult:
     cover_out = [0] * g.n
     seen_dup = None
     for left, right in cert.bicliques:
-        bm = mask_of(right)
-        for a in left:
-            dup = cover_out[a] & bm
+        for a in bits(left):
+            dup = cover_out[a] & right
             if dup:
                 b = next(bits(dup))
                 if seen_dup is None or (a, b) < seen_dup:
                     seen_dup = (a, b)
-            cover_out[a] |= bm
+            cover_out[a] |= right
     for u, v in g.edges():
         if not (cover_out[u] >> v & 1 or cover_out[v] >> u & 1):
             return VerifyResult(False, "uncovered-edge", (u, v))
@@ -117,17 +188,17 @@ def unmemoised_pair_pipeline(g, k, s, budget: float) -> PairPipelineReport:
     h, ids = build_hypergraph(h_g, base, opposite)
     tau_star, _ = fractional_transversality(h)
     transversal = greedy_transversal(h)
-    if len(transversal) > budget:
-        raise RuntimeError(f"transversal size {len(transversal)} exceeds the budget")
+    if transversal.bit_count() > budget:
+        raise RuntimeError(f"transversal size {transversal.bit_count()} exceeds the budget")
     u = h_g.full_mask
-    for i in transversal:
+    for i in bits(transversal):
         u &= h_g.adj[ids[i]] | (1 << ids[i])
     if side == "S":
         u = g.full_mask & ~u
-    if mask_of(k) & ~u or mask_of(s) & u:
+    if k & ~u or s & u:
         raise RuntimeError("pipeline produced a non-separating cut")
     vc = vc_dimension(h, cap=h.n + 1)
-    return PairPipelineReport(k, s, side, len(transversal), tau_star, vc, u)
+    return PairPipelineReport(k, s, side, transversal.bit_count(), tau_star, vc, u)
 
 
 def scan_greedy_transversal(n: int, edge_sets) -> frozenset:
@@ -213,7 +284,7 @@ def pair_list_verify(g, family: CutFamily) -> SeparationReport:
             if k & ~a == 0 and s & a == 0:
                 break
         else:
-            return SeparationReport(False, (set_of(k), set_of(s)), checked)
+            return SeparationReport(False, (k, s), checked)
     return SeparationReport(True, None, checked)
 
 

@@ -18,11 +18,10 @@ from csslab.csp import (CcpInstance, TwoSatInstance, all_3ccp_solutions,
                         square_cut_family, stubborn_assignment_compatible,
                         StubbornInstance)
 from csslab.formats import parse_graph, parse_packing
-from csslab.graphs import (complement, complete_graph,
+from csslab.graphs import (bits, complement, complete_graph,
                            comparability_from_random_poset, contains_induced,
                            from_edges, gen_gnp, greedy_coloring,
-                           is_proper_coloring, mask_of, net_graph, path_graph,
-                           set_of)
+                           is_proper_coloring, mask_of, net_graph, path_graph)
 from csslab.packing import (BicliqueCovering, build_fooling_set,
                             certificate_aux_pairs, fooling_to_packing,
                             min_bp_bruteforce, packing_to_fooling,
@@ -249,11 +248,11 @@ def random_valid_2covering(rnd, n, k):
                 continue
             cutoff = rnd.randint(1, len(verts) - 1)
             rnd.shuffle(verts)
-            bicliques.append((frozenset(verts[:cutoff]), frozenset(verts[cutoff:])))
+            bicliques.append((mask_of(verts[:cutoff]), mask_of(verts[cutoff:])))
         counts = {}
         for left, right in bicliques:
-            for a in left:
-                for b in right:
+            for a in bits(left):
+                for b in bits(right):
                     key = (min(a, b), max(a, b))
                     counts[key] = counts.get(key, 0) + 1
         if bicliques and counts and max(counts.values()) <= 2:
@@ -274,8 +273,8 @@ def test_criterion_10_label_refinement():
             assert verify_covering(refined.partition).ok
             seen = set()
             for left, right in refined.partition.bicliques:
-                for a in left:
-                    for b in right:
+                for a in bits(left):
+                    for b in bits(right):
                         e = (min(a, b), max(a, b))
                         assert e not in seen
                         seen.add(e)

@@ -1,6 +1,7 @@
 """Property test for the command line: a valid input file with one or two
 damaged lines (deleted, duplicated, garbled, or the file cut off before it)
-ends in exit code 0, 1 or 2, and no exception escapes ``cli.main``."""
+ends in exit code 0, 1 or 2, exactly 2 when the format's own parser rejects
+the damaged file, and no exception escapes ``cli.main``."""
 
 import contextlib
 import io
@@ -14,6 +15,7 @@ from csslab.cli import main
 from csslab.csp import (build_quasipoly_covering, random_ccp_instance,
                         separator_to_stubborn_covering, square_cut_family,
                         trivial_stubborn)
+from csslab import formats
 from csslab.formats import (emit_ccp, emit_ccp_covering, emit_cut_family,
                             emit_graph, emit_hypergraph, emit_stubborn,
                             emit_stubborn_covering)
@@ -54,6 +56,27 @@ COMMANDS = {
     "stubborn-covering": ["verify", "stubborn-covering", "stubborn", "stubborn-covering"],
 }
 
+PARSERS = {
+    "graph": formats.parse_graph,
+    "cuts": formats.parse_cut_family,
+    "hgraph": formats.parse_hypergraph,
+    "ccp": formats.parse_ccp,
+    "ccp-covering": formats.parse_ccp_covering,
+    "stubborn": formats.parse_stubborn,
+    "stubborn-covering": formats.parse_stubborn_covering,
+}
+
+
+def _expected_codes(fmt, text):
+    """Exit codes allowed for a command whose ``fmt`` input is ``text``: the
+    usage code when the format's own parser rejects it, else any of 0-2."""
+    try:
+        PARSERS[fmt](text)
+    except ValueError:  # FormatError is one
+        return (2,)
+    return (0, 1, 2)
+
+
 GARBLE = st.text(max_size=12) | st.sampled_from([
     "", "--", "lists 3", "lists 5", "e 0 1", "e 0 9", "e 2 1", "A", "B C D",
     "A1 A4", "A5", "0 1 9", "0 -1", "graph 5", "cuts 6 1", "hgraph 4 2",
@@ -81,14 +104,15 @@ def _damage(text, damage, line, garble):
        line=st.integers(0, 60), garble=GARBLE)
 @example(fmt="stubborn", damage="truncate", line=2, garble="")  # "stubborn 4\ne 0 1"
 def test_one_damaged_line_exits_0_1_or_2(fmt, damage, line, garble):
+    damaged = _damage(FILES[fmt], damage, line, garble)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, text in FILES.items():
             paths[name] = Path(tmp) / f"{name}.txt"
-            paths[name].write_text(_damage(text, damage, line, garble)
-                                   if name == fmt else text)
+            paths[name].write_text(damaged if name == fmt else text)
         command, kind, *roles = COMMANDS[fmt]
-        assert main([command, kind] + [str(paths[role]) for role in roles]) in (0, 1, 2)
+        code = main([command, kind] + [str(paths[role]) for role in roles])
+    assert code in _expected_codes(fmt, damaged)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -107,4 +131,4 @@ def test_two_damaged_lines_exit_0_1_or_2(fmt, damages, lines, garbles):
             paths[name].write_text(text if name == fmt else valid)
         command, kind, *roles = COMMANDS[fmt]
         code = main([command, kind] + [str(paths[role]) for role in roles])
-    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    assert code in _expected_codes(fmt, text) and "Traceback" not in err.getvalue()

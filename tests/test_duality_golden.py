@@ -36,9 +36,9 @@ from csslab.cli import _stubborn_covering_provider
 from csslab.csp import (COLOR_NAMES, NotReallyThreeColorable, ccp_of_graph,
                         full_3ccp_covering_via_stubborn, random_ccp_instance,
                         really_3colorable, stubborn_to_3ccp_covering)
-from csslab.graphs import (comparability_from_random_poset, contains_induced,
+from csslab.graphs import (bits, comparability_from_random_poset, contains_induced,
                            find_biclique_pair, from_edges, gen_gnp, mask_of,
-                           net_graph, set_of)
+                           net_graph)
 from csslab.separator import disjoint_maximal_pairs
 from csslab.transversal import (build_pk_free_separator, conflict_digraph,
                                 side_weights, split_free_report)
@@ -67,7 +67,7 @@ def _pairs():
     for n, p, seed, size in rows:
         hit = find_biclique_pair(gen_gnp(n, p, seed), size)
         if hit is not None:
-            hit = [mask_of(hit.a), mask_of(hit.b), hit.mode, hit.exact]
+            hit = [hit.a, hit.b, hit.mode, hit.exact]
         out.append([n, p, seed, size, hit])
     return out
 
@@ -77,8 +77,7 @@ def _sides():
     for seed in range(12):
         g = gen_gnp(9, 0.5, seed)
         for kmask, smask in disjoint_maximal_pairs(g):
-            k, s = set_of(kmask), set_of(smask)
-            sw = side_weights(conflict_digraph(g, k, s), g)
+            sw = side_weights(conflict_digraph(g, kmask, smask), g)
             weights = {str(v): str(w) for v, w in sorted(sw.weights.items())}
             out.append([seed, kmask, smask, sw.side, weights])
     return out
@@ -96,7 +95,7 @@ def _split_free():
             continue
         fam, reports = split_free_report(g, net_graph())
         out.append([kind, seed, _masks(fam), [
-            [mask_of(r.clique), mask_of(r.stable), r.side, r.tau, r.cut_mask,
+            [r.clique, r.stable, r.side, r.tau, r.cut_mask,
              str(r.tau_star), r.vc.value, r.vc.exact, r.vc.degenerate]
             for r in reports]])
     return out
@@ -121,7 +120,7 @@ def _covering_row(inst, x, seed, target):
         else:
             result = _lists(stubborn_to_3ccp_covering(inst, x, logged, target))
     except NotReallyThreeColorable as exc:
-        result = {"raised": [exc.vertex, exc.color, sorted(exc.witness)]}
+        result = {"raised": [exc.vertex, exc.color, list(bits(exc.witness))]}
     return [x, target, calls, result]
 
 
@@ -194,7 +193,7 @@ def test_raised_coverings_name_the_failing_colour():
     for kind, n, seed, *_, result in raised:
         vertex, colour, witness = result["raised"]
         inst = _covering_instance(kind, n, seed)
-        assert really_3colorable(inst, vertex, colour) == (False, frozenset(witness))
+        assert really_3colorable(inst, vertex, colour) == (False, mask_of(witness))
 
 
 def test_pk_free_separators_match_golden_table():

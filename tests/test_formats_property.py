@@ -16,7 +16,7 @@ from csslab.formats import (FormatError, emit_ccp, emit_covering, emit_cut_famil
                             parse_covering, parse_cut_family, parse_fooling,
                             parse_graph, parse_hypergraph, parse_packing,
                             parse_stubborn)
-from csslab.graphs import from_edges, set_of
+from csslab.graphs import from_edges
 from csslab.packing import BicliqueCovering, FoolingSet, PackingCertificate
 from csslab.separator import CutFamily
 from csslab.transversal import Hypergraph
@@ -36,10 +36,10 @@ def graphs(draw, n=st.integers(0, 8)):
 @st.composite
 def certificates(draw):
     """(certificate, emit, parse) for a random packing, covering or fooling
-    set; its sides are arbitrary vertex sets, since the codec does not
+    set; its sides are arbitrary vertex masks, since the codec does not
     check certificates."""
     g = draw(graphs())
-    side = st.integers(0, (1 << g.n) - 1).map(set_of)
+    side = st.integers(0, (1 << g.n) - 1)
     blocks = tuple(draw(st.lists(st.tuples(side, side), max_size=6)))
     kind = draw(st.sampled_from(["packing", "covering", "fooling"]))
     if kind == "packing":

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csslab.graphs import (BicliquePair, Graph, bits, complement,
@@ -12,29 +12,12 @@ from csslab.graphs import (BicliquePair, Graph, bits, complement,
                            greedy_coloring, induced, is_clique,
                            is_proper_coloring, is_split_graph, is_stable,
                            mask_of, maximal_cliques, maximal_stables,
-                           net_graph, path_graph, set_of, split_partitions)
-from oracles import has_edge_contains_induced, set_greedy_coloring
+                           net_graph, path_graph, split_partitions)
+from oracles import (has_edge_contains_induced, set_greedy_coloring,
+                     set_maximal_cliques, set_maximal_stables, set_of,
+                     set_split_partitions)
 
 # ---------------------------------------------------------------- oracles
-
-
-def brute_maximal_cliques(g):
-    subsets = [frozenset(c) for r in range(g.n + 1)
-               for c in itertools.combinations(range(g.n), r)]
-    cliques = [s for s in subsets if s and is_clique(g, s)]
-    out = [c for c in cliques if not any(c < d for d in cliques)]
-    return sorted(out, key=lambda s: tuple(sorted(s)))
-
-
-def brute_split_partitions(g):
-    out = []
-    for r in range(g.n + 1):
-        for combo in itertools.combinations(range(g.n), r):
-            u = frozenset(combo)
-            w = frozenset(range(g.n)) - u
-            if is_clique(g, u) and is_stable(g, w):
-                out.append((u, w))
-    return sorted(out, key=lambda p: tuple(sorted(p[0])))
 
 
 def brute_contains_induced(g, pattern):
@@ -138,17 +121,15 @@ def test_graph_validation():
 
 
 def test_maximal_cliques_examples():
-    assert maximal_cliques(complete_graph(4)) == [frozenset({0, 1, 2, 3})]
-    assert maximal_cliques(empty_graph(3)) == [frozenset({0}), frozenset({1}),
-                                               frozenset({2})]
+    assert maximal_cliques(complete_graph(4)) == [0b1111]
+    assert maximal_cliques(empty_graph(3)) == [0b001, 0b010, 0b100]
     c5 = maximal_cliques(cycle_graph(5))
-    assert c5 == sorted((frozenset(e) for e in cycle_graph(5).edges()),
-                        key=lambda s: tuple(sorted(s)))
+    assert c5 == [0b00011, 0b10001, 0b00110, 0b01100, 0b11000]
 
 
 def test_maximal_stables_examples():
-    assert maximal_stables(complete_graph(4)) == [frozenset({v}) for v in range(4)]
-    assert maximal_stables(empty_graph(3)) == [frozenset({0, 1, 2})]
+    assert maximal_stables(complete_graph(4)) == [1 << v for v in range(4)]
+    assert maximal_stables(empty_graph(3)) == [0b111]
     assert len(maximal_stables(cycle_graph(5))) == 5
 
 
@@ -157,8 +138,8 @@ def test_maximal_cliques_against_bruteforce():
     for trial in range(40):
         n = rnd.randint(1, 10)
         g = gen_gnp(n, rnd.choice([0.2, 0.5, 0.8]), trial)
-        assert maximal_cliques(g) == brute_maximal_cliques(g)
-        assert maximal_stables(g) == brute_maximal_cliques(complement(g))
+        assert list(map(set_of, maximal_cliques(g))) == set_maximal_cliques(g)
+        assert list(map(set_of, maximal_stables(g))) == set_maximal_stables(g)
 
 
 # ---------------------------------------------------------------- split
@@ -166,12 +147,11 @@ def test_maximal_cliques_against_bruteforce():
 
 def test_split_partitions_examples():
     single = split_partitions(complete_graph(1))
-    assert [(sorted(sp.clique_part), sorted(sp.stable_part)) for sp in single] == \
-        [([], [0]), ([0], [])]
+    assert [(sp.clique_part, sp.stable_part) for sp in single] == [(0, 0b1), (0b1, 0)]
     assert split_partitions(cycle_graph(5)) == []
     p3 = split_partitions(path_graph(3))
-    assert [(sorted(sp.clique_part), sorted(sp.stable_part)) for sp in p3] == \
-        [([0, 1], [2]), ([1], [0, 2]), ([1, 2], [0])]
+    assert [(sp.clique_part, sp.stable_part) for sp in p3] == \
+        [(0b011, 0b100), (0b010, 0b101), (0b110, 0b001)]
 
 
 def test_split_partitions_against_bruteforce():
@@ -179,8 +159,8 @@ def test_split_partitions_against_bruteforce():
     for trial in range(40):
         n = rnd.randint(0, 8)
         g = gen_gnp(n, rnd.random(), 100 + trial)
-        got = [(sp.clique_part, sp.stable_part) for sp in split_partitions(g)]
-        assert got == brute_split_partitions(g)
+        got = [(set_of(sp.clique_part), set_of(sp.stable_part)) for sp in split_partitions(g)]
+        assert got == set_split_partitions(g)
         assert bool(got) == is_split_graph(g)
 
 
@@ -198,7 +178,7 @@ def test_split_partition_count_linear_bound():
         for sp in parts:
             assert is_clique(g, sp.clique_part)
             assert is_stable(g, sp.stable_part)
-            assert sp.clique_part | sp.stable_part == frozenset(range(n))
+            assert sp.clique_part | sp.stable_part == (1 << n) - 1
             assert not sp.clique_part & sp.stable_part
     assert seen_split > 10
 
@@ -256,13 +236,42 @@ def test_contains_induced_matches_has_edge_search(g, pattern):
     assert contains_induced(g, larger) is has_edge_contains_induced(g, larger) is None
 
 
+@st.composite
+def split_graphs(draw, max_n):
+    """A clique on some vertices, a stable set on the rest, random edges
+    between them, and the vertices shuffled."""
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(0, n))
+    cross = [(u, v) for u in range(k) for v in range(k, n)]
+    mask = draw(st.integers(0, (1 << len(cross)) - 1))
+    perm = draw(st.permutations(range(n)))
+    edges = list(itertools.combinations(range(k), 2))
+    edges += [e for i, e in enumerate(cross) if mask >> i & 1]
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.one_of(graphs(12), split_graphs(12)))
+@example(empty_graph(0))
+@example(empty_graph(1))
+@example(gen_gnp(67, 0.5, 67))
+def test_mask_enumerators_match_set_oracles(g):
+    """The mask enumerators give the frozenset references' sets in the same
+    order: lexicographic by sorted member list."""
+    assert list(map(set_of, maximal_cliques(g))) == set_maximal_cliques(g)
+    assert list(map(set_of, maximal_stables(g))) == set_maximal_stables(g)
+    if g.n <= 12:  # split_partitions is exhaustive
+        assert [(set_of(sp.clique_part), set_of(sp.stable_part))
+                for sp in split_partitions(g)] == set_split_partitions(g)
+
+
 # ---------------------------------------------------------------- pairs
 
 
 def test_find_biclique_pair_examples():
     hit = find_biclique_pair(complete_graph(6), 3)
     assert hit is not None and hit.mode == "adjacent"
-    assert len(hit.a) >= 3 and len(hit.b) >= 3 and not hit.a & hit.b
+    assert hit.a.bit_count() >= 3 and hit.b.bit_count() >= 3 and not hit.a & hit.b
     hit = find_biclique_pair(empty_graph(6), 3)
     assert hit is not None and hit.mode == "nonadjacent"
     assert find_biclique_pair(cycle_graph(5), 2) is None
@@ -284,10 +293,10 @@ def test_find_biclique_pair_against_bruteforce():
         assert (got is not None) == exists
         if got is not None:
             assert got.exact
-            assert len(got.a) >= size and len(got.b) >= size
+            assert got.a.bit_count() >= size and got.b.bit_count() >= size
             assert not got.a & got.b
-            for x in got.a:
-                for y in got.b:
+            for x in bits(got.a):
+                for y in bits(got.b):
                     assert g.has_edge(x, y) == (got.mode == "adjacent")
 
 

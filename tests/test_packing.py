@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from csslab.graphs import (complement, complete_graph, cycle_graph, empty_graph,
-                           from_edges, gen_gnp, greedy_coloring,
-                           is_proper_coloring, mask_of, set_of)
+                           bits, from_edges, gen_gnp, greedy_coloring,
+                           is_proper_coloring, mask_of)
 from csslab.packing import (BicliqueCovering, CapExceeded, FoolingSet,
                             PackingCertificate, build_fooling_set, certificate_aux_pairs,
                             compose_coloring, fooling_to_packing,
@@ -27,8 +27,8 @@ def crossed_biclique_graph():
     """Six-vertex bipartite graph admitting a two-element oriented cover."""
     g = from_edges(6, [(0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5)])
     cert = PackingCertificate(g, (
-        (frozenset({0, 1}), frozenset({3, 4})),
-        (frozenset({4, 5}), frozenset({1, 2})),
+        (0b000011, 0b011000),
+        (0b110000, 0b000110),
     ))
     return g, cert
 
@@ -40,19 +40,19 @@ def test_verify_packing_crossed_cover():
     g, cert = crossed_biclique_graph()
     assert verify_packing(cert).ok
     # edge 1-4 is covered once in each direction
-    dirs = [(1 in a and 4 in b, 4 in a and 1 in b) for a, b in cert.bicliques]
-    assert (True, False) in dirs and (False, True) in dirs
+    dirs = [(a >> 1 & b >> 4 & 1, a >> 4 & b >> 1 & 1) for a, b in cert.bicliques]
+    assert dirs == [(1, 0), (0, 1)]
 
 
 def test_verify_packing_trivia():
     assert verify_packing(PackingCertificate(empty_graph(3), ())).ok
     k2 = complete_graph(2)
-    bc = (frozenset({0}), frozenset({1}))
+    bc = (0b01, 0b10)
     res = verify_packing(PackingCertificate(k2, (bc, bc)))
     assert not res.ok and res.violation == "doubly-covered-arc"
     res = verify_packing(PackingCertificate(k2, ()))
     assert not res.ok and res.violation == "uncovered-edge"
-    bad = (frozenset({0}), frozenset({1}))
+    bad = (0b01, 0b10)
     res = verify_packing(PackingCertificate(empty_graph(2), (bad,)))
     assert not res.ok and res.violation == "incomplete-biclique"
 
@@ -81,13 +81,10 @@ def test_verify_packing_witness_matches_pair_walk():
 
 def test_verify_fooling_trivia():
     g = complete_graph(1)
-    assert verify_fooling_set(FoolingSet(g, ((frozenset(), frozenset()),))).ok
-    two = FoolingSet(g, ((frozenset({0}), frozenset()),
-                         (frozenset(), frozenset({0}))))
+    assert verify_fooling_set(FoolingSet(g, ((0, 0),))).ok
+    two = FoolingSet(g, ((0b1, 0), (0, 0b1)))
     assert verify_fooling_set(two).ok
-    dup = FoolingSet(complete_graph(2),
-                     ((frozenset({0}), frozenset({1})),
-                      (frozenset({0}), frozenset({1}))))
+    dup = FoolingSet(complete_graph(2), ((0b01, 0b10), (0b01, 0b10)))
     res = verify_fooling_set(dup)
     assert not res.ok and res.violation == "uncrossed-pairs"
 
@@ -138,7 +135,7 @@ def test_fooling_to_packing_smallest():
     assert cert.host.n == 2 and len(cert.bicliques) == 1
     a, b = cert.bicliques[0]
     # the pair with v in the clique points at the pair with v in the stable set
-    assert len(a) == 1 and len(b) == 1
+    assert a.bit_count() == 1 and b.bit_count() == 1
 
 
 def test_fooling_roundtrip_c5():
@@ -169,14 +166,14 @@ def test_star_partition_reinterpreted():
 def test_star_partition_examples():
     assert star_partition(1).bicliques == ()
     two = star_partition(2)
-    assert two.bicliques == ((frozenset({0}), frozenset({1})),)
+    assert two.bicliques == ((0b01, 0b10),)
     four = star_partition(4)
     assert len(four.bicliques) == 3 and verify_packing(four).ok
     # exact edge partition: every edge covered exactly once, one direction
     covered = {}
     for left, right in four.bicliques:
-        for a in left:
-            for b in right:
+        for a in bits(left):
+            for b in bits(right):
                 key = (min(a, b), max(a, b))
                 covered[key] = covered.get(key, 0) + 1
     assert covered == {e: 1 for e in complete_graph(4).edges()}
@@ -233,8 +230,7 @@ def test_separator_to_coloring_reports_unseparated():
 
 def test_pairs_packing_k1():
     aux, pairs, cert = pairs_packing(complete_graph(1))
-    assert [(sorted(k), sorted(s)) for k, s in pairs] == \
-        [([], []), ([], [0]), ([0], [])]
+    assert pairs == [(0, 0), (0, 0b1), (0b1, 0)]
     assert len(cert.bicliques) <= 1
     assert verify_packing(cert).ok
 
@@ -284,17 +280,13 @@ def test_refine_hand_built_double_edge():
     # triangle covered by its three edges, plus the edge 0-1 again: only 0-1
     # is covered twice
     g = complete_graph(3)
-    cov = BicliqueCovering(g, (
-        (frozenset({0}), frozenset({1})),
-        (frozenset({1}), frozenset({2})),
-        (frozenset({0}), frozenset({2})),
-        (frozenset({1}), frozenset({0})),
-    ), 2)
+    cov = BicliqueCovering(g, ((0b001, 0b010), (0b010, 0b100), (0b001, 0b100),
+                               (0b010, 0b001)), 2)
     assert verify_covering(cov).ok
     ref = refine_t_covering(g, cov)
     assert ref.subgraph.edge_count() == 1
     assert len(ref.partition.bicliques) == 1
-    assert ref.partition.bicliques[0] in (((frozenset({0}), frozenset({1}))),)
+    assert ref.partition.bicliques[0] == (0b01, 0b10)
 
 
 def random_valid_2covering(rnd, n, k):
@@ -307,11 +299,11 @@ def random_valid_2covering(rnd, n, k):
                 continue
             cutoff = rnd.randint(1, len(verts) - 1)
             rnd.shuffle(verts)
-            bicliques.append((frozenset(verts[:cutoff]), frozenset(verts[cutoff:])))
+            bicliques.append((mask_of(verts[:cutoff]), mask_of(verts[cutoff:])))
         counts = {}
         for left, right in bicliques:
-            for a in left:
-                for b in right:
+            for a in bits(left):
+                for b in bits(right):
                     key = (min(a, b), max(a, b))
                     counts[key] = counts.get(key, 0) + 1
         if bicliques and counts and max(counts.values()) <= 2:
@@ -332,8 +324,8 @@ def test_refine_random_2coverings():
         # classes partition the exactly-2 subgraph
         seen = set()
         for left, right in ref.partition.bicliques:
-            for a in left:
-                for b in right:
+            for a in bits(left):
+                for b in bits(right):
                     e = (min(a, b), max(a, b))
                     assert e not in seen
                     seen.add(e)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from csslab.graphs import (bits, complement, complete_graph, cycle_graph,
                            empty_graph, from_edges, gen_gnp, is_clique, is_stable,
-                           mask_of, set_of)
+                           mask_of)
 from csslab.separator import (AppendixBoundReport, CutFamily, SeparationReport,
                               SeparatorBuildError, build_random_separator,
                               check_appendix_bound, disjoint_maximal_pairs,
@@ -21,7 +21,7 @@ from oracles import all_cuts_family, greedy_separator, pair_list_verify
 
 
 def all_cliques(g):
-    return [set_of(m) for m in _all_clique_masks(g)]
+    return list(_all_clique_masks(g))
 
 
 def separated_by_family(family, k, s):
@@ -32,9 +32,10 @@ def separated_by_family(family, k, s):
 
 
 def test_separates_examples():
-    assert separates(0b11111, frozenset({0, 1}), frozenset())
-    assert not separates(0, frozenset({0}), frozenset())
-    assert separates(0b00011, frozenset({0, 1}), frozenset({3}))
+    assert separates(0b11111, 0b11, 0)
+    assert not separates(0, 0b1, 0)
+    assert separates(0b00011, 0b11, 0b1000)
+    assert not separates(0b00011, 0b11, 0b10)
 
 
 def test_cut_family_rejects_duplicates_and_mismatch():
@@ -59,7 +60,7 @@ def test_verify_k3_single_cut():
 def test_verify_c5_empty_family_first_witness():
     rep = verify_cs_separator(cycle_graph(5), CutFamily(5, []))
     assert not rep.ok
-    assert rep.witness == (frozenset({0, 1}), frozenset({2, 4}))
+    assert rep.witness == (0b00011, 0b10100)
     k, s = rep.witness
     assert is_clique(cycle_graph(5), k) and is_stable(cycle_graph(5), s) and not k & s
 
@@ -111,13 +112,13 @@ def test_extend_separates_all_pairs():
         for k in cliques:
             for s in stables:
                 if not k & s:
-                    assert separated_by_family(full, k, s), (sorted(k), sorted(s))
+                    assert separated_by_family(full, k, s), (bin(k), bin(s))
 
 
 def test_extend_k3_separates_nonmaximal_pair():
     g = complete_graph(3)
     full = extend_to_full_separator(g, CutFamily(3, []))
-    assert separated_by_family(full, frozenset({0}), frozenset({1}))
+    assert separated_by_family(full, 0b01, 0b10)
 
 
 # ---------------------------------------------------------------- random builder
@@ -273,7 +274,7 @@ def test_verify_matches_oracle_beyond_one_word():
         assert agree(g, fam).ok
         for _ in range(3):
             rep = agree(g, CutFamily(n, [a for a in fam.masks if rnd.random() < 0.9]))
-            if not rep.ok and max(rep.witness[0] | rep.witness[1]) >= 64:
+            if not rep.ok and (rep.witness[0] | rep.witness[1]).bit_length() > 64:
                 high_witnesses += 1
     assert high_witnesses >= 8
 

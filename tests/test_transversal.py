@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from csslab.graphs import (complement, complete_graph,
                            comparability_from_random_poset, contains_induced,
                            cycle_graph, empty_graph, from_edges, gen_gnp,
-                           mask_of, net_graph, path_graph, set_of)
+                           mask_of, net_graph, path_graph)
 from csslab import transversal
 from csslab.lp import solve_lp
 from csslab.separator import disjoint_maximal_pairs, verify_cs_separator
@@ -23,7 +23,8 @@ from csslab.transversal import (BicliquePairNotFound, ConflictDigraph, Digraph,
                                 path_free_constant, side_weights,
                                 split_free_report, transversal_budget,
                                 vc_dimension)
-from oracles import scan_greedy_transversal, unmemoised_pair_pipeline
+from oracles import (scan_greedy_transversal, set_of, substitution_graph,
+                     unmemoised_pair_pipeline)
 
 # ---------------------------------------------------------------- digraphs
 
@@ -37,33 +38,33 @@ def test_digraph_rejects_bad_arcs():
 
 def test_conflict_digraph_examples():
     g_edge = from_edges(2, [(0, 1)])
-    cd = conflict_digraph(g_edge, frozenset({0}), frozenset({1}))
+    cd = conflict_digraph(g_edge, 0b1, 0b10)
     assert cd.digraph.out == (0b10, 0)  # arc K -> S
     g_non = empty_graph(2)
-    cd = conflict_digraph(g_non, frozenset({0}), frozenset({1}))
+    cd = conflict_digraph(g_non, 0b1, 0b10)
     assert cd.digraph.out == (0, 0b01)  # arc S -> K
     with pytest.raises(ValueError):
-        conflict_digraph(g_non, frozenset({0, 1}), frozenset())  # not a clique
+        conflict_digraph(g_non, 0b11, 0)  # not a clique
     with pytest.raises(ValueError):
-        conflict_digraph(g_edge, frozenset({0}), frozenset({0}))
+        conflict_digraph(g_edge, 0b1, 0b1)
 
 
 def test_conflict_digraph_rejects_nonstable():
     g = from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        conflict_digraph(g, frozenset({0}), frozenset({1, 2}))
+        conflict_digraph(g, 0b1, 0b110)
 
 
 def test_side_weights_edge_pair_prefers_s():
     g = from_edges(2, [(0, 1)])
-    cd = conflict_digraph(g, frozenset({0}), frozenset({1}))
+    cd = conflict_digraph(g, 0b1, 0b10)
     sw = side_weights(cd, g)
     assert sw.side == "S" and sw.weights == {1: 2}
 
 
 def test_side_weights_nonedge_pair_prefers_k():
     g = empty_graph(2)
-    cd = conflict_digraph(g, frozenset({0}), frozenset({1}))
+    cd = conflict_digraph(g, 0b1, 0b10)
     sw = side_weights(cd, g)
     assert sw.side == "K" and sw.weights == {0: 2}
 
@@ -74,8 +75,7 @@ def test_side_weights_on_actual_pairs():
     for trial in range(25):
         n = rnd.randint(3, 9)
         g = gen_gnp(n, rnd.choice([0.3, 0.5, 0.7]), 7000 + trial)
-        for kmask, smask in disjoint_maximal_pairs(g)[:6]:
-            k, s = set_of(kmask), set_of(smask)
+        for k, s in disjoint_maximal_pairs(g)[:6]:
             cd = conflict_digraph(g, k, s)
             sw = side_weights(cd, g)  # exact >= 1 checks run inside
             assert sw.side in ("K", "S")
@@ -88,7 +88,7 @@ def test_side_weights_pinned_instance():
     # fixed conflict instance kept as a regression anchor: triangle clique,
     # two stable vertices each adjacent to one clique vertex
     g = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
-    cd = conflict_digraph(g, frozenset({0, 1, 2}), frozenset({3, 4}))
+    cd = conflict_digraph(g, 0b111, 0b11000)
     sw = side_weights(cd, g)
     assert sw.side == "K"
     assert sw.weights == {0: 1, 1: 1, 2: 0}
@@ -109,7 +109,7 @@ def test_side_weights_pinned_instance():
 def test_side_weights_rejects_a_bad_certificate(monkeypatch, weights, message):
     # the pinned instance with the LP's weights replaced
     g = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
-    cd = conflict_digraph(g, frozenset({0, 1, 2}), frozenset({3, 4}))
+    cd = conflict_digraph(g, 0b111, 0b11000)
     monkeypatch.setattr(transversal, "_side_feasible", lambda rows, nv: weights)
     with pytest.raises(RuntimeError, match=message):
         side_weights(cd, g)
@@ -117,7 +117,7 @@ def test_side_weights_rejects_a_bad_certificate(monkeypatch, weights, message):
 
 def test_side_weights_accepts_out_weight_exactly_one(monkeypatch):
     g = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
-    cd = conflict_digraph(g, frozenset({0, 1, 2}), frozenset({3, 4}))
+    cd = conflict_digraph(g, 0b111, 0b11000)
     weights = (Fraction(1), Fraction(2, 3), Fraction(1, 3))
     monkeypatch.setattr(transversal, "_side_feasible", lambda rows, nv: weights)
     assert side_weights(cd, g).weights == {0: 1, 1: Fraction(2, 3), 2: Fraction(1, 3)}
@@ -128,16 +128,16 @@ def test_side_weights_accepts_out_weight_exactly_one(monkeypatch):
 
 def test_build_hypergraph_examples():
     g = from_edges(3, [(0, 2)])  # K={0,1}, S={2}; 2 adjacent to 0 only
-    h, ids = build_hypergraph(g, frozenset({0, 1}), frozenset({2}))
+    h, ids = build_hypergraph(g, 0b11, 0b100)
     assert ids == (0, 1)
     assert h.edges == (0b10,)
     # neighbors in g are the non-neighbors in the complement
-    h2, _ = build_hypergraph(complement(g), frozenset({2}), frozenset({0, 1}))
+    h2, _ = build_hypergraph(complement(g), 0b100, 0b11)
     assert h2.edges == (0b1, 0)
-    h3, _ = build_hypergraph(g, frozenset({0, 1}), frozenset())
+    h3, _ = build_hypergraph(g, 0b11, 0)
     assert h3.edges == ()
     with pytest.raises(ValueError):
-        build_hypergraph(g, frozenset({0}), frozenset({0}))
+        build_hypergraph(g, 0b1, 0b1)
 
 
 def brute_fractional_transversality(h):
@@ -167,11 +167,11 @@ def brute_min_hitting(h):
 
 
 def test_transversal_examples_and_oracle():
-    assert greedy_transversal(Hypergraph(3, [])) == frozenset()
-    assert greedy_transversal(Hypergraph(2, [0b01, 0b10])) == frozenset({0, 1})
+    assert greedy_transversal(Hypergraph(3, [])) == 0
+    assert greedy_transversal(Hypergraph(2, [0b01, 0b10])) == 0b11
     tri = Hypergraph(3, [0b011, 0b110, 0b101])
-    assert len(greedy_transversal(tri)) == 2
-    assert len(exact_min_transversal(tri)) == 2
+    assert greedy_transversal(tri).bit_count() == 2
+    assert exact_min_transversal(tri).bit_count() == 2
     rnd = random.Random(23)
     for trial in range(30):
         n = rnd.randint(1, 7)
@@ -182,10 +182,11 @@ def test_transversal_examples_and_oracle():
             edges.append(mask_of(e))
         h = Hypergraph(n, edges)
         exact = exact_min_transversal(h)
-        assert len(exact) == brute_min_hitting(h)
+        assert exact.bit_count() == brute_min_hitting(h)
+        assert all(exact & e for e in h.edges)
         greedy = greedy_transversal(h)
-        assert all(set(greedy) & set_of(e) for e in h.edges)
-        assert len(greedy) >= len(exact)
+        assert all(greedy & e for e in h.edges)
+        assert greedy.bit_count() >= exact.bit_count()
 
 
 @st.composite
@@ -211,7 +212,7 @@ def hitting_instances(draw):
 @example((5, [0b00110, 0b11000, 0b00110]))  # 1 and 2 tie at two hits
 def test_greedy_transversal_matches_scan_oracle(instance):
     n, edges = instance
-    assert greedy_transversal(Hypergraph(n, edges)) == \
+    assert set_of(greedy_transversal(Hypergraph(n, edges))) == \
         scan_greedy_transversal(n, map(set_of, edges))
 
 
@@ -292,8 +293,8 @@ def test_split_free_pipeline_certificates():
             assert rep.vc.exact and rep.vc.value <= 2 * phi - 1
             assert rep.tau <= budget
             # the emitted cut separates its generating pair
-            assert mask_of(rep.clique) & ~rep.cut_mask == 0
-            assert mask_of(rep.stable) & rep.cut_mask == 0
+            assert rep.clique & ~rep.cut_mask == 0
+            assert rep.stable & rep.cut_mask == 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -314,8 +315,7 @@ def test_shared_memo_matches_unmemoised_pipeline_on_random_graphs():
     for seed in range(4):
         g = gen_gnp(12, 0.5, 1200 + seed)
         memo = {}
-        for kmask, smask in disjoint_maximal_pairs(g):
-            k, s = set_of(kmask), set_of(smask)
+        for k, s in disjoint_maximal_pairs(g):
             rep = separate_pair_split_free(g, k, s, budget, memo=memo)
             assert rep == unmemoised_pair_pipeline(g, k, s, budget)
             assert rep == separate_pair_split_free(g, k, s, budget)
@@ -399,6 +399,38 @@ def test_pk_free_tiny_t_k_keeps_the_base_case(g):
                 for t_k in (5e-324, 1e-300, 1e-10, 0.25)]
     assert all(fam == families[-1] for fam in families)
     assert len(families[-1]) == 1 << g.n
+
+
+def test_pk_free_leaf_count_bound(monkeypatch):
+    """K_{7,7} takes the complement route to two disjoint K7 leaves, 255
+    distinct cuts; two leaves exceed n^c = 14^0.01, so the build raises.
+    One leaf never raises, on no vertices included."""
+    g = from_edges(14, [(u, v) for u in range(7) for v in range(7, 14)])
+    fam = build_pk_free_separator(g, k=5, t_k=0.25)
+    assert len(fam) == 255 and verify_cs_separator(g, fam).ok
+    monkeypatch.setattr(transversal, "path_free_constant", lambda t_k: 0.01)
+    with pytest.raises(RuntimeError, match="exceeds its size bound"):
+        build_pk_free_separator(g, k=5, t_k=0.25)
+    for h in (empty_graph(0), empty_graph(1), complete_graph(12)):
+        assert len(build_pk_free_separator(h, k=5, t_k=0.25)) == 1 << h.n
+
+
+# The pair search is exact on levels of at most 24 vertices, and there a
+# substitution graph on m vertices has a pair of size m / 7: a module S with
+# m/7 <= |S| <= 5m/7 (prime nodes have at most five children) against the
+# larger of the vertices complete or anticomplete to it.  Larger levels rely
+# on the greedy search.
+PK_T = 1 / 7
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(14, 30), st.integers(0, 2 ** 32 - 1))
+def test_pk_free_builds_recurse_on_substitution_graphs(n, seed):
+    g = substitution_graph(random.Random(seed), n)
+    fam = build_pk_free_separator(g, k=5, t_k=PK_T)
+    assert verify_cs_separator(g, fam).ok
+    # each leaf gives at most 2^PK_BASE_SIZE cuts, and there are at most n^c
+    assert len(fam) <= 2 ** transversal.PK_BASE_SIZE * n ** path_free_constant(PK_T)
 
 
 def test_pk_free_rejects_paths():
