@@ -135,23 +135,28 @@ def covering_covers(covering, solutions) -> list:
 
     An index holds one solution bitset per (vertex, value): bit i is set when
     solution i gives the vertex that value.  An assignment then allows the
-    AND over the vertices of the OR of the bitsets of the values on its list.
-    Each newly covered solution is confirmed once by
-    ``stubborn_assignment_compatible``."""
+    AND over the vertices of the OR of the bitsets of the values on its list;
+    each vertex computes that OR once per distinct list.  Each newly covered
+    solution is confirmed once by ``stubborn_assignment_compatible``."""
     solutions = list(solutions)
     index = [{} for _ in range(len(solutions[0]))] if solutions else []
     for i, sol in enumerate(solutions):
         for row, value in zip(index, sol):
             row[value] = row.get(value, 0) | 1 << i
+    ors = [{} for _ in index]  # per vertex: list -> OR of its values' bitsets
     uncovered = (1 << len(solutions)) - 1
     for la in covering:
         if not uncovered:
             break
         allowed = uncovered
-        for row, lst in zip(index, la):
-            ored = 0
-            for value in lst:
-                ored |= row.get(value, 0)
+        for row, memo, lst in zip(index, ors, la):
+            key = frozenset(lst)
+            ored = memo.get(key)
+            if ored is None:
+                ored = 0
+                for value in key:
+                    ored |= row.get(value, 0)
+                memo[key] = ored
             allowed &= ored
         for i in bits(allowed):
             if not stubborn_assignment_compatible(la, solutions[i]):
@@ -560,9 +565,18 @@ def _side(inst: CcpInstance, x: int, cover_stubborn, frame
     refine_cov = cover_stubborn(trivial_stubborn(refine))
     if not pool:  # the empty neighborhood has one list assignment, the empty one
         return pool, [()]
+    lists = {}  # (main list, refine list) -> translated color list
+
+    def translated(main_list, refine_list):
+        lst = lists.get((main_list, refine_list))
+        if lst is None:
+            lst = frozenset(frame[c] for c in _translate(main_list, refine_list))
+            lists[main_list, refine_list] = lst
+        return lst
+
+    vertices = range(len(pool))
     return pool, list(dict.fromkeys(
-        tuple(frozenset(frame[c] for c in _translate(f[v], fp[v]))
-              for v in range(len(pool)))
+        tuple([translated(f[v], fp[v]) for v in vertices])
         for f in main_cov for fp in refine_cov))
 
 
@@ -582,15 +596,22 @@ def stubborn_to_3ccp_covering(inst: CcpInstance, x: int, cover_stubborn,
     _check_vertex(inst, x)
     if target not in (0, 1, 2):
         raise ValueError("target color must be 0, 1 or 2")
+    verdicts = [really_3colorable(inst, x, color) for color in (0, 1, 2)]
+    return _slice_covering(inst, x, cover_stubborn, target, verdicts)
+
+
+def _slice_covering(inst: CcpInstance, x: int, cover_stubborn, target: int,
+                    verdicts) -> list[ListAssignment]:
+    """``stubborn_to_3ccp_covering`` on a checked vertex and target, given
+    ``verdicts[c] = really_3colorable(inst, x, c)`` for the colors c."""
     perm = [0, 1, 2]
     perm[0], perm[target] = target, 0
     a, b, c = perm
 
-    ok, _ = really_3colorable(inst, x, a)
-    if not ok:
+    if not verdicts[a][0]:
         return []
     for other in (b, c):
-        ok, wit = really_3colorable(inst, x, other)
+        ok, wit = verdicts[other]
         if not ok:
             raise NotReallyThreeColorable(x, other, wit)
 
@@ -614,13 +635,26 @@ def stubborn_to_3ccp_covering(inst: CcpInstance, x: int, cover_stubborn,
 
 def full_3ccp_covering_via_stubborn(inst: CcpInstance, x: int,
                                     cover_stubborn) -> list[ListAssignment]:
-    """Union of the three per-color coverings for a fixed branch vertex."""
+    """Union of the three per-color coverings for a fixed branch vertex, the
+    same as ``stubborn_to_3ccp_covering`` for the targets 0, 1, 2 in turn,
+    with the really-3-colorable test run once per color."""
+    _check_vertex(inst, x)
+    verdicts = [really_3colorable(inst, x, color) for color in (0, 1, 2)]
     return list(dict.fromkeys(
         la for target in (0, 1, 2)
-        for la in stubborn_to_3ccp_covering(inst, x, cover_stubborn, target)))
+        for la in _slice_covering(inst, x, cover_stubborn, target, verdicts)))
 
 
 # -- edge-coloring coverings -> separators ---------------------------------------
+
+
+# list -> where ccp_covering_to_separator puts its vertex: 0 the {A,B} set,
+# 1 the {B,C} side, 2 the {A,C} side (the B side of the cut)
+_CUT_SIDE = {
+    frozenset({0, 1}): 0,
+    frozenset({1, 2}): 1, frozenset({1}): 1, frozenset({2}): 1,
+    frozenset({0, 2}): 2, frozenset({0}): 2,
+}
 
 
 def ccp_covering_to_separator(g: Graph, covering) -> CutFamily:
@@ -628,26 +662,31 @@ def ccp_covering_to_separator(g: Graph, covering) -> CutFamily:
     assignment and every split partition of its {A,B} set the cut (clique
     part plus the {B,C} vertices) versus the rest.  Singleton lists fold into
     a side that keeps the construction sound: B joins the {B,C} side, A the
-    {A,C} side, C the {B,C} side."""
-    ab = frozenset({0, 1})
-    bc = frozenset({1, 2})
-    ac = frozenset({0, 2})
+    {A,C} side, C the {B,C} side.
+
+    The cuts depend only on the {A,B} and {B,C} vertex masks, so an
+    assignment repeating an earlier pair of masks is checked but adds no cut,
+    and the clique parts of each {A,B} mask are enumerated once."""
     masks = []
+    seen = set()  # (A,B mask, B,C mask) pairs already cut
+    clique_parts = {}  # A,B mask -> host masks of its split clique parts
     for la in covering:
         if len(la) != g.n:
             raise ValueError("assignment length must match the graph")
-        x_mask = y_mask = 0
+        sides = [0, 0, 0]  # the {A,B} vertices, the {B,C} side, the rest
         for v, lst in enumerate(la):
-            lst = frozenset(lst)
-            if lst == ab:
-                x_mask |= 1 << v
-            elif lst == bc or lst == frozenset({1}) or lst == frozenset({2}):
-                y_mask |= 1 << v
-            elif lst == ac or lst == frozenset({0}):
-                pass  # lands on the B side implicitly
-            else:
+            side = _CUT_SIDE.get(frozenset(lst))
+            if side is None:
                 raise MalformedCovering(f"vertex {v} carries unusable list {sorted(lst)}")
-        sub, ids = induced(g, bits(x_mask))
-        for sp in split_partitions(sub):
-            masks.append(y_mask | mask_of(ids[i] for i in bits(sp.clique_part)))
+            sides[side] |= 1 << v
+        x_mask, y_mask, _ = sides
+        if (x_mask, y_mask) in seen:
+            continue
+        seen.add((x_mask, y_mask))
+        parts = clique_parts.get(x_mask)
+        if parts is None:
+            sub, ids = induced(g, bits(x_mask))
+            parts = clique_parts[x_mask] = [
+                mask_of(ids[i] for i in bits(sp.clique_part)) for sp in split_partitions(sub)]
+        masks.extend(y_mask | part for part in parts)
     return family_from_masks(g.n, masks)

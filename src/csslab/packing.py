@@ -49,9 +49,12 @@ class VerifyResult:
 
 
 def _first_bad_biclique(g: Graph, sides) -> VerifyResult | None:
-    """The first (left, right) in ``sides`` whose sides meet, or that misses
-    an edge between them; None when every one is a biclique of ``g``."""
+    """The first (left, right) in ``sides`` that names a vertex outside
+    ``g``, whose sides meet, or that misses an edge between them; None when
+    every one is a biclique of ``g``."""
     for i, (left, right) in enumerate(sides):
+        if (left | right) >> g.n:
+            return VerifyResult(False, "vertex-out-of-range", (i,))
         if left & right:
             return VerifyResult(False, "sides-intersect", (i,))
         for a in bits(left):
@@ -118,6 +121,8 @@ def verify_covering(cov: BicliqueCovering) -> VerifyResult:
 def verify_fooling_set(fs: FoolingSet) -> VerifyResult:
     g = fs.host
     for i, (k, s) in enumerate(fs.pairs):
+        if (k | s) >> g.n:
+            return VerifyResult(False, "vertex-out-of-range", (i,))
         if k & s:
             return VerifyResult(False, "pair-intersects", (i,))
         if not is_clique(g, k):

@@ -4,9 +4,11 @@ against, and fixture builders that only tests use."""
 import itertools
 from fractions import Fraction
 
-from csslab.csp import (stubborn_assignment_compatible, verify_3ccp_solution,
-                        verify_stubborn_solution)
-from csslab.graphs import bits, complement, from_edges, greedy_coloring
+from csslab.csp import (MalformedCovering, NotReallyThreeColorable, _derived_graph,
+                        _translate, really_3colorable, stubborn_assignment_compatible,
+                        trivial_stubborn, verify_3ccp_solution, verify_stubborn_solution)
+from csslab.graphs import (bits, complement, from_edges, greedy_coloring, induced,
+                           mask_of, split_partitions)
 from csslab.lp import LpResult
 from csslab.packing import BicliqueCovering, VerifyResult, _first_bad_biclique
 from csslab.rng import SplitMix64, bernoulli_threshold
@@ -119,6 +121,113 @@ def scan_covering_covers(covering, solutions) -> list:
     """``covering_covers`` by scanning the covering for each solution."""
     return [sol for sol in solutions
             if not any(stubborn_assignment_compatible(la, sol) for la in covering)]
+
+
+def per_assignment_covering_covers(covering, solutions) -> list:
+    """``covering_covers`` with the OR of each list's solution bitsets
+    recomputed for every assignment, confirming each newly covered solution
+    by ``stubborn_assignment_compatible``."""
+    solutions = list(solutions)
+    index = [{} for _ in range(len(solutions[0]))] if solutions else []
+    for i, sol in enumerate(solutions):
+        for row, value in zip(index, sol):
+            row[value] = row.get(value, 0) | 1 << i
+    uncovered = (1 << len(solutions)) - 1
+    for la in covering:
+        if not uncovered:
+            break
+        allowed = uncovered
+        for row, lst in zip(index, la):
+            ored = 0
+            for value in lst:
+                ored |= row.get(value, 0)
+            allowed &= ored
+        for i in bits(allowed):
+            if not stubborn_assignment_compatible(la, solutions[i]):
+                raise RuntimeError(
+                    f"implementation bug: solution index allows {solutions[i]} "
+                    f"under an assignment that does not")
+        uncovered &= ~allowed
+    return [solutions[i] for i in bits(uncovered)]
+
+
+def per_vertex_side(inst, x: int, cover_stubborn, frame):
+    """``csp._side`` translating every vertex of every (main, refine)
+    assignment pair afresh."""
+    _, near, far = frame
+    main, pool = _derived_graph(inst, inst.classes[far][x], (near, far))
+    refine, _ = _derived_graph(inst, inst.classes[far][x], (near,))
+    main_cov = cover_stubborn(trivial_stubborn(main))
+    refine_cov = cover_stubborn(trivial_stubborn(refine))
+    if not pool:
+        return pool, [()]
+    return pool, list(dict.fromkeys(
+        tuple(frozenset(frame[c] for c in _translate(f[v], fp[v]))
+              for v in range(len(pool)))
+        for f in main_cov for fp in refine_cov))
+
+
+def per_target_3ccp_covering(inst, x: int, cover_stubborn, target: int = 0) -> list:
+    """``stubborn_to_3ccp_covering`` on ``per_vertex_side``, running the
+    really-3-colorable test for the target and then the other two colors."""
+    if not 0 <= x < inst.n:
+        raise ValueError(f"vertex {x} is not in the {inst.n}-vertex instance")
+    perm = [0, 1, 2]
+    perm[0], perm[target] = target, 0
+    a, b, c = perm
+    ok, _ = really_3colorable(inst, x, a)
+    if not ok:
+        return []
+    for other in (b, c):
+        ok, wit = really_3colorable(inst, x, other)
+        if not ok:
+            raise NotReallyThreeColorable(x, other, wit)
+    c_pool, c_side = per_vertex_side(inst, x, cover_stubborn, (a, b, c))
+    b_pool, b_side = per_vertex_side(inst, x, cover_stubborn, (a, c, b))
+    out = []
+    for cl in c_side:
+        for bl in b_side:
+            la = [None] * inst.n
+            la[x] = frozenset({a})
+            for v in bits(inst.classes[a][x]):
+                la[v] = frozenset({b, c})
+            for v, lst in zip(c_pool, cl):
+                la[v] = lst
+            for v, lst in zip(b_pool, bl):
+                la[v] = lst
+            out.append(tuple(la))
+    return list(dict.fromkeys(out))
+
+
+def per_target_full_3ccp_covering(inst, x: int, cover_stubborn) -> list:
+    """``full_3ccp_covering_via_stubborn`` as the union of the three
+    ``per_target_3ccp_covering`` calls, nine really-3-colorable tests."""
+    return list(dict.fromkeys(
+        la for target in (0, 1, 2)
+        for la in per_target_3ccp_covering(inst, x, cover_stubborn, target)))
+
+
+def unmemoised_ccp_covering_to_separator(g, covering) -> CutFamily:
+    """``ccp_covering_to_separator`` classifying lists by comparison and
+    enumerating the split partitions of every assignment's {A,B} set."""
+    ab, bc, ac = frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})
+    masks = []
+    for la in covering:
+        if len(la) != g.n:
+            raise ValueError("assignment length must match the graph")
+        x_mask = y_mask = 0
+        for v, lst in enumerate(la):
+            lst = frozenset(lst)
+            if lst == ab:
+                x_mask |= 1 << v
+            elif lst == bc or lst == frozenset({1}) or lst == frozenset({2}):
+                y_mask |= 1 << v
+            elif not (lst == ac or lst == frozenset({0})):
+                raise MalformedCovering(f"vertex {v} carries unusable list {sorted(lst)}")
+        sub, ids = induced(g, bits(x_mask))
+        for sp in split_partitions(sub):
+            masks.append(y_mask | mask_of(ids[i] for i in bits(sp.clique_part)))
+    return family_from_masks(g.n, masks)
 
 
 def product_filter_maximal_stubborn(inst) -> list:

@@ -1,9 +1,12 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csslab.graphs import (complement, complete_graph, cycle_graph, empty_graph,
                            from_edges, gen_gnp, is_clique, is_stable, mask_of)
@@ -24,8 +27,11 @@ from csslab.csp import (CcpInstance, MalformedCovering, NotReallyThreeColorable,
                         two_list_to_2sat, verify_3ccp_solution,
                         verify_stubborn_solution)
 
-from oracles import (pairwise_3ccp_solution, product_filter_3ccp,
-                     product_filter_maximal_stubborn, scan_covering_covers)
+import oracles
+from oracles import (pairwise_3ccp_solution, per_assignment_covering_covers,
+                     per_target_3ccp_covering, per_target_full_3ccp_covering,
+                     product_filter_3ccp, product_filter_maximal_stubborn,
+                     scan_covering_covers, unmemoised_ccp_covering_to_separator)
 
 
 def separator_provider(seed):
@@ -429,9 +435,8 @@ def test_transformer_rejects_malformed_sub_covering():
     def junk_provider(sub_inst):
         return [tuple(frozenset({1}) for _ in range(sub_inst.graph.n))]
 
-    if (4 - 1) > 0:
-        with pytest.raises(MalformedCovering):
-            stubborn_to_3ccp_covering(inst, 0, junk_provider)
+    with pytest.raises(MalformedCovering):
+        stubborn_to_3ccp_covering(inst, 0, junk_provider)
 
 
 def test_transformer_rejects_vertex_outside_instance():
@@ -486,3 +491,148 @@ def test_full_loop_small():
         assert not covering_covers(cov4, all_3ccp_solutions(enc))
         fam5 = ccp_covering_to_separator(g, cov4)
         assert verify_cs_separator(g, fam5).ok
+
+
+# ---------------------------------------------------------------- parity with the per-call oracles
+
+
+CUT_LISTS = tuple(map(frozenset, ({0, 1}, {1, 2}, {0, 2}, {0}, {1}, {2})))
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type, message and payload of what
+    it raises."""
+    try:
+        return fn(*args)
+    except NotReallyThreeColorable as e:
+        return type(e), str(e), e.vertex, e.color, e.witness
+    except ValueError as e:  # MalformedCovering included
+        return type(e), str(e)
+
+
+def cut_masks(g, covering, transformer):
+    return outcome(lambda: transformer(g, covering).masks)
+
+
+@st.composite
+def two_list_coverings(draw):
+    """A graph on at most 6 vertices and a covering of its two-color
+    encoding made of a few base assignments, repeated verbatim or with lists
+    outside the {A,B} set changed, so that {A,B} sets repeat; sometimes one
+    list is unusable."""
+    n = draw(st.integers(1, 6))
+    g = gen_gnp(n, draw(st.sampled_from((0.3, 0.5, 0.7))), draw(st.integers(0, 2 ** 32)))
+    lists = st.sampled_from(CUT_LISTS)
+    bases = draw(st.lists(st.tuples(*[lists] * n), min_size=1, max_size=4))
+    covering = []
+    for _ in range(draw(st.integers(1, 14))):
+        la = list(draw(st.sampled_from(bases)))
+        for v in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            if la[v] != CUT_LISTS[0]:
+                la[v] = draw(st.sampled_from(CUT_LISTS[1:]))
+        covering.append(tuple(la))
+    if covering and draw(st.integers(0, 7)) == 0:
+        i, v = draw(st.integers(0, len(covering) - 1)), draw(st.integers(0, n - 1))
+        bad = draw(st.sampled_from((frozenset({0, 1, 2}), frozenset(), frozenset({3}))))
+        covering[i] = covering[i][:v] + (bad,) + covering[i][v + 1:]
+    as_list = draw(st.sampled_from((frozenset, lambda lst: tuple(sorted(lst)))))
+    return g, [tuple(map(as_list, la)) for la in covering]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(two_list_coverings())
+def test_ccp_covering_to_separator_matches_unmemoised(case):
+    g, covering = case
+    assert (cut_masks(g, covering, ccp_covering_to_separator)
+            == cut_masks(g, covering, unmemoised_ccp_covering_to_separator))
+
+
+def recorded_provider(seed, junk_call, calls):
+    """``separator_provider(seed)`` that logs each instance it is given and,
+    on call number ``junk_call``, hands back a covering whose first list is
+    {1}, which has no row in the translation table."""
+    inner = separator_provider(seed)
+
+    def provider(sub_inst):
+        calls.append((sub_inst.graph.n, sub_inst.graph.adj, sub_inst.lists))
+        cov = inner(sub_inst)
+        if len(calls) - 1 == junk_call and sub_inst.graph.n:
+            cov = [(frozenset({1}),) + cov[0][1:]] + cov[1:]
+        return cov
+    return provider
+
+
+def blocked_instance(x, alpha, ring_color, ring):
+    """Six vertices: x sees the other five through color ``alpha``, which
+    carry a five-cycle in ``ring_color`` (``ring`` lists it in order) and the
+    third color elsewhere, so x is not really 3-colorable for alpha."""
+    other = 3 - alpha - ring_color
+    cycle = {frozenset(p) for p in zip(ring, ring[1:] + ring[:1])}
+    return CcpInstance(6, [alpha if x in (u, v) else ring_color
+                           if frozenset((u, v)) in cycle else other
+                           for u, v in itertools.combinations(range(6), 2)])
+
+
+@st.composite
+def branch_cases(draw):
+    """A graph on at most 6 vertices, a 3-CCP instance (its two-color
+    encoding, a random three-coloring, or a six-vertex instance blocked for
+    one color at the branch vertex), a branch vertex, a provider seed and
+    the provider call, if any, that returns a malformed covering."""
+    n = draw(st.sampled_from(range(1, 7)))
+    seed = draw(st.integers(0, 2 ** 32))
+    g = gen_gnp(n, draw(st.sampled_from((0.3, 0.5, 0.7))), seed)
+    x = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(("graph", "random") * 2 + ("blocked",) * (n == 6)))
+    if kind == "graph":
+        inst = ccp_of_graph(g)
+    elif kind == "random":
+        inst = random_ccp_instance(n, seed)
+    else:
+        alpha, ring_color = draw(st.permutations((0, 1, 2)))[:2]
+        ring = draw(st.permutations([v for v in range(6) if v != x]))
+        inst = blocked_instance(x, alpha, ring_color, ring)
+    junk_call = draw(st.one_of(st.none(), st.none(), st.integers(0, 11)))
+    return g, inst, x, seed % 1000, junk_call
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(branch_cases())
+@example((cycle_graph(4), ccp_of_graph(cycle_graph(4)), 0, 1, 0))
+def test_3ccp_coverings_match_per_target_oracle(case):
+    """The full covering, each per-target covering, the cuts made from the
+    full covering and the solutions it misses equal those of the per-call
+    oracles, with the same provider calls in the same order and the same
+    exceptions."""
+    g, inst, x, seed, junk_call = case
+
+    def run(fn, *target):
+        calls = []
+        return outcome(fn, inst, x, recorded_provider(seed, junk_call, calls), *target), calls
+
+    full, calls = run(full_3ccp_covering_via_stubborn)
+    assert (full, calls) == run(per_target_full_3ccp_covering)
+    for target in (0, 1, 2):
+        assert run(stubborn_to_3ccp_covering, target) == run(per_target_3ccp_covering, target)
+    if not isinstance(full, list):
+        return
+    assert (cut_masks(g, full, ccp_covering_to_separator)
+            == cut_masks(g, full, unmemoised_ccp_covering_to_separator))
+    sols = all_3ccp_solutions(inst)
+    for covering in (full, full[::2], full[1::3] + full[:4]):
+        assert (with_confirmations(covering_covers, covering, sols)
+                == with_confirmations(per_assignment_covering_covers, covering, sols))
+
+
+def with_confirmations(covers, covering, solutions):
+    """``covers(covering, solutions)`` and the ``stubborn_assignment_compatible``
+    calls it made, in order."""
+    real, log = csp.stubborn_assignment_compatible, []
+
+    def counted(la, part):
+        log.append((la, part))
+        return real(la, part)
+
+    with (mock.patch.object(csp, "stubborn_assignment_compatible", counted),
+          mock.patch.object(oracles, "stubborn_assignment_compatible", counted)):
+        return covers(covering, solutions), log

@@ -216,3 +216,24 @@ def test_every_traced_span_names_a_callable(monkeypatch):
         if not callable(owner):
             dangling.append(f"{module}.{attr}")
     assert tracer.SPANS and dangling == []
+
+
+def test_no_process_wide_memo():
+    """The benchmark's worker (bench/worker.py) runs every invocation of a
+    pass in one process, so a memo that outlived a call would carry work
+    from one invocation to the next.  ``functools`` caches decorate only the
+    CLI parser builder, which holds no result of a run; memos of a
+    computation are locals of the call that fills them."""
+    memos = {"cache", "lru_cache", "cached_property"}
+    decorated, uses = [], 0
+    for path in sorted(Path(csslab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                uses += sum(alias.name in memos for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and node.attr in memos
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                uses += 1
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorated += [f"{path.stem}.{node.name}" for dec in node.decorator_list
+                              if re.match(r"(functools\.)?(cache|lru_cache)\b", ast.unparse(dec))]
+    assert decorated == ["cli.build_parser"] and uses == 1

@@ -15,7 +15,8 @@ from csslab.packing import (BicliqueCovering, CapExceeded, FoolingSet,
                             packing_to_fooling, pair_coloring_to_separator,
                             pairs_packing, refine_t_covering, star_cover,
                             star_partition, separator_to_coloring,
-                            verify_covering, verify_fooling_set, verify_packing)
+                            VerifyResult, verify_covering, verify_fooling_set,
+                            verify_packing)
 from csslab.separator import (CutFamily, build_random_separator,
                               extend_to_full_separator, verify_cs_separator)
 
@@ -87,6 +88,26 @@ def test_verify_fooling_trivia():
     dup = FoolingSet(complete_graph(2), ((0b01, 0b10), (0b01, 0b10)))
     res = verify_fooling_set(dup)
     assert not res.ok and res.violation == "uncrossed-pairs"
+
+
+def test_verifiers_report_vertices_outside_the_host():
+    """A side naming a vertex past n - 1, or a negative side, is a located
+    violation of the first such pair, checked before anything else."""
+    k3 = complete_graph(3)
+    out = "vertex-out-of-range"
+    for side in (1 << 5, 1 << 3, -1):
+        for first, second in ((side, 1), (1, side)):
+            bad = (first, second)
+            assert verify_packing(PackingCertificate(k3, (bad,))) == VerifyResult(False, out, (0,))
+            assert verify_packing(PackingCertificate(k3, ((0b1, 0b10), bad))) == \
+                VerifyResult(False, out, (1,))
+            assert verify_covering(BicliqueCovering(k3, ((0b1, 0b10), bad), 2)) == \
+                VerifyResult(False, out, (1,))
+            assert verify_fooling_set(FoolingSet(k3, (bad,))) == VerifyResult(False, out, (0,))
+            assert verify_fooling_set(FoolingSet(k3, ((0b1, 0), bad))) == \
+                VerifyResult(False, out, (1,))
+    assert verify_packing(PackingCertificate(k3, ((1 << 5, 1),))).violation == out
+    assert verify_fooling_set(FoolingSet(k3, ((1 << 5, 0),))).violation == out
 
 
 # ---------------------------------------------------------------- fooling sets
