@@ -1,7 +1,13 @@
 """Line-oriented UTF-8 text formats for every certificate type, with byte
 exact round-tripping of canonical files and located parse diagnostics.
 
-Formats (vertex indices are 0-based, lists sorted ascending):
+Formats (vertex indices are 0-based).  Emitters write canonical lines:
+vertex and token lists sorted ascending, each index spelled ``str(v)``.
+Parsers accept member rows and lists in any order and with repeated
+members (edge lines still need u < v), and any vertex spelling ``int()``
+reads (``+3``, ``03``, other Unicode digits): each looks the canonical
+spellings up in one table per file and reads only the other tokens with
+``int()``.
 
   graph <n>                 one ``e <u> <v>`` line per edge, u < v
   cuts <n> <m>              m lines, each the sorted A-side (possibly empty)
@@ -20,7 +26,7 @@ from __future__ import annotations
 import itertools
 
 from .csp import COLOR_NAMES, PART_NAMES, CcpInstance, StubbornInstance
-from .graphs import Graph, bits, from_edges, mask_of
+from .graphs import Graph, bits, mask_of
 from .packing import BicliqueCovering, FoolingSet, PackingCertificate
 from .separator import CutFamily
 from .transversal import Hypergraph
@@ -33,17 +39,47 @@ class FormatError(ValueError):
         self.line = line
 
 
-def _ints(parts, n, lineno):
-    out = []
-    for p in parts:
-        try:
-            v = int(p)
-        except ValueError:
-            raise FormatError(f"bad vertex token {p!r}", lineno)
-        if not 0 <= v < n:
-            raise FormatError(f"vertex {v} out of range [0, {n})", lineno)
-        out.append(v)
-    return out
+def _vertex(tok: str, n: int, lineno: int) -> int:
+    """A vertex token read by ``int()`` and range-checked."""
+    try:
+        v = int(tok)
+    except ValueError:
+        raise FormatError(f"bad vertex token {tok!r}", lineno)
+    if not 0 <= v < n:
+        raise FormatError(f"vertex {v} out of range [0, {n})", lineno)
+    return v
+
+
+def _names(count: int) -> dict[str, int]:
+    """The token table of one file: ``str(v) -> v`` for v below ``count``.
+    Parsers pass ``min(n, len(text))``, so that a large header costs no more
+    than the file itself.  A token missing from the table goes through
+    ``_vertex``."""
+    return {str(v): v for v in range(count)}
+
+
+def _bits(count: int) -> dict[str, int]:
+    """``_names`` with each vertex as its one-bit mask."""
+    return {str(v): 1 << v for v in range(count)}
+
+
+def _ints(parts, n: int, lineno: int, names: dict[str, int]) -> list[int]:
+    """The vertices the tokens ``parts`` name."""
+    try:
+        return [names[p] for p in parts]
+    except KeyError:
+        return [_vertex(p, n, lineno) for p in parts]
+
+
+def _mask(parts, n: int, lineno: int, bits_of: dict[str, int]) -> int:
+    """The mask of the vertices the tokens ``parts`` name."""
+    m = 0
+    try:
+        for p in parts:
+            m |= bits_of[p]
+    except KeyError:
+        return mask_of(_vertex(p, n, lineno) for p in parts)
+    return m
 
 
 def _header(line: str, lineno: int, keyword: str, argc: int) -> list[int]:
@@ -80,31 +116,34 @@ def _reject_rows_past(rows, end: int) -> None:
 # -- graphs -------------------------------------------------------------------
 
 
-def _parse_edges(rows, start: int, n: int) -> tuple[list[tuple[int, int]], int]:
-    """The ``e <u> <v>`` lines from ``rows[start]`` on, blank lines skipped, up
-    to the first other line; returns the edges and that line's index
-    (``len(rows)`` when there is none)."""
-    edges = []
-    seen = set()
-    for pos in range(start, len(rows)):
+def _parse_edges(rows, start: int, n: int, names) -> tuple[Graph, int]:
+    """The graph of the ``e <u> <v>`` lines from ``rows[start]`` on, blank
+    lines skipped, up to the first other line, and that line's index
+    (``len(rows)`` when there is none).  Each line is checked for range,
+    order, self-loops and repeats here, so the graph is not validated
+    again."""
+    adj = [0] * n
+    end = len(rows)
+    for pos in range(start, end):
         parts = rows[pos].split()
         if not parts:
             continue
         if parts[0] != "e":
-            return edges, pos
+            end = pos
+            break
         lineno = pos + 1
         if len(parts) != 3:
             raise FormatError("edge lines look like 'e <u> <v>'", lineno)
-        u, v = _ints(parts[1:], n, lineno)
+        u, v = _ints(parts[1:], n, lineno, names)
         if u == v:
             raise FormatError(f"self-loop at {u}", lineno)
         if u > v:
             raise FormatError("edges must be written with u < v", lineno)
-        if (u, v) in seen:
+        if adj[u] >> v & 1:
             raise FormatError(f"duplicate edge ({u}, {v})", lineno)
-        seen.add((u, v))
-        edges.append((u, v))
-    return edges, len(rows)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, adj, validate=False), end
 
 
 def emit_graph(g: Graph) -> str:
@@ -115,36 +154,40 @@ def emit_graph(g: Graph) -> str:
 
 def parse_graph(text: str) -> Graph:
     rows, (n,) = _split_header(text, "graph", 1)
-    edges, pos = _parse_edges(rows, 1, n)
+    g, pos = _parse_edges(rows, 1, n, _names(min(n, len(text))))
     if pos < len(rows):
         raise FormatError("edge lines look like 'e <u> <v>'", pos + 1)
-    return from_edges(n, edges)
+    return g
 
 
 # -- cut families and hypergraphs: one row of sorted vertices per member -------
 
 
 def _emit_rows(header: str, masks) -> str:
+    # names up to the highest member, not the header's n, so that a large
+    # n with small rows costs nothing
+    names = [str(v) for v in range(max(masks, default=0).bit_length())]
     lines = [header]
     for m in masks:
-        lines.append(" ".join(map(str, bits(m))))
+        lines.append(" ".join([names[v] for v in bits(m)]))
     return "\n".join(lines) + "\n"
 
 
 def _parse_rows(text: str, keyword: str, noun: str):
     """The vertex count of a ``<keyword> <n> <m>`` file and an iterator over
-    its ``m`` rows as ``(line number, members)``; rows past the count are
+    its ``m`` rows as ``(line number, mask)``; rows past the count are
     rejected once the iterator is exhausted.  ``noun`` names one row in
     errors."""
     rows, (n, m) = _split_header(text, keyword, 2)
     if len(rows) < m + 1:
         raise FormatError(f"expected {m} {noun} lines", len(rows))
+    bits_of = _bits(min(n, len(text)))
 
-    def members():
+    def masks():
         for lineno in range(2, m + 2):
-            yield lineno, _ints(rows[lineno - 1].split(), n, lineno)
+            yield lineno, _mask(rows[lineno - 1].split(), n, lineno, bits_of)
         _reject_rows_past(rows, m + 1)
-    return n, members()
+    return n, masks()
 
 
 def emit_cut_family(f: CutFamily) -> str:
@@ -154,8 +197,7 @@ def emit_cut_family(f: CutFamily) -> str:
 def parse_cut_family(text: str) -> CutFamily:
     n, rows = _parse_rows(text, "cuts", "cut")
     masks = {}
-    for lineno, members in rows:
-        mask = mask_of(members)
+    for lineno, mask in rows:
         if mask in masks:
             raise FormatError("duplicate cut", lineno)
         masks[mask] = None
@@ -168,7 +210,7 @@ def emit_hypergraph(h: Hypergraph) -> str:
 
 def parse_hypergraph(text: str) -> Hypergraph:
     n, rows = _parse_rows(text, "hgraph", "hyperedge")
-    return Hypergraph(n, [mask_of(members) for _, members in rows])
+    return Hypergraph(n, [mask for _, mask in rows])
 
 
 # -- packings, coverings and fooling sets -------------------------------------------
@@ -194,12 +236,13 @@ def _parse_blocks(rows, n: int, k: int, host: Graph, tags: str,
         raise FormatError(f"{noun} is for {n} vertices, host has {host.n}", 1)
     if len(rows) < 1 + 2 * k:
         raise FormatError(f"expected {2 * k} side lines", len(rows))
+    bits_of = _bits(n)  # n is the host's size
     sides = []
     for lineno in range(2, 2 + 2 * k):
         tag, row = tags[lineno % 2], rows[lineno - 1]
         if not row.startswith(f"{tag}:"):
             raise FormatError(f"expected a '{tag}:' line", lineno)
-        sides.append(mask_of(_ints(row[len(tag) + 1:].split(), n, lineno)))
+        sides.append(_mask(row[len(tag) + 1:].split(), n, lineno, bits_of))
     _reject_rows_past(rows, 1 + 2 * k)
     return list(zip(sides[::2], sides[1::2]))
 
@@ -259,6 +302,7 @@ def emit_ccp(inst: CcpInstance) -> str:
 def parse_ccp(text: str) -> CcpInstance:
     rows, (n,) = _split_header(text, "ccp", 1)
     want = n * (n - 1) // 2
+    names = _names(min(n, len(text)))
     colors = {}
     for i, row in enumerate(rows[1:], start=2):
         if not row.strip():
@@ -266,7 +310,7 @@ def parse_ccp(text: str) -> CcpInstance:
         parts = row.split()
         if len(parts) != 3:
             raise FormatError("edge color lines look like '<u> <v> <A|B|C>'", i)
-        u, v = _ints(parts[:2], n, i)
+        u, v = _ints(parts[:2], n, i, names)
         if u >= v:
             raise FormatError("edges must be written with u < v", i)
         if parts[2] not in COLOR_NAMES:
@@ -292,21 +336,27 @@ def _emit_lists(lists, tokens) -> list[str]:
     return lines
 
 
-def _parse_lists(rows, start: int, tokens) -> tuple[tuple, int]:
+def _parse_lists(rows, start: int, tokens, noun: str, seen) -> tuple[tuple, int]:
+    """The ``lists`` section at ``rows[start]`` and the index past it.
+    ``noun`` names a token of the alphabet ``tokens`` in errors; ``seen``
+    maps each line text the file has already parsed to its list."""
     (n,) = _header(rows[start] if start < len(rows) else "", start + 1, "lists", 1)
     if len(rows) < start + 1 + n:
         raise FormatError(f"expected {n} list lines", len(rows))
     lists = []
     for i in range(n):
-        lineno = start + 2 + i
-        vals = []
-        for tok in rows[start + 1 + i].split():
-            if tok not in tokens:
-                raise FormatError(f"unknown color token {tok!r}", lineno)
-            vals.append(tokens[tok])
-        if not vals:
-            raise FormatError("empty color list", lineno)
-        lists.append(frozenset(vals))
+        row = rows[start + 1 + i]
+        lst = seen.get(row)
+        if lst is None:
+            vals = []
+            for tok in row.split():
+                if tok not in tokens:
+                    raise FormatError(f"unknown {noun} token {tok!r}", start + 2 + i)
+                vals.append(tokens[tok])
+            if not vals:
+                raise FormatError("empty color list", start + 2 + i)
+            lst = seen[row] = frozenset(vals)
+        lists.append(lst)
     return tuple(lists), start + 1 + n
 
 
@@ -315,15 +365,16 @@ def _emit_covering(covering, tokens) -> str:
     return "\n--\n".join("\n".join(_emit_lists(la, tokens)) for la in covering) + "\n"
 
 
-def _parse_covering(text: str, tokens) -> list[tuple]:
+def _parse_covering(text: str, tokens, noun: str) -> list[tuple]:
     rows = text.splitlines()
+    seen = {}
     out = []
     pos = 0
     while pos < len(rows):
         if not rows[pos].strip() or rows[pos].strip() == "--":
             pos += 1
             continue
-        la, pos = _parse_lists(rows, pos, tokens)
+        la, pos = _parse_lists(rows, pos, tokens, noun, seen)
         out.append(la)
     if not out:
         raise FormatError("no list assignments found")
@@ -335,7 +386,7 @@ def emit_ccp_covering(covering) -> str:
 
 
 def parse_ccp_covering(text: str) -> list[tuple]:
-    return _parse_covering(text, _COLOR_TOKENS)
+    return _parse_covering(text, _COLOR_TOKENS, "color")
 
 
 def emit_stubborn_covering(covering) -> str:
@@ -343,7 +394,7 @@ def emit_stubborn_covering(covering) -> str:
 
 
 def parse_stubborn_covering(text: str) -> list[tuple]:
-    return _parse_covering(text, _PART_TOKENS)
+    return _parse_covering(text, _PART_TOKENS, "part")
 
 
 def emit_stubborn(inst: StubbornInstance) -> str:
@@ -356,9 +407,9 @@ def emit_stubborn(inst: StubbornInstance) -> str:
 
 def parse_stubborn(text: str) -> StubbornInstance:
     rows, (n,) = _split_header(text, "stubborn", 1)
-    edges, pos = _parse_edges(rows, 1, n)
-    lists, end = _parse_lists(rows, pos, _PART_TOKENS)
+    g, pos = _parse_edges(rows, 1, n, _names(min(n, len(text))))
+    lists, end = _parse_lists(rows, pos, _PART_TOKENS, "part", {})
     _reject_rows_past(rows, end)
     if len(lists) != n:
         raise FormatError("list section size disagrees with the header")
-    return StubbornInstance(from_edges(n, edges), lists)
+    return StubbornInstance(g, lists)

@@ -216,33 +216,54 @@ def is_stable(g: Graph, m: int) -> bool:
 # -- maximal cliques and stable sets --------------------------------------
 
 
+# byte b -> b with its eight bits in reverse order
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def maximal_cliques(g: Graph) -> list[int]:
     """All inclusion-maximal cliques, Bron-Kerbosch with pivoting, returned in
-    lexicographic order of their sorted member lists."""
+    lexicographic order of their sorted member lists.
+
+    Maximal cliques form an antichain, so of two of them the
+    lexicographically smaller holds the lowest vertex where they differ:
+    the order is that of the bit-reversed masks, descending.  The sort key
+    is the mask's little-endian bytes with the bits of each byte reversed,
+    which compare as the mask's bits read from bit 0 up."""
     if g.n == 0:
         return []
     out = []
     adj = g.adj
 
     def expand(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        # pivot: vertex of p | x with most neighbors inside p
-        best, best_cnt = -1, -1
-        for u in bits(p | x):
+        # pivot: the lowest vertex of p | x with most neighbors inside p;
+        # expand is only called with p nonempty
+        best_cnt = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
             cnt = (p & adj[u]).bit_count()
             if cnt > best_cnt:
                 best, best_cnt = u, cnt
+            rest ^= low
         cand = p & ~adj[best]
-        for v in bits(cand):
-            bv = 1 << v
-            expand(r | bv, p & adj[v], x & adj[v])
-            p &= ~bv
+        while cand:
+            bv = cand & -cand
+            nv = adj[bv.bit_length() - 1]
+            # a child with nothing left to add is maximal iff no vertex of x
+            # extends it
+            if p & nv:
+                expand(r | bv, p & nv, x & nv)
+            elif not x & nv:
+                out.append(r | bv)
+            cand ^= bv
+            p ^= bv
             x |= bv
 
     expand(0, g.full_mask, 0)
-    return sorted(out, key=lambda m: tuple(bits(m)))
+    width = (g.n + 7) // 8
+    return sorted(out, key=lambda m: m.to_bytes(width, "little").translate(_REVERSED_BITS),
+                  reverse=True)
 
 
 def maximal_stables(g: Graph) -> list[int]:

@@ -4,17 +4,21 @@ against, and fixture builders that only tests use."""
 import itertools
 from fractions import Fraction
 
-from csslab.csp import (MalformedCovering, NotReallyThreeColorable, _derived_graph,
-                        _translate, really_3colorable, stubborn_assignment_compatible,
-                        trivial_stubborn, verify_3ccp_solution, verify_stubborn_solution)
+from csslab.csp import (MalformedCovering, NotReallyThreeColorable, StubbornInstance,
+                        _derived_graph, _translate, really_3colorable,
+                        stubborn_assignment_compatible, trivial_stubborn,
+                        verify_3ccp_solution, verify_stubborn_solution)
+from csslab.formats import (_PART_TOKENS, FormatError, _header, _reject_rows_past,
+                            _split_header)
 from csslab.graphs import (bits, complement, from_edges, greedy_coloring, induced,
                            mask_of, split_partitions)
 from csslab.lp import LpResult
-from csslab.packing import BicliqueCovering, VerifyResult, _first_bad_biclique
+from csslab.packing import (BicliqueCovering, PackingCertificate, VerifyResult,
+                            _first_bad_biclique)
 from csslab.rng import SplitMix64, bernoulli_threshold
 from csslab.separator import (CutFamily, SeparationReport, SeparatorBuildError,
                               disjoint_maximal_pairs, family_from_masks)
-from csslab.transversal import (PairPipelineReport, build_hypergraph,
+from csslab.transversal import (Hypergraph, PairPipelineReport, build_hypergraph,
                                 conflict_digraph, fractional_transversality,
                                 greedy_transversal, side_weights, vc_dimension)
 
@@ -517,3 +521,143 @@ def has_edge_contains_induced(g, pattern):
         return False
 
     return tuple(assign) if backtrack(0) else None
+
+
+# -- parsers that read every vertex token with int() ----------------------------
+
+
+def int_tokens(parts, n: int, lineno: int) -> list[int]:
+    """The vertices the tokens ``parts`` name, each read by ``int()`` and
+    range-checked, with no token table."""
+    out = []
+    for p in parts:
+        try:
+            v = int(p)
+        except ValueError:
+            raise FormatError(f"bad vertex token {p!r}", lineno)
+        if not 0 <= v < n:
+            raise FormatError(f"vertex {v} out of range [0, {n})", lineno)
+        out.append(v)
+    return out
+
+
+def _int_token_edges(rows, start: int, n: int):
+    """The edge list of the ``e <u> <v>`` lines from ``rows[start]`` on and
+    the index of the first other non-blank line."""
+    edges, seen = [], set()
+    for pos in range(start, len(rows)):
+        parts = rows[pos].split()
+        if not parts:
+            continue
+        if parts[0] != "e":
+            return edges, pos
+        lineno = pos + 1
+        if len(parts) != 3:
+            raise FormatError("edge lines look like 'e <u> <v>'", lineno)
+        u, v = int_tokens(parts[1:], n, lineno)
+        if u == v:
+            raise FormatError(f"self-loop at {u}", lineno)
+        if u > v:
+            raise FormatError("edges must be written with u < v", lineno)
+        if (u, v) in seen:
+            raise FormatError(f"duplicate edge ({u}, {v})", lineno)
+        seen.add((u, v))
+        edges.append((u, v))
+    return edges, len(rows)
+
+
+def int_token_parse_graph(text: str):
+    """``parse_graph`` through an edge list and ``from_edges``."""
+    rows, (n,) = _split_header(text, "graph", 1)
+    edges, pos = _int_token_edges(rows, 1, n)
+    if pos < len(rows):
+        raise FormatError("edge lines look like 'e <u> <v>'", pos + 1)
+    return from_edges(n, edges)
+
+
+def _int_token_rows(text: str, keyword: str, noun: str):
+    rows, (n, m) = _split_header(text, keyword, 2)
+    if len(rows) < m + 1:
+        raise FormatError(f"expected {m} {noun} lines", len(rows))
+
+    def masks():
+        for lineno in range(2, m + 2):
+            yield lineno, mask_of(int_tokens(rows[lineno - 1].split(), n, lineno))
+        _reject_rows_past(rows, m + 1)
+    return n, masks()
+
+
+def int_token_parse_cut_family(text: str) -> CutFamily:
+    n, rows = _int_token_rows(text, "cuts", "cut")
+    masks = {}
+    for lineno, mask in rows:
+        if mask in masks:
+            raise FormatError("duplicate cut", lineno)
+        masks[mask] = None
+    return CutFamily(n, masks)
+
+
+def int_token_parse_hypergraph(text: str) -> Hypergraph:
+    n, rows = _int_token_rows(text, "hgraph", "hyperedge")
+    return Hypergraph(n, [mask for _, mask in rows])
+
+
+def int_token_parse_packing(text: str, host) -> PackingCertificate:
+    rows, (n, k) = _split_header(text, "packing", 2)
+    if n != host.n:
+        raise FormatError(f"certificate is for {n} vertices, host has {host.n}", 1)
+    if len(rows) < 1 + 2 * k:
+        raise FormatError(f"expected {2 * k} side lines", len(rows))
+    sides = []
+    for lineno in range(2, 2 + 2 * k):
+        tag, row = "AB"[lineno % 2], rows[lineno - 1]
+        if not row.startswith(f"{tag}:"):
+            raise FormatError(f"expected a '{tag}:' line", lineno)
+        sides.append(mask_of(int_tokens(row[len(tag) + 1:].split(), n, lineno)))
+    _reject_rows_past(rows, 1 + 2 * k)
+    return PackingCertificate(host, tuple(zip(sides[::2], sides[1::2])))
+
+
+def _per_line_lists(rows, start: int, tokens, noun: str):
+    """A ``lists`` section read line by line, every line parsed anew."""
+    (n,) = _header(rows[start] if start < len(rows) else "", start + 1, "lists", 1)
+    if len(rows) < start + 1 + n:
+        raise FormatError(f"expected {n} list lines", len(rows))
+    lists = []
+    for i in range(n):
+        vals = []
+        for tok in rows[start + 1 + i].split():
+            if tok not in tokens:
+                raise FormatError(f"unknown {noun} token {tok!r}", start + 2 + i)
+            vals.append(tokens[tok])
+        if not vals:
+            raise FormatError("empty color list", start + 2 + i)
+        lists.append(frozenset(vals))
+    return tuple(lists), start + 1 + n
+
+
+def per_line_parse_covering(text: str, tokens, noun: str) -> list:
+    """``parse_ccp_covering`` (``_COLOR_TOKENS``, "color") or
+    ``parse_stubborn_covering`` (``_PART_TOKENS``, "part")."""
+    rows = text.splitlines()
+    out = []
+    pos = 0
+    while pos < len(rows):
+        if not rows[pos].strip() or rows[pos].strip() == "--":
+            pos += 1
+            continue
+        la, pos = _per_line_lists(rows, pos, tokens, noun)
+        out.append(la)
+    if not out:
+        raise FormatError("no list assignments found")
+    return out
+
+
+def int_token_parse_stubborn(text: str) -> StubbornInstance:
+    rows, (n,) = _split_header(text, "stubborn", 1)
+    edges, pos = _int_token_edges(rows, 1, n)
+    lists, end = _per_line_lists(rows, pos, _PART_TOKENS, "part")
+    _reject_rows_past(rows, end)
+    if len(lists) != n:
+        raise FormatError("list section size disagrees with the header")
+    return StubbornInstance(from_edges(n, edges), lists)

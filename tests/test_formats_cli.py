@@ -183,6 +183,17 @@ def test_stubborn_roundtrip():
     assert parse_stubborn_covering(text) == cov
 
 
+def test_bad_list_tokens_are_named_by_their_alphabet():
+    """A bad token in a part list is a part token, in a colour list a
+    colour token; each message names the token and its line."""
+    with pytest.raises(FormatError, match=r"^line 4: unknown part token 'A5'$"):
+        parse_stubborn("stubborn 2\nlists 2\nA1\nA5\n")
+    with pytest.raises(FormatError, match=r"^line 3: unknown part token 'A'$"):
+        parse_stubborn_covering("lists 2\nA1 A2\nA\n")
+    with pytest.raises(FormatError, match=r"^line 2: unknown color token 'A1'$"):
+        parse_ccp_covering("lists 1\nA1\n")
+
+
 def test_fixture_files():
     g = parse_graph(fixture_text("two_biclique_graph.txt"))
     assert g.n == 6 and g.edge_count() == 7
@@ -356,6 +367,20 @@ def test_cli_quasipoly_and_ccp_route(tmp_path, capsys):
     assert run_cli(tmp_path, "verify", "ccp-covering", ccp, cover) == 0
     out = capsys.readouterr().out
     assert "metric uncovered_solutions 0" in out
+
+
+def test_cli_quasipoly_past_the_check_cap_reports_unchecked(tmp_path, capsys):
+    """Above 8 vertices the build cannot run the exhaustive check, and its
+    report says so instead of a count; verify refuses the same pair."""
+    ccp = tmp_path / "inst.txt"
+    cover = tmp_path / "cover.txt"
+    ccp.write_text(emit_ccp(random_ccp_instance(9, 4)))
+    assert run_cli(tmp_path, "build", "quasipoly-covering", ccp, "--out", cover) == 0
+    out = capsys.readouterr().out
+    assert "metric uncovered_solutions unchecked\noutcome pass\n" in out
+    assert parse_ccp_covering(cover.read_text())
+    assert run_cli(tmp_path, "verify", "ccp-covering", ccp, cover) == 2
+    assert "capped at 8 vertices" in capsys.readouterr().err
 
 
 def test_cli_reduce_tour(tmp_path, capsys):

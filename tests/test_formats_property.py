@@ -1,8 +1,9 @@
 """Property tests for the text codecs: random certificates and instances on
 graphs with at most 8 vertices survive emit -> parse -> emit byte for byte,
-and a packing, covering or fooling-set file with one line deleted,
-duplicated or garbled parses to a certificate or raises FormatError, never
-another exception."""
+a packing, covering or fooling-set file with one line deleted, duplicated
+or garbled parses to a certificate or raises FormatError, never another
+exception, and the token-table parsers give the int()-per-token parsers'
+value or error on canonical, respelled and damaged files."""
 
 import itertools
 
@@ -10,16 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csslab.csp import CcpInstance, StubbornInstance
-from csslab.formats import (FormatError, emit_ccp, emit_covering, emit_cut_family,
+from csslab.formats import (_COLOR_TOKENS, _PART_TOKENS, FormatError, emit_ccp,
+                            emit_ccp_covering, emit_covering, emit_cut_family,
                             emit_fooling, emit_graph, emit_hypergraph,
-                            emit_packing, emit_stubborn, parse_ccp,
-                            parse_covering, parse_cut_family, parse_fooling,
-                            parse_graph, parse_hypergraph, parse_packing,
-                            parse_stubborn)
+                            emit_packing, emit_stubborn, emit_stubborn_covering,
+                            parse_ccp, parse_ccp_covering, parse_covering,
+                            parse_cut_family, parse_fooling, parse_graph,
+                            parse_hypergraph, parse_packing, parse_stubborn,
+                            parse_stubborn_covering)
 from csslab.graphs import from_edges
 from csslab.packing import BicliqueCovering, FoolingSet, PackingCertificate
 from csslab.separator import CutFamily
 from csslab.transversal import Hypergraph
+from oracles import (int_token_parse_cut_family, int_token_parse_graph,
+                     int_token_parse_hypergraph, int_token_parse_packing,
+                     int_token_parse_stubborn, per_line_parse_covering)
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100,
                     deadline=None)
@@ -118,3 +124,121 @@ def test_instance_files_round_trip(data):
             back = parse(text)
             assert _value(back) == _value(value), (kind, n)
             assert emit(back) == text, (kind, n)
+
+
+# -- token-table parsers against the int()-per-token parsers -----------------
+
+
+@st.composite
+def parser_cases(draw):
+    """(canonical text, its value, parser, reference parser) for a random
+    file of a kind whose parser reads vertex or list tokens."""
+    kind = draw(st.sampled_from(["graph", "cuts", "hgraph", "stubborn", "packing",
+                                 "ccp-covering", "stubborn-covering"]))
+    n = draw(st.integers(0, 8))
+    if kind in ("graph", "cuts", "hgraph", "stubborn"):
+        value, emit, parse = draw(instances(kind, n))
+        reference = {"graph": int_token_parse_graph, "cuts": int_token_parse_cut_family,
+                     "hgraph": int_token_parse_hypergraph,
+                     "stubborn": int_token_parse_stubborn}[kind]
+        return emit(value), value, parse, reference
+    if kind == "packing":
+        g = draw(graphs(st.just(n)))
+        side = st.integers(0, (1 << n) - 1)
+        cert = PackingCertificate(g, tuple(draw(st.lists(st.tuples(side, side), max_size=5))))
+        return (emit_packing(cert), cert, lambda text: parse_packing(text, g),
+                lambda text: int_token_parse_packing(text, g))
+    # few distinct lists, so that list lines repeat within and across blocks
+    tokens, noun, emit, parse = {
+        "ccp-covering": (_COLOR_TOKENS, "color", emit_ccp_covering, parse_ccp_covering),
+        "stubborn-covering": (_PART_TOKENS, "part", emit_stubborn_covering,
+                              parse_stubborn_covering),
+    }[kind]
+    lst = st.frozensets(st.sampled_from(sorted(tokens.values())), min_size=1, max_size=2)
+    covering = draw(st.lists(st.lists(lst, min_size=n, max_size=n).map(tuple),
+                             min_size=1, max_size=4))
+    return (emit(covering), covering, parse,
+            lambda text: per_line_parse_covering(text, tokens, noun))
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                             "\u0665\u0666\u0667\u0668\u0669")
+
+
+@st.composite
+def respelled(draw, text):
+    """``text`` with its vertex tokens respelled as ``int()`` still reads
+    them (``+1``, ``02``, Arabic-Indic digits), member rows and list lines
+    shuffled with some members repeated, and tabs among the separators.
+    Header, ``lists`` and ``--`` lines stay as they are."""
+    lines = text.splitlines()
+    out = lines[:1]
+    for line in lines[1:]:
+        parts = line.split()
+        if not parts or parts[0] in ("lists", "--"):
+            out.append(line)
+            continue
+        head = [parts.pop(0)] if parts[0] == "e" or parts[0].endswith(":") else []
+        if head != ["e"] and parts:
+            parts += draw(st.lists(st.sampled_from(parts), max_size=2))
+            parts = draw(st.permutations(parts))
+        parts = [draw(st.sampled_from([p, "+" + p, "0" + p, p.translate(ARABIC_INDIC)]))
+                 if p.isdigit() else p for p in parts]
+        sep = draw(st.sampled_from([" ", "\t", " \t ", "  "]))
+        out.append(sep.join(head + parts) + draw(st.sampled_from(["", "\t", " "])))
+    return "\n".join(out) + "\n"
+
+
+BAD_TOKENS = ["-1", "9", "99", "x", "1.5", "A9", "A", "e", "+1", "\u0663", "0x1"]
+
+
+@st.composite
+def damaged(draw, text):
+    """``text`` with one line deleted, duplicated, replaced or with one of
+    its tokens replaced."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    damage = draw(st.sampled_from(["delete", "duplicate", "replace", "token"]))
+    if damage == "delete":
+        lines[i:i + 1] = []
+    elif damage == "duplicate":
+        lines[i:i + 1] = [lines[i]] * 2
+    elif damage == "replace":
+        lines[i] = draw(st.text(max_size=10) | st.sampled_from(
+            ["e 0 0", "e 1 0", "e 0 9", "0 0 1", "A: 9", "B: -1", "A5 A1", "C C",
+             "lists 1", "--", ""]))
+    elif lines[i].split():
+        parts = lines[i].split()
+        j = draw(st.integers(0, len(parts) - 1))
+        parts[j] = draw(st.sampled_from(BAD_TOKENS))
+        lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    """The parsed value, or the exception's type, message and line."""
+    try:
+        return "value", _value(parse(text))
+    except Exception as exc:  # the reference decides which exceptions are right
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(parser_cases(), st.data())
+def test_token_table_parsers_match_int_token_parsers(case, data):
+    text, value, parse, reference = case
+    assert _outcome(parse, text) == _outcome(reference, text) == ("value", _value(value))
+    spelled = data.draw(respelled(text))
+    assert _outcome(parse, spelled) == _outcome(reference, spelled) == ("value", _value(value))
+    broken = data.draw(damaged(text))
+    assert _outcome(parse, broken) == _outcome(reference, broken)
+
+
+def test_vertices_past_the_token_table_parse():
+    """A file shorter than its header's n gets a table shorter than n; the
+    vertices past the table still parse, through int()."""
+    text = "cuts 100000 2\n99999 3\n+7\n"
+    assert (parse_cut_family(text) == int_token_parse_cut_family(text)
+            == CutFamily(100000, [1 << 99999 | 1 << 3, 1 << 7]))
+    text = "graph 100\ne 0 99\n"
+    assert parse_graph(text) == int_token_parse_graph(text) == from_edges(100, [(0, 99)])

@@ -254,6 +254,9 @@ def split_graphs(draw, max_n):
 @given(st.one_of(graphs(12), split_graphs(12)))
 @example(empty_graph(0))
 @example(empty_graph(1))
+@example(gen_gnp(63, 0.5, 63))
+@example(gen_gnp(64, 0.5, 64))
+@example(gen_gnp(65, 0.5, 65))
 @example(gen_gnp(67, 0.5, 67))
 def test_mask_enumerators_match_set_oracles(g):
     """The mask enumerators give the frozenset references' sets in the same
@@ -263,6 +266,45 @@ def test_mask_enumerators_match_set_oracles(g):
     if g.n <= 12:  # split_partitions is exhaustive
         assert [(set_of(sp.clique_part), set_of(sp.stable_part))
                 for sp in split_partitions(g)] == set_split_partitions(g)
+
+
+def test_enumerators_on_complete_and_edgeless_graphs_past_word_boundaries():
+    for n in range(1, 71):
+        singletons = [1 << v for v in range(n)]
+        full = (1 << n) - 1
+        assert maximal_cliques(complete_graph(n)) == maximal_stables(empty_graph(n)) == [full]
+        assert maximal_cliques(empty_graph(n)) == maximal_stables(complete_graph(n)) == singletons
+
+
+def clique_join(k: int, top):
+    """A clique on the vertices below k joined to the graph ``top`` on the
+    vertices from k on: every maximal clique holds the whole low clique, so
+    any two share their first k members and differ only among the top
+    vertices."""
+    edges = list(itertools.combinations(range(k), 2))
+    edges += [(u, k + v) for u in range(k) for v in range(top.n)]
+    edges += [(k + u, k + v) for u, v in top.edges()]
+    return from_edges(k + top.n, edges), k, top
+
+
+# Bron-Kerbosch finds the maximal cliques of this graph out of order:
+# {2} before {0, 3} and {1, 3}
+UNORDERED = from_edges(4, [(0, 3), (1, 3)])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.builds(lambda n, top: clique_join(n - top.n, top), st.integers(55, 70),
+                 graphs(8).filter(lambda h: h.n >= 1)))
+@example(clique_join(66, UNORDERED))
+@example(clique_join(62, UNORDERED))
+@example(clique_join(60, UNORDERED))
+def test_enumerator_order_when_cliques_share_long_prefixes(case):
+    """n = 55 to 70, so that the top vertices lie below, across or above
+    bit 64."""
+    g, k, top = case
+    low = (1 << k) - 1
+    assert maximal_cliques(g) == [low | mask_of(c) << k for c in set_maximal_cliques(top)]
+    assert list(map(set_of, maximal_stables(g))) == set_maximal_stables(g)
 
 
 # ---------------------------------------------------------------- pairs
