@@ -50,17 +50,13 @@ def _vertex(tok: str, n: int, lineno: int) -> int:
     return v
 
 
-def _names(count: int) -> dict[str, int]:
-    """The token table of one file: ``str(v) -> v`` for v below ``count``.
-    Parsers pass ``min(n, len(text))``, so that a large header costs no more
-    than the file itself.  A token missing from the table goes through
-    ``_vertex``."""
-    return {str(v): v for v in range(count)}
-
-
-def _bits(count: int) -> dict[str, int]:
-    """``_names`` with each vertex as its one-bit mask."""
-    return {str(v): 1 << v for v in range(count)}
+def _names(n: int, size: int) -> dict[str, int]:
+    """The token table of an ``n``-vertex file of ``size`` characters:
+    ``str(v) -> v`` for v below n and below ``size // 2``, the most distinct
+    tokens such a file can hold, so that the table's cost is linear in the
+    file's length whatever n its header declares.  A token missing from the
+    table goes through ``_vertex``."""
+    return {str(v): v for v in range(min(n, size // 2))}
 
 
 def _ints(parts, n: int, lineno: int, names: dict[str, int]) -> list[int]:
@@ -69,17 +65,6 @@ def _ints(parts, n: int, lineno: int, names: dict[str, int]) -> list[int]:
         return [names[p] for p in parts]
     except KeyError:
         return [_vertex(p, n, lineno) for p in parts]
-
-
-def _mask(parts, n: int, lineno: int, bits_of: dict[str, int]) -> int:
-    """The mask of the vertices the tokens ``parts`` name."""
-    m = 0
-    try:
-        for p in parts:
-            m |= bits_of[p]
-    except KeyError:
-        return mask_of(_vertex(p, n, lineno) for p in parts)
-    return m
 
 
 def _header(line: str, lineno: int, keyword: str, argc: int) -> list[int]:
@@ -154,7 +139,7 @@ def emit_graph(g: Graph) -> str:
 
 def parse_graph(text: str) -> Graph:
     rows, (n,) = _split_header(text, "graph", 1)
-    g, pos = _parse_edges(rows, 1, n, _names(min(n, len(text))))
+    g, pos = _parse_edges(rows, 1, n, _names(n, len(text)))
     if pos < len(rows):
         raise FormatError("edge lines look like 'e <u> <v>'", pos + 1)
     return g
@@ -181,11 +166,11 @@ def _parse_rows(text: str, keyword: str, noun: str):
     rows, (n, m) = _split_header(text, keyword, 2)
     if len(rows) < m + 1:
         raise FormatError(f"expected {m} {noun} lines", len(rows))
-    bits_of = _bits(min(n, len(text)))
+    names = _names(n, len(text))
 
     def masks():
         for lineno in range(2, m + 2):
-            yield lineno, _mask(rows[lineno - 1].split(), n, lineno, bits_of)
+            yield lineno, mask_of(_ints(rows[lineno - 1].split(), n, lineno, names))
         _reject_rows_past(rows, m + 1)
     return n, masks()
 
@@ -236,13 +221,13 @@ def _parse_blocks(rows, n: int, k: int, host: Graph, tags: str,
         raise FormatError(f"{noun} is for {n} vertices, host has {host.n}", 1)
     if len(rows) < 1 + 2 * k:
         raise FormatError(f"expected {2 * k} side lines", len(rows))
-    bits_of = _bits(n)  # n is the host's size
+    names = _names(n, sum(map(len, rows)))
     sides = []
     for lineno in range(2, 2 + 2 * k):
         tag, row = tags[lineno % 2], rows[lineno - 1]
         if not row.startswith(f"{tag}:"):
             raise FormatError(f"expected a '{tag}:' line", lineno)
-        sides.append(_mask(row[len(tag) + 1:].split(), n, lineno, bits_of))
+        sides.append(mask_of(_ints(row[len(tag) + 1:].split(), n, lineno, names)))
     _reject_rows_past(rows, 1 + 2 * k)
     return list(zip(sides[::2], sides[1::2]))
 
@@ -302,7 +287,7 @@ def emit_ccp(inst: CcpInstance) -> str:
 def parse_ccp(text: str) -> CcpInstance:
     rows, (n,) = _split_header(text, "ccp", 1)
     want = n * (n - 1) // 2
-    names = _names(min(n, len(text)))
+    names = _names(n, len(text))
     colors = {}
     for i, row in enumerate(rows[1:], start=2):
         if not row.strip():
@@ -407,7 +392,7 @@ def emit_stubborn(inst: StubbornInstance) -> str:
 
 def parse_stubborn(text: str) -> StubbornInstance:
     rows, (n,) = _split_header(text, "stubborn", 1)
-    g, pos = _parse_edges(rows, 1, n, _names(min(n, len(text))))
+    g, pos = _parse_edges(rows, 1, n, _names(n, len(text)))
     lists, end = _parse_lists(rows, pos, _PART_TOKENS, "part", {})
     _reject_rows_past(rows, end)
     if len(lists) != n:

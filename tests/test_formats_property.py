@@ -6,6 +6,7 @@ exception, and the token-table parsers give the int()-per-token parsers'
 value or error on canonical, respelled and damaged files."""
 
 import itertools
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,3 +243,32 @@ def test_vertices_past_the_token_table_parse():
             == CutFamily(100000, [1 << 99999 | 1 << 3, 1 << 7]))
     text = "graph 100\ne 0 99\n"
     assert parse_graph(text) == int_token_parse_graph(text) == from_edges(100, [(0, 99)])
+
+
+def _peak_bytes(parse, *args) -> int:
+    tracemalloc.start()
+    try:
+        parse(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_token_tables_cost_memory_linear_in_the_file_length():
+    """A header declaring many vertices over a short body costs memory
+    linear in the file's length: an empty packing against a 20000-vertex
+    host allocates next to nothing, and tripling the rows of a cut or
+    hyperedge file on 10**6 vertices (small members) about triples the
+    peak instead of raising it ninefold."""
+    host = parse_graph("graph 20000\n")
+    assert _peak_bytes(parse_packing, "packing 20000 0\n", host) < 64_000
+
+    def cuts(m):
+        return f"cuts 1000000 {m}\n" + "".join(f"{i % 100} {100 + i // 100}\n"
+                                               for i in range(m))
+
+    def hyperedges(m):
+        return f"hgraph 1000000 {m}\n" + "0 1\n" * m
+
+    for parse, text in ((parse_cut_family, cuts), (parse_hypergraph, hyperedges)):
+        assert _peak_bytes(parse, text(6000)) < 4.5 * _peak_bytes(parse, text(2000))
