@@ -15,7 +15,7 @@ from .graphs import (Graph, SplitPartition, complement, complete_graph,
 from .separator import (CutFamily, SeparationReport, build_random_separator,
                         check_appendix_bound, extend_to_full_separator,
                         separates, verify_cs_separator)
-from .transversal import (ConflictDigraph, Digraph, Hypergraph, build_hypergraph,
+from .transversal import (ConflictDigraph, Hypergraph, build_hypergraph,
                           build_pk_free_separator, build_split_free_separator,
                           conflict_digraph, fractional_transversality,
                           greedy_transversal, side_weights, vc_dimension)

@@ -28,7 +28,7 @@ class MalformedCovering(ValueError):
     pass
 
 
-class NotReallyThreeColorable(RuntimeError):
+class NotReallyThreeColorable(ValueError):
     def __init__(self, vertex: int, color: int, witness: int):
         super().__init__(
             f"vertex {vertex} is not really 3-colorable for color "
@@ -630,7 +630,7 @@ def _slice_covering(inst: CcpInstance, x: int, cover_stubborn, target: int,
             for v, lst in zip(b_pool, bl):
                 la[v] = lst
             out.append(tuple(la))
-    return list(dict.fromkeys(out))
+    return out  # the sides hold distinct lists on disjoint pools
 
 
 def full_3ccp_covering_via_stubborn(inst: CcpInstance, x: int,
@@ -640,9 +640,8 @@ def full_3ccp_covering_via_stubborn(inst: CcpInstance, x: int,
     with the really-3-colorable test run once per color."""
     _check_vertex(inst, x)
     verdicts = [really_3colorable(inst, x, color) for color in (0, 1, 2)]
-    return list(dict.fromkeys(
-        la for target in (0, 1, 2)
-        for la in _slice_covering(inst, x, cover_stubborn, target, verdicts)))
+    return [la for target in (0, 1, 2)  # each target fixes x's list
+            for la in _slice_covering(inst, x, cover_stubborn, target, verdicts)]
 
 
 # -- edge-coloring coverings -> separators ---------------------------------------

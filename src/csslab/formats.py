@@ -339,7 +339,7 @@ def _parse_lists(rows, start: int, tokens, noun: str, seen) -> tuple[tuple, int]
                     raise FormatError(f"unknown {noun} token {tok!r}", start + 2 + i)
                 vals.append(tokens[tok])
             if not vals:
-                raise FormatError("empty color list", start + 2 + i)
+                raise FormatError(f"empty {noun} list", start + 2 + i)
             lst = seen[row] = frozenset(vals)
         lists.append(lst)
     return tuple(lists), start + 1 + n

@@ -1,7 +1,9 @@
-"""Conflict digraphs, side game weights, hypergraph transversals and VC
+"""Conflict tournaments, side game weights, hypergraph transversals and VC
 dimension, and the two structured separator builders that rest on them:
 one for graphs excluding a fixed split pattern, one for graphs excluding a
-long path and its complement.
+long path and its complement.  A (clique, stable set) pair's tournament is
+the one encoding of its adjacencies the side game reads: the arcs into
+each side are the rows of that side's weight LP.
 
 All linear programs are solved exactly over the rationals (see ``lp``), so
 every bound reported here is certified, not approximated.
@@ -30,34 +32,12 @@ class BicliquePairNotFound(RuntimeError):
         self.needed = needed
 
 
-# -- digraphs ---------------------------------------------------------------
-
-
-class Digraph:
-    """Antisymmetric digraph: ``out[u]`` is the bitmask of out-neighbors."""
-
-    __slots__ = ("n", "out")
-
-    def __init__(self, n: int, out):
-        out = tuple(out)
-        if len(out) != n:
-            raise ValueError("arc row count does not match n")
-        for u, row in enumerate(out):
-            if row >> n:
-                raise ValueError("arc row references vertices out of range")
-            if row >> u & 1:
-                raise ValueError(f"self-arc at {u}")
-        for u in range(n):
-            for v in bits(out[u]):
-                if out[v] >> u & 1:
-                    raise ValueError(f"arcs in both directions between {u} and {v}")
-        self.n = n
-        self.out = out
+# -- conflict tournaments -----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ConflictDigraph:
-    digraph: Digraph
+    out: tuple[int, ...]      # out[u]: arc mask over digraph ids
     clique: tuple[int, ...]   # original vertex ids, sorted; digraph ids 0..|K|-1
     stable: tuple[int, ...]   # original vertex ids, sorted; digraph ids |K|..
 
@@ -75,15 +55,14 @@ def conflict_digraph(g: Graph, k: int, s: int) -> ConflictDigraph:
     if not is_stable(g, s):
         raise ValueError(f"{list(ss)} is not a stable set")
     nk = len(ks)
-    n = nk + len(ss)
-    out = [0] * n
+    out = [0] * (nk + len(ss))
     for i, x in enumerate(ks):
         for j, y in enumerate(ss):
             if g.has_edge(x, y):
                 out[i] |= 1 << (nk + j)
             else:
                 out[nk + j] |= 1 << i
-    return ConflictDigraph(Digraph(n, out), ks, ss)
+    return ConflictDigraph(tuple(out), ks, ss)
 
 
 @dataclass(frozen=True)
@@ -98,26 +77,24 @@ def _side_feasible(signs: list[list[int]], nv: int) -> tuple[Fraction, ...] | No
                        a_eq=[[1] * nv], b_eq=[2])
 
 
-def _side_view(g: Graph, k, s, side: str) -> tuple:
-    """(graph, base, opposite) for one side of the pair (K, S): the stable
-    side of g is the clique side of complement(g)."""
-    return (g, k, s) if side == "K" else (complement(g), s, k)
-
-
-def side_weights(cd: ConflictDigraph, g: Graph) -> SideWeights:
+def side_weights(cd: ConflictDigraph) -> SideWeights:
     """Pick the side of the conflict digraph carrying weight and rescale it to
     total 2, so that every opposite-side vertex sees out-weight at least 1.
 
-    The clique side is certified first, then the stable side as the clique
-    side of the complement; by the game argument at least one side always
-    works.  All three conditions are checked exactly before returning.
+    The sign rows are read off the tournament's arcs: side K's from the
+    stable vertices' rows, side S's from the clique vertices' rows shifted
+    past K.  The clique side is certified first; by the game argument at
+    least one side always works.  All three conditions are checked exactly
+    before returning.
     """
     if not cd.clique and not cd.stable:
         return SideWeights("K", {})
-    for side in ("K", "S"):
-        h, ids, opp = _side_view(g, cd.clique, cd.stable, side)
-        # sign[x][v] = +1 if the arc runs x -> v (v outside N(x)), else -1
-        rows = [[1 if not h.has_edge(x, v) else -1 for v in ids] for x in opp]
+    nk = len(cd.clique)
+    views = (("K", cd.clique, cd.stable, cd.out[nk:]),
+             ("S", cd.stable, cd.clique, [a >> nk for a in cd.out[:nk]]))
+    for side, ids, opp, arcs in views:
+        # sign[x][v] = +1 if the arc runs x -> v, else -1
+        rows = [[1 if a >> i & 1 else -1 for i in range(len(ids))] for a in arcs]
         w = _side_feasible(rows, len(ids))
         if w is not None:
             break
@@ -304,7 +281,7 @@ def separate_pair_split_free(g: Graph, k: int, s: int,
     h, ids = build_hypergraph(g, k, s)
     n, edges, minimal = _canonical(h)
     side = _memoised(memo, ("side", n, minimal),
-                     lambda: side_weights(conflict_digraph(g, k, s), g).side)
+                     lambda: side_weights(conflict_digraph(g, k, s)).side)
     h_g = g
     if side == "S":
         h_g = complement(g)

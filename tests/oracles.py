@@ -296,7 +296,7 @@ def unmemoised_pair_pipeline(g, k, s, budget: float) -> PairPipelineReport:
     """``separate_pair_split_free`` with nothing shared between pairs: the
     side from ``side_weights`` on the pair's conflict digraph, then tau* and
     the VC dimension solved on the chosen side's own hypergraph."""
-    side = side_weights(conflict_digraph(g, k, s), g).side
+    side = side_weights(conflict_digraph(g, k, s)).side
     h_g, base, opposite = (g, k, s) if side == "K" else (complement(g), s, k)
     h, ids = build_hypergraph(h_g, base, opposite)
     tau_star, _ = fractional_transversality(h)
@@ -631,7 +631,7 @@ def _per_line_lists(rows, start: int, tokens, noun: str):
                 raise FormatError(f"unknown {noun} token {tok!r}", start + 2 + i)
             vals.append(tokens[tok])
         if not vals:
-            raise FormatError("empty color list", start + 2 + i)
+            raise FormatError(f"empty {noun} list", start + 2 + i)
         lists.append(frozenset(vals))
     return tuple(lists), start + 1 + n
 

@@ -77,7 +77,7 @@ def _sides():
     for seed in range(12):
         g = gen_gnp(9, 0.5, seed)
         for kmask, smask in disjoint_maximal_pairs(g):
-            sw = side_weights(conflict_digraph(g, kmask, smask), g)
+            sw = side_weights(conflict_digraph(g, kmask, smask))
             weights = {str(v): str(w) for v, w in sorted(sw.weights.items())}
             out.append([seed, kmask, smask, sw.side, weights])
     return out

@@ -194,6 +194,16 @@ def test_bad_list_tokens_are_named_by_their_alphabet():
         parse_ccp_covering("lists 1\nA1\n")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_stubborn, "stubborn 1\nlists 1\n\n", "^line 3: empty part list$"),
+    (parse_stubborn_covering, "lists 1\n\n", "^line 2: empty part list$"),
+    (parse_ccp_covering, "lists 1\n\n", "^line 2: empty color list$"),
+])
+def test_empty_lists_are_named_by_their_alphabet(parse, text, message):
+    with pytest.raises(FormatError, match=message):
+        parse(text)
+
+
 def test_fixture_files():
     g = parse_graph(fixture_text("two_biclique_graph.txt"))
     assert g.n == 6 and g.edge_count() == 7
@@ -494,6 +504,7 @@ def test_cli_reduce_tour(tmp_path, capsys):
     ["reduce", "stubborn-to-ccp", "{ccp0}"],               # no vertex 0 to branch on
     ["CSSLAB_SEED=abc", "verify", "separator", "{g}", "{cuts}"],  # seed variable, no --seed
     ["CSSLAB_SEED=abc", "bound-check", "appendix-a"],      # seed variable, no --seed
+    ["reduce", "stubborn-to-ccp", "{ccp5}"],               # vertex 0 not really 3-colorable
 ])
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
     if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell
@@ -512,7 +523,11 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, 
     h.write_text("hgraph 3 3\n0 1\n1 2\n0 2\n")
     ccp0 = tmp_path / "ccp0.txt"
     ccp0.write_text("ccp 0\n")
-    assert main([a.format(g=g, cuts=cuts, dir=tmp_path, stub=stub, h=h, ccp0=ccp0)
+    ccp5 = tmp_path / "ccp5.txt"
+    ccp5.write_text("ccp 5\n0 1 B\n0 2 B\n0 3 B\n0 4 B\n1 2 A\n1 3 C\n1 4 C\n"
+                    "2 3 C\n2 4 C\n3 4 A\n")
+    assert main([a.format(g=g, cuts=cuts, dir=tmp_path, stub=stub, h=h, ccp0=ccp0,
+                          ccp5=ccp5)
                  for a in argv]) == 2
     assert "Traceback" not in capsys.readouterr().err
 

@@ -110,7 +110,7 @@ def test_side_weights_tie_breaks_to_clique_side():
     # both sides admit weights here; the clique side must win
     g = from_edges(4, [(0, 1), (0, 2), (1, 3)])  # K={0,1}, S={2,3}, one edge each
     cd = conflict_digraph(g, 0b0011, 0b1100)
-    sw = side_weights(cd, g)
+    sw = side_weights(cd)
     assert sw.side == "K"
 
 

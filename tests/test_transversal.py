@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csslab.graphs import (complement, complete_graph,
+from csslab.graphs import (bits, complement, complete_graph,
                            comparability_from_random_poset, contains_induced,
                            cycle_graph, empty_graph, from_edges, gen_gnp,
                            mask_of, net_graph, path_graph)
 from csslab import transversal
 from csslab.lp import solve_lp
 from csslab.separator import disjoint_maximal_pairs, verify_cs_separator
-from csslab.transversal import (BicliquePairNotFound, ConflictDigraph, Digraph,
+from csslab.transversal import (BicliquePairNotFound, ConflictDigraph,
                                 Hypergraph, build_hypergraph,
                                 build_pk_free_separator,
                                 build_split_free_separator, conflict_digraph,
@@ -26,23 +26,37 @@ from csslab.transversal import (BicliquePairNotFound, ConflictDigraph, Digraph,
 from oracles import (scan_greedy_transversal, set_of, substitution_graph,
                      unmemoised_pair_pipeline)
 
-# ---------------------------------------------------------------- digraphs
+# ------------------------------------------------------- conflict tournaments
 
 
-def test_digraph_rejects_bad_arcs():
-    with pytest.raises(ValueError):
-        Digraph(2, [0b10, 0b01])  # both directions
-    with pytest.raises(ValueError):
-        Digraph(1, [0b1])  # self-arc
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 2 ** 31 - 1))
+def test_conflict_arcs_are_both_sides_hyperedges(n, p, seed):
+    # one arc per (clique, stable) pair and none inside a side; the stable
+    # rows are the K-side hyperedges and the clique rows, shifted past K,
+    # are the S-side hyperedges of the complement: side_weights reads both
+    g = gen_gnp(n, p, seed)
+    for k, s in disjoint_maximal_pairs(g):
+        cd = conflict_digraph(g, k, s)
+        nk, ns = len(cd.clique), len(cd.stable)
+        kmask, smask = (1 << nk) - 1, ((1 << ns) - 1) << nk
+        for u, a in enumerate(cd.out):
+            other = smask if u < nk else kmask
+            assert a & ~other == 0
+            for v in bits(other):
+                assert (a >> v & 1) + (cd.out[v] >> u & 1) == 1
+        assert list(cd.out[nk:]) == list(build_hypergraph(g, k, s)[0].edges)
+        assert ([a >> nk for a in cd.out[:nk]]
+                == list(build_hypergraph(complement(g), s, k)[0].edges))
 
 
 def test_conflict_digraph_examples():
     g_edge = from_edges(2, [(0, 1)])
     cd = conflict_digraph(g_edge, 0b1, 0b10)
-    assert cd.digraph.out == (0b10, 0)  # arc K -> S
+    assert cd.out == (0b10, 0)  # arc K -> S
     g_non = empty_graph(2)
     cd = conflict_digraph(g_non, 0b1, 0b10)
-    assert cd.digraph.out == (0, 0b01)  # arc S -> K
+    assert cd.out == (0, 0b01)  # arc S -> K
     with pytest.raises(ValueError):
         conflict_digraph(g_non, 0b11, 0)  # not a clique
     with pytest.raises(ValueError):
@@ -58,14 +72,14 @@ def test_conflict_digraph_rejects_nonstable():
 def test_side_weights_edge_pair_prefers_s():
     g = from_edges(2, [(0, 1)])
     cd = conflict_digraph(g, 0b1, 0b10)
-    sw = side_weights(cd, g)
+    sw = side_weights(cd)
     assert sw.side == "S" and sw.weights == {1: 2}
 
 
 def test_side_weights_nonedge_pair_prefers_k():
     g = empty_graph(2)
     cd = conflict_digraph(g, 0b1, 0b10)
-    sw = side_weights(cd, g)
+    sw = side_weights(cd)
     assert sw.side == "K" and sw.weights == {0: 2}
 
 
@@ -77,7 +91,7 @@ def test_side_weights_on_actual_pairs():
         g = gen_gnp(n, rnd.choice([0.3, 0.5, 0.7]), 7000 + trial)
         for k, s in disjoint_maximal_pairs(g)[:6]:
             cd = conflict_digraph(g, k, s)
-            sw = side_weights(cd, g)  # exact >= 1 checks run inside
+            sw = side_weights(cd)  # exact >= 1 checks run inside
             assert sw.side in ("K", "S")
             assert sum(sw.weights.values()) == 2
             checked += 1
@@ -89,7 +103,7 @@ def test_side_weights_pinned_instance():
     # two stable vertices each adjacent to one clique vertex
     g = from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
     cd = conflict_digraph(g, 0b111, 0b11000)
-    sw = side_weights(cd, g)
+    sw = side_weights(cd)
     assert sw.side == "K"
     assert sw.weights == {0: 1, 1: 1, 2: 0}
     # hand check: vertex 3 misses {1, 2}, vertex 4 misses {0, 2}; both
@@ -112,7 +126,7 @@ def test_side_weights_rejects_a_bad_certificate(monkeypatch, weights, message):
     cd = conflict_digraph(g, 0b111, 0b11000)
     monkeypatch.setattr(transversal, "_side_feasible", lambda rows, nv: weights)
     with pytest.raises(RuntimeError, match=message):
-        side_weights(cd, g)
+        side_weights(cd)
 
 
 def test_side_weights_accepts_out_weight_exactly_one(monkeypatch):
@@ -120,7 +134,7 @@ def test_side_weights_accepts_out_weight_exactly_one(monkeypatch):
     cd = conflict_digraph(g, 0b111, 0b11000)
     weights = (Fraction(1), Fraction(2, 3), Fraction(1, 3))
     monkeypatch.setattr(transversal, "_side_feasible", lambda rows, nv: weights)
-    assert side_weights(cd, g).weights == {0: 1, 1: Fraction(2, 3), 2: Fraction(1, 3)}
+    assert side_weights(cd).weights == {0: 1, 1: Fraction(2, 3), 2: Fraction(1, 3)}
 
 
 # ---------------------------------------------------------------- hypergraphs
