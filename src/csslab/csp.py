@@ -176,6 +176,8 @@ class TwoSatInstance:
     clauses: tuple[tuple[int, int], ...]  # literals are +-(var+1)
 
     def __post_init__(self):
+        if self.nvars < 0:
+            raise ValueError(f"variable count {self.nvars} is negative")
         for a, b in self.clauses:
             for lit in (a, b):
                 if lit == 0 or abs(lit) > self.nvars:
@@ -184,77 +186,51 @@ class TwoSatInstance:
 
 def solve_2sat(ts: TwoSatInstance):
     """Satisfying assignment (tuple of bools) or None, by strongly connected
-    components of the implication graph (iterative Tarjan).
+    components of the implication graph (Aspvall, Plass and Tarjan, 1979).
 
     Literal node ids: 2v for the negation of variable v, 2v + 1 for the
     variable itself; with that numbering an unconstrained variable comes out
-    False.
+    False.  In the iterative Tarjan search a vertex is on the stack exactly
+    when it has an index but no component yet.
     """
-    n = ts.nvars
-    nn = 2 * n
-
-    def node(lit: int) -> int:
-        v = abs(lit) - 1
-        return 2 * v + 1 if lit > 0 else 2 * v
-
-    def negate(x: int) -> int:
-        return x ^ 1
-
+    nn = 2 * ts.nvars
     adj: list[list[int]] = [[] for _ in range(nn)]
     for a, b in ts.clauses:
-        adj[negate(node(a))].append(node(b))
-        adj[negate(node(b))].append(node(a))
+        x, y = 2 * abs(a) - 2 + (a > 0), 2 * abs(b) - 2 + (b > 0)
+        adj[x ^ 1].append(y)
+        adj[y ^ 1].append(x)
 
-    index = [-1] * nn
-    low = [0] * nn
-    comp = [-1] * nn
-    on_stack = [False] * nn
+    index, low, comp = [-1] * nn, [0] * nn, [-1] * nn
     stack: list[int] = []
-    counter = [0]
-    comp_count = [0]
-
-    for root in range(nn):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
+    count = comps = 0
+    for root in (r for r in range(nn) if index[r] == -1):  # index read as reached
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
+            v, succ = work[-1]
+            if index[v] == -1:
+                index[v] = low[v] = count
+                count += 1
                 stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
+            for w in succ:
                 if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
+                if comp[w] == -1:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comp_count[0]
-                    if w == v:
-                        break
-                comp_count[0] += 1
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while stack[-1] != v:
+                        comp[stack.pop()] = comps
+                    comp[stack.pop()] = comps
+                    comps += 1
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
 
-    out = []
-    for v in range(n):
-        if comp[2 * v] == comp[2 * v + 1]:
-            return None
-        out.append(comp[2 * v + 1] < comp[2 * v])
-    return tuple(out)
+    if any(comp[x] == comp[x + 1] for x in range(0, nn, 2)):
+        return None
+    return tuple(comp[x + 1] < comp[x] for x in range(0, nn, 2))
 
 
 def two_list_to_2sat(inst: CcpInstance, la: ListAssignment):
@@ -268,36 +244,26 @@ def two_list_to_2sat(inst: CcpInstance, la: ListAssignment):
     """
     if len(la) != inst.n:
         raise ValueError("assignment length must match the instance")
-    var_of: dict[tuple[int, int], int] = {}
-    for v in range(inst.n):
-        lst = sorted(set(la[v]))
+    lists = [sorted(set(lst)) for lst in la]
+    lit_of: dict[tuple[int, int], int] = {}  # (vertex, color) -> its positive literal
+    clauses = []
+    for v, lst in enumerate(lists):
         if not 1 <= len(lst) <= 2:
             raise ValueError(f"vertex {v} list must hold one or two colors")
-        for c in lst:
-            var_of[(v, c)] = len(var_of)
-    clauses = []
-    for v in range(inst.n):
-        lst = sorted(set(la[v]))
-        if len(lst) == 2:
-            x = var_of[(v, lst[0])] + 1
-            y = var_of[(v, lst[1])] + 1
-            clauses.append((x, y))
-            clauses.append((-x, -y))
-        else:
-            x = var_of[(v, lst[0])] + 1
-            clauses.append((x, x))
+        if not _COLORS.issuperset(lst):
+            raise ValueError(f"vertex {v} list holds a color outside 0, 1, 2")
+        x = len(lit_of) + 1
+        lit_of.update(((v, c), x + i) for i, c in enumerate(lst))
+        clauses += [(x, x + 1), (-x, -x - 1)] if len(lst) == 2 else [(x, x)]
     for (u, v), c in zip(itertools.combinations(range(inst.n), 2), inst.colors):
-        xu = var_of.get((u, c))
-        xv = var_of.get((v, c))
-        if xu is not None and xv is not None:
-            clauses.append((-(xu + 1), -(xv + 1)))
-    ts = TwoSatInstance(len(var_of), tuple(clauses))
+        if (u, c) in lit_of and (v, c) in lit_of:
+            clauses.append((-lit_of[(u, c)], -lit_of[(v, c)]))
+    ts = TwoSatInstance(len(lit_of), tuple(clauses))
 
     def decode(assignment) -> tuple[int, ...]:
         colors = []
-        for v in range(inst.n):
-            lst = sorted(set(la[v]))
-            chosen = [c for c in lst if assignment[var_of[(v, c)]]]
+        for v, lst in enumerate(lists):
+            chosen = [c for c in lst if assignment[lit_of[(v, c)] - 1]]
             if len(chosen) != 1:
                 raise ValueError("assignment does not select exactly one color")
             colors.append(chosen[0])

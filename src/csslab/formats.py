@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 
 from .csp import COLOR_NAMES, PART_NAMES, CcpInstance, StubbornInstance
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, mask_of
 from .packing import BicliqueCovering, FoolingSet, PackingCertificate
 from .separator import CutFamily
 from .transversal import Hypergraph
@@ -148,13 +148,19 @@ def parse_graph(text: str) -> Graph:
 # -- cut families and hypergraphs: one row of sorted vertices per member -------
 
 
-def _emit_rows(header: str, masks) -> str:
-    # names up to the highest member, not the header's n, so that a large
-    # n with small rows costs nothing
+def _emit_rows(header: str, masks, tags: str = "") -> str:
+    """``header``, then one line of sorted members per mask, led by the tags
+    in turn as ``<tag>:`` when given.  Names run up to the highest member,
+    not the header's n, so that a large n with small rows costs nothing."""
     names = [str(v) for v in range(max(masks, default=0).bit_length())]
     lines = [header]
-    for m in masks:
-        lines.append(" ".join([names[v] for v in bits(m)]))
+    for i, m in enumerate(masks):
+        row = [f"{tags[i % len(tags)]}:"] if tags else []
+        while m:
+            low = m & -m
+            row.append(names[low.bit_length() - 1])
+            m ^= low
+        lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -201,22 +207,11 @@ def parse_hypergraph(text: str) -> Hypergraph:
 # -- packings, coverings and fooling sets -------------------------------------------
 
 
-def _emit_blocks(header: str, blocks, tags: str) -> str:
-    """``header``, then per (first, second) block of masks one
-    ``<tags[0]>: ...`` line and one ``<tags[1]>: ...`` line of sorted
-    members."""
-    lines = [header]
-    for block in blocks:
-        for tag, mask in zip(tags, block):
-            lines.append(f"{tag}: {' '.join(map(str, bits(mask)))}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def _parse_blocks(rows, n: int, k: int, host: Graph, tags: str,
                   noun: str) -> list[tuple[int, int]]:
-    """The ``k`` (first, second) mask blocks of ``_emit_blocks`` output whose
-    header, ``rows[0]``, declared ``n`` vertices; ``noun`` names the file's
-    certificate in errors."""
+    """The ``k`` (first, second) mask blocks of tagged ``_emit_rows`` output
+    whose header, ``rows[0]``, declared ``n`` vertices; ``noun`` names the
+    file's certificate in errors."""
     if n != host.n:
         raise FormatError(f"{noun} is for {n} vertices, host has {host.n}", 1)
     if len(rows) < 1 + 2 * k:
@@ -233,8 +228,8 @@ def _parse_blocks(rows, n: int, k: int, host: Graph, tags: str,
 
 
 def emit_packing(cert: PackingCertificate) -> str:
-    return _emit_blocks(f"packing {cert.host.n} {len(cert.bicliques)}",
-                        cert.bicliques, "AB")
+    return _emit_rows(f"packing {cert.host.n} {len(cert.bicliques)}",
+                      [m for pair in cert.bicliques for m in pair], "AB")
 
 
 def parse_packing(text: str, host: Graph) -> PackingCertificate:
@@ -244,8 +239,8 @@ def parse_packing(text: str, host: Graph) -> PackingCertificate:
 
 
 def emit_covering(cov: BicliqueCovering) -> str:
-    return _emit_blocks(f"covering {cov.host.n} {len(cov.bicliques)} t {cov.t}",
-                        cov.bicliques, "AB")
+    return _emit_rows(f"covering {cov.host.n} {len(cov.bicliques)} t {cov.t}",
+                      [m for pair in cov.bicliques for m in pair], "AB")
 
 
 def parse_covering(text: str, host: Graph) -> BicliqueCovering:
@@ -266,7 +261,8 @@ def parse_covering(text: str, host: Graph) -> BicliqueCovering:
 
 
 def emit_fooling(fs: FoolingSet) -> str:
-    return _emit_blocks(f"fooling {fs.host.n} {len(fs.pairs)}", fs.pairs, "KS")
+    return _emit_rows(f"fooling {fs.host.n} {len(fs.pairs)}",
+                      [m for pair in fs.pairs for m in pair], "KS")
 
 
 def parse_fooling(text: str, host: Graph) -> FoolingSet:

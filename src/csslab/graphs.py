@@ -416,26 +416,18 @@ def _pair_search_greedy(g: Graph, size: int) -> tuple[int, int] | None:
         for v in range(u + 1, g.n):
             if g.has_edge(u, v):
                 continue
-            a, b = 1 << u, 1 << v
-            while True:
+            sides = [1 << u, 1 << v]
+            grown = True
+            while grown:
                 grown = False
-                for side in (0, 1):
-                    other = b if side == 0 else a
-                    best = -1
-                    for w in bits(full & ~(a | b)):
-                        if other & adj[w] == 0:
-                            best = w
-                            break
-                    if best >= 0:
-                        if side == 0:
-                            a |= 1 << best
-                        else:
-                            b |= 1 << best
+                for i in (0, 1):
+                    w = next((w for w in bits(full & ~(sides[0] | sides[1]))
+                              if sides[1 - i] & adj[w] == 0), None)
+                    if w is not None:
+                        sides[i] |= 1 << w
                         grown = True
-                if not grown:
-                    break
-            if a.bit_count() >= size and b.bit_count() >= size:
-                return a, b
+            if min(map(int.bit_count, sides)) >= size:
+                return tuple(sides)
     return None
 
 

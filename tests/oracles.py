@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 from csslab.csp import (MalformedCovering, NotReallyThreeColorable, StubbornInstance,
-                        _derived_graph, _translate, really_3colorable,
+                        TwoSatInstance, _derived_graph, _translate, really_3colorable,
                         stubborn_assignment_compatible, trivial_stubborn,
                         verify_3ccp_solution, verify_stubborn_solution)
 from csslab.formats import (_PART_TOKENS, FormatError, _header, _reject_rows_past,
@@ -661,3 +661,163 @@ def int_token_parse_stubborn(text: str) -> StubbornInstance:
     if len(lists) != n:
         raise FormatError("list section size disagrees with the header")
     return StubbornInstance(from_edges(n, edges), lists)
+
+
+# -- the 2-SAT layer and the greedy pair search before their one-pass rewrites --
+
+
+def resume_index_solve_2sat(ts: TwoSatInstance):
+    """``solve_2sat`` with an ``on_stack`` list, boxed counters and DFS frames
+    that resume at a successor index (iterative Tarjan).
+
+    Literal node ids: 2v for the negation of variable v, 2v + 1 for the
+    variable itself; with that numbering an unconstrained variable comes out
+    False.
+    """
+    n = ts.nvars
+    nn = 2 * n
+
+    def node(lit: int) -> int:
+        v = abs(lit) - 1
+        return 2 * v + 1 if lit > 0 else 2 * v
+
+    def negate(x: int) -> int:
+        return x ^ 1
+
+    adj: list[list[int]] = [[] for _ in range(nn)]
+    for a, b in ts.clauses:
+        adj[negate(node(a))].append(node(b))
+        adj[negate(node(b))].append(node(a))
+
+    index = [-1] * nn
+    low = [0] * nn
+    comp = [-1] * nn
+    on_stack = [False] * nn
+    stack: list[int] = []
+    counter = [0]
+    comp_count = [0]
+
+    for root in range(nn):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter[0]
+                counter[0] += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for i in range(pi, len(adj[v])):
+                w = adj[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = comp_count[0]
+                    if w == v:
+                        break
+                comp_count[0] += 1
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+
+    out = []
+    for v in range(n):
+        if comp[2 * v] == comp[2 * v + 1]:
+            return None
+        out.append(comp[2 * v + 1] < comp[2 * v])
+    return tuple(out)
+
+
+def triple_sort_two_list_to_2sat(inst, la):
+    """``two_list_to_2sat`` that sorts each list once per pass: variables,
+    clauses and every decode.
+
+    Per vertex with a two-color list: one variable per color, an "at least
+    one" and an "at most one" clause.  Singleton lists contribute one
+    variable forced true.  Every same-colored conflict along an edge whose
+    color appears on both endpoints' lists adds an exclusion clause.
+    Returns the instance plus a decoder from assignments to vertex colorings.
+    """
+    if len(la) != inst.n:
+        raise ValueError("assignment length must match the instance")
+    var_of: dict[tuple[int, int], int] = {}
+    for v in range(inst.n):
+        lst = sorted(set(la[v]))
+        if not 1 <= len(lst) <= 2:
+            raise ValueError(f"vertex {v} list must hold one or two colors")
+        for c in lst:
+            var_of[(v, c)] = len(var_of)
+    clauses = []
+    for v in range(inst.n):
+        lst = sorted(set(la[v]))
+        if len(lst) == 2:
+            x = var_of[(v, lst[0])] + 1
+            y = var_of[(v, lst[1])] + 1
+            clauses.append((x, y))
+            clauses.append((-x, -y))
+        else:
+            x = var_of[(v, lst[0])] + 1
+            clauses.append((x, x))
+    for (u, v), c in zip(itertools.combinations(range(inst.n), 2), inst.colors):
+        xu = var_of.get((u, c))
+        xv = var_of.get((v, c))
+        if xu is not None and xv is not None:
+            clauses.append((-(xu + 1), -(xv + 1)))
+    ts = TwoSatInstance(len(var_of), tuple(clauses))
+
+    def decode(assignment) -> tuple[int, ...]:
+        colors = []
+        for v in range(inst.n):
+            lst = sorted(set(la[v]))
+            chosen = [c for c in lst if assignment[var_of[(v, c)]]]
+            if len(chosen) != 1:
+                raise ValueError("assignment does not select exactly one color")
+            colors.append(chosen[0])
+        return tuple(colors)
+
+    return ts, decode
+
+
+def branchy_pair_search_greedy(g, size: int):
+    """``_pair_search_greedy`` with a ``best = -1`` sentinel and one branch per
+    side."""
+    adj = g.adj
+    full = g.full_mask
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                continue
+            a, b = 1 << u, 1 << v
+            while True:
+                grown = False
+                for side in (0, 1):
+                    other = b if side == 0 else a
+                    best = -1
+                    for w in bits(full & ~(a | b)):
+                        if other & adj[w] == 0:
+                            best = w
+                            break
+                    if best >= 0:
+                        if side == 0:
+                            a |= 1 << best
+                        else:
+                            b |= 1 << best
+                        grown = True
+                if not grown:
+                    break
+            if a.bit_count() >= size and b.bit_count() >= size:
+                return a, b
+    return None

@@ -31,7 +31,8 @@ import oracles
 from oracles import (pairwise_3ccp_solution, per_assignment_covering_covers,
                      per_target_3ccp_covering, per_target_full_3ccp_covering,
                      product_filter_3ccp, product_filter_maximal_stubborn,
-                     scan_covering_covers, unmemoised_ccp_covering_to_separator)
+                     resume_index_solve_2sat, scan_covering_covers,
+                     triple_sort_two_list_to_2sat, unmemoised_ccp_covering_to_separator)
 
 
 def separator_provider(seed):
@@ -158,6 +159,24 @@ def test_two_list_bijection_exhaustive():
 def test_solve_2sat_examples():
     assert solve_2sat(TwoSatInstance(1, ())) == (False,)
     assert solve_2sat(TwoSatInstance(1, ((1, 1), (-1, -1)))) is None
+
+
+def test_two_list_encoding_rejects_colors_outside_0_to_2():
+    # {5} once encoded to a solution decoding to (5, 1), which
+    # verify_3ccp_solution rejects with ValueError
+    inst = CcpInstance(2, (0,))
+    for bad in (frozenset({5}), frozenset({-1, 0}), frozenset({2, 3})):
+        with pytest.raises(ValueError, match="vertex 0 list holds a color outside"):
+            two_list_to_2sat(inst, (bad, frozenset({0, 1})))
+        with pytest.raises(ValueError, match="vertex 1 list holds a color outside"):
+            two_list_to_2sat(inst, (frozenset({0, 1}), bad))
+
+
+def test_two_sat_instance_rejects_negative_variable_count():
+    # TwoSatInstance(-2, ()) once solved to ()
+    with pytest.raises(ValueError, match="variable count -2 is negative"):
+        TwoSatInstance(-2, ())
+    assert solve_2sat(TwoSatInstance(0, ())) == ()
 
 
 def test_solve_2sat_against_numpy_oracle():
@@ -636,3 +655,44 @@ def with_confirmations(covers, covering, solutions):
     with (mock.patch.object(csp, "stubborn_assignment_compatible", counted),
           mock.patch.object(oracles, "stubborn_assignment_compatible", counted)):
         return covers(covering, solutions), log
+
+
+@st.composite
+def two_sat_instances(draw):
+    nvars = draw(st.integers(0, 14))
+    literals = st.integers(1, max(nvars, 1)).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.tuples(literals, literals), max_size=3 * nvars))
+    return TwoSatInstance(nvars, tuple(clauses))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(two_sat_instances())
+def test_solve_2sat_matches_resume_index_oracle(ts):
+    assert solve_2sat(ts) == resume_index_solve_2sat(ts)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+           st.lists(st.integers(0, 2), min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2),
+           st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(frozenset),
+                    min_size=n, max_size=n))),
+       st.data())
+def test_two_list_to_2sat_matches_triple_sort_oracle(case, data):
+    """Equal instances and equal decodes (or equal errors), on lists of one
+    to three colors, for the solver's assignment and for drawn ones."""
+    colors, la = case
+    inst = CcpInstance(len(la), colors)
+    got = outcome(two_list_to_2sat, inst, la)
+    want = outcome(triple_sort_two_list_to_2sat, inst, la)
+    if not isinstance(want[0], TwoSatInstance):
+        assert got == want
+        return
+    (ts, decode), (oracle_ts, oracle_decode) = got, want
+    assert ts == oracle_ts
+    assignments = [data.draw(st.lists(st.booleans(), min_size=ts.nvars, max_size=ts.nvars))
+                   for _ in range(3)]
+    if solve_2sat(ts) is not None:
+        assignments.append(solve_2sat(ts))
+    for assignment in assignments:
+        assert outcome(decode, assignment) == outcome(oracle_decode, assignment)

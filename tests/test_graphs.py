@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csslab.graphs import (BicliquePair, Graph, bits, complement,
+from csslab.graphs import (BicliquePair, Graph, _pair_search_greedy, bits, complement,
                            complete_graph, comparability_from_random_poset,
                            contains_induced, cycle_graph, empty_graph,
                            find_biclique_pair, from_edges, gen_gnp,
@@ -13,9 +13,9 @@ from csslab.graphs import (BicliquePair, Graph, bits, complement,
                            is_proper_coloring, is_split_graph, is_stable,
                            mask_of, maximal_cliques, maximal_stables,
                            net_graph, path_graph, split_partitions)
-from oracles import (has_edge_contains_induced, set_greedy_coloring,
-                     set_maximal_cliques, set_maximal_stables, set_of,
-                     set_split_partitions)
+from oracles import (branchy_pair_search_greedy, has_edge_contains_induced,
+                     set_greedy_coloring, set_maximal_cliques, set_maximal_stables,
+                     set_of, set_split_partitions)
 
 # ---------------------------------------------------------------- oracles
 
@@ -346,6 +346,17 @@ def test_find_biclique_pair_heuristic_flagged():
     g = empty_graph(30)
     hit = find_biclique_pair(g, 5)
     assert hit is not None and not hit.exact and hit.mode == "nonadjacent"
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.one_of(graphs(30), st.builds(gen_gnp, st.integers(0, 30),
+                                       st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)),
+                                       st.integers(0, 2 ** 32))),
+       st.integers(1, 6))
+@example(empty_graph(30), 5)
+@example(complete_graph(30), 1)
+def test_pair_search_greedy_matches_branchy_oracle(g, size):
+    assert _pair_search_greedy(g, size) == branchy_pair_search_greedy(g, size)
 
 
 def test_greedy_coloring_proper():
