@@ -151,11 +151,17 @@ def parse_graph(text: str) -> Graph:
 def _emit_rows(header: str, masks, tags: str = "") -> str:
     """``header``, then one line of sorted members per mask, led by the tags
     in turn as ``<tag>:`` when given.  Names run up to the highest member,
-    not the header's n, so that a large n with small rows costs nothing."""
+    not the header's n, so that a large n with small rows costs nothing.  A
+    negative mask, which has no finite member list, is a ``ValueError``
+    naming its row."""
     names = [str(v) for v in range(max(masks, default=0).bit_length())]
     lines = [header]
     for i, m in enumerate(masks):
         row = [f"{tags[i % len(tags)]}:"] if tags else []
+        if m < 0:
+            where = f" ({row[0]})" if row else ""
+            raise ValueError(f"row {i + 1}{where} holds the negative mask {m}, "
+                             "which lists no vertices")
         while m:
             low = m & -m
             row.append(names[low.bit_length() - 1])

@@ -351,16 +351,23 @@ def contains_induced(g: Graph, pattern: Graph) -> tuple[int, ...] | None:
         placed |= 1 << v
         remaining.discard(v)
 
-    # level i's candidates: unused vertices adjacent to the images of the
-    # earlier pattern neighbours of order[i] and not adjacent to the others
+    # level i's candidates: unused vertices with room for order[i]'s
+    # neighbours and non-neighbours, adjacent to the images of its earlier
+    # pattern neighbours and not adjacent to the others
+    adj = g.adj
+    host_degree = [a.bit_count() for a in adj]
+    room = []
+    for u in order:
+        d = pattern.degree(u)
+        room.append(mask_of(v for v, dv in enumerate(host_degree)
+                            if dv >= d and g.n - dv >= k - d))
     links = [[(pu, pattern.adj[order[i]] >> pu & 1) for pu in order[:i]] for i in range(k)]
-    adj, full = g.adj, g.full_mask
     assign = [-1] * k
 
     def extend(i: int, used: int) -> bool:
         if i == k:
             return True
-        cands = full & ~used
+        cands = room[i] & ~used
         for pu, edge in links[i]:
             nb = adj[assign[pu]]
             cands &= nb if edge else ~nb

@@ -145,18 +145,56 @@ def build_hypergraph(g: Graph, base: int,
     return Hypergraph(len(ids), edges), ids
 
 
-def _canonical(h: Hypergraph) -> tuple[int, frozenset, frozenset]:
-    """(n, distinct edges, inclusion-minimal edges).  Dropping duplicate
-    edges and edges that contain another edge leaves the covering program's
-    optimum, and so the side choice and tau*, unchanged."""
+def _canonical(h: Hypergraph) -> tuple[frozenset, frozenset]:
+    """(distinct edges, inclusion-minimal edges).  Dropping duplicate edges
+    and edges that contain another edge leaves the covering program's
+    optimum, and so the side choice and tau*, unchanged: the split-free
+    memo keys those two on the minimal edges, and the VC dimension on the
+    distinct ones (through ``_memoised``)."""
     edges = frozenset(h.edges)
     minimal = frozenset(e for e in edges if not any(f != e and f & e == f for f in edges))
-    return h.n, edges, minimal
+    return edges, minimal
 
 
-def _memoised(memo: dict, key, compute):
+def _shape(edges: frozenset) -> frozenset:
+    """An isomorphic copy of ``edges`` on only the vertices they use, which
+    are renumbered 0.. by (degree, sorted sizes of the edges through the
+    vertex), ties by index.  The signature is an isomorphism invariant, so
+    isomorphic edge sets often get equal shapes; only ties can give them
+    different ones."""
+    through: dict[int, list[int]] = {}   # vertex bit -> sizes of its edges, sorted
+    for e in sorted(edges, key=int.bit_count):
+        size = e.bit_count()
+        while e:
+            low = e & -e
+            through.setdefault(low, []).append(size)
+            e ^= low
+    order = sorted(through, key=lambda v: (len(through[v]), through[v], v))
+    label = {v: 1 << i for i, v in enumerate(order)}
+    shape = []
+    for e in edges:
+        m = 0
+        while e:
+            low = e & -e
+            m |= label[low]
+            e ^= low
+        shape.append(m)
+    return frozenset(shape)
+
+
+def _memoised(memo: dict, kind: str, edges: frozenset, compute):
+    """``compute()`` for the edge set ``edges``, or the value already found
+    for ``edges`` or for another edge set of the same ``_shape``.  Only for
+    values that are isomorphism invariants blind to vertices in no edge: the
+    shape is itself an edge set with the value of ``edges``, so both live
+    under ``(kind, edge set)``.  The shape is computed only when ``edges``
+    misses."""
+    key = (kind, edges)
     if key not in memo:
-        memo[key] = compute()
+        shape = (kind, _shape(edges))
+        if shape not in memo:
+            memo[shape] = compute()
+        memo[key] = memo[shape]
     return memo[key]
 
 
@@ -272,23 +310,26 @@ def separate_pair_split_free(g: Graph, k: int, s: int,
     masks and return the separating cut with its certificates.  The stable
     side runs on complement(g), and its cut is complemented back to g.
 
-    ``memo`` carries the side, tau* and VC dimension already found for
-    equivalent hypergraphs during one build (see ``_canonical``); the side is
-    keyed on the K-side hypergraph.  Without it the pair gets a memo of its
-    own.  The transversal and both exact checks run for every pair."""
+    ``memo`` carries the side, tau* and VC dimension already found during
+    one build, keyed on the hypergraph's edges and, when those miss, on
+    their ``_shape``: two pairs whose minimal edges (for the side and tau*)
+    or distinct edges (for the VC dimension) are isomorphic get the same
+    values, even on other vertices.  The side is keyed on the K-side
+    hypergraph, as side K is chosen exactly when its tau* is at most 2.
+    Without a memo the pair gets one of its own.  The transversal and both
+    exact checks run for every pair."""
     if memo is None:
         memo = {}
     h, ids = build_hypergraph(g, k, s)
-    n, edges, minimal = _canonical(h)
-    side = _memoised(memo, ("side", n, minimal),
+    edges, minimal = _canonical(h)
+    side = _memoised(memo, "side", minimal,
                      lambda: side_weights(conflict_digraph(g, k, s)).side)
     h_g = g
     if side == "S":
         h_g = complement(g)
         h, ids = build_hypergraph(h_g, s, k)
-        n, edges, minimal = _canonical(h)
-    tau_star = _memoised(memo, ("tau*", n, minimal),
-                         lambda: fractional_transversality(h)[0])
+        edges, minimal = _canonical(h)
+    tau_star = _memoised(memo, "tau*", minimal, lambda: fractional_transversality(h)[0])
     transversal = greedy_transversal(h)
     tau = transversal.bit_count()
     if tau > budget:
@@ -302,7 +343,7 @@ def separate_pair_split_free(g: Graph, k: int, s: int,
         u = g.full_mask & ~u
     if not separates(u, k, s):
         raise RuntimeError("pipeline produced a non-separating cut: implementation bug")
-    vc = _memoised(memo, ("vc", n, edges), lambda: vc_dimension(h, cap=h.n + 1))
+    vc = _memoised(memo, "vc", edges, lambda: vc_dimension(h, cap=h.n + 1))
     return PairPipelineReport(k, s, side, tau, tau_star, vc, u)
 
 

@@ -523,6 +523,51 @@ def has_edge_contains_induced(g, pattern):
     return tuple(assign) if backtrack(0) else None
 
 
+def unpruned_contains_induced(g, pattern):
+    """``contains_induced`` without the degree filter: every unused host
+    vertex is a candidate for every pattern vertex, so the search visits
+    dead branches that the filter skips but finds the same first
+    assignment."""
+    k = pattern.n
+    if k > g.n:
+        return None
+    if k == 0:
+        return ()
+    order = []
+    placed = 0
+    remaining = set(range(k))
+    while remaining:
+        connected = [v for v in remaining if pattern.adj[v] & placed]
+        pool = connected if connected else list(remaining)
+        v = max(pool, key=lambda u: (pattern.degree(u), -u))
+        order.append(v)
+        placed |= 1 << v
+        remaining.discard(v)
+
+    links = [[(pu, pattern.adj[order[i]] >> pu & 1) for pu in order[:i]] for i in range(k)]
+    adj, full = g.adj, g.full_mask
+    assign = [-1] * k
+
+    def extend(i: int, used: int) -> bool:
+        if i == k:
+            return True
+        cands = full & ~used
+        for pu, edge in links[i]:
+            nb = adj[assign[pu]]
+            cands &= nb if edge else ~nb
+        while cands:
+            low = cands & -cands
+            assign[order[i]] = low.bit_length() - 1
+            if extend(i + 1, used | low):
+                return True
+            cands ^= low
+        return False
+
+    if extend(0, 0):
+        return tuple(assign)
+    return None
+
+
 # -- parsers that read every vertex token with int() ----------------------------
 
 

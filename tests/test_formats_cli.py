@@ -17,8 +17,8 @@ from csslab.csp import (CcpInstance, StubbornInstance, all_3ccp_solutions,
                         square_cut_family, trivial_stubborn)
 from csslab.graphs import (complete_graph, cycle_graph, from_edges, gen_gnp,
                            net_graph)
-from csslab.packing import (BicliqueCovering, FoolingSet, build_fooling_set,
-                            star_partition, verify_packing)
+from csslab.packing import (BicliqueCovering, FoolingSet, PackingCertificate,
+                            build_fooling_set, star_partition, verify_packing)
 from csslab.separator import (CutFamily, build_random_separator,
                               extend_to_full_separator)
 from csslab.transversal import Hypergraph
@@ -108,6 +108,18 @@ def test_packing_and_fooling_roundtrip():
     assert emit_packing(back) == text
     with pytest.raises(FormatError, match="host"):
         parse_packing(text, cycle_graph(4))
+
+
+def test_emitters_name_a_row_with_a_negative_side():
+    # the certificates keep such sides, so that the verifiers can report
+    # them as vertex-out-of-range; a file cannot list them
+    k3 = complete_graph(3)
+    with pytest.raises(ValueError, match=r"row 1 \(A:\) holds the negative mask -1"):
+        emit_packing(PackingCertificate(k3, ((-1, 2),)))
+    with pytest.raises(ValueError, match=r"row 4 \(B:\) holds the negative mask -2"):
+        emit_covering(BicliqueCovering(k3, ((1, 2), (1, -2)), 2))
+    with pytest.raises(ValueError, match=r"row 2 \(S:\) holds the negative mask -1"):
+        emit_fooling(FoolingSet(k3, ((1, -1),)))
 
 
 @pytest.mark.parametrize("parse, text", [

@@ -15,7 +15,7 @@ from csslab.graphs import (BicliquePair, Graph, _pair_search_greedy, bits, compl
                            net_graph, path_graph, split_partitions)
 from oracles import (branchy_pair_search_greedy, has_edge_contains_induced,
                      set_greedy_coloring, set_maximal_cliques, set_maximal_stables,
-                     set_of, set_split_partitions)
+                     set_of, set_split_partitions, unpruned_contains_induced)
 
 # ---------------------------------------------------------------- oracles
 
@@ -234,6 +234,17 @@ def test_contains_induced_matches_has_edge_search(g, pattern):
     assert contains_induced(g, pattern) == has_edge_contains_induced(g, pattern)
     larger = path_graph(g.n + 1)
     assert contains_induced(g, larger) is has_edge_contains_induced(g, larger) is None
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.one_of(graphs(12), st.builds(comparability_from_random_poset, st.integers(1, 13),
+                                       st.integers(0, 2 ** 31 - 1))),
+       st.one_of(graphs(6), st.sampled_from(NAMED_PATTERNS)))
+def test_degree_filter_keeps_the_first_assignment(g, pattern):
+    # the filter drops only host vertices with too few neighbours or
+    # non-neighbours for the pattern vertex, which no embedding uses; the
+    # net-free comparability hosts are the ones the split-free build searches
+    assert contains_induced(g, pattern) == unpruned_contains_induced(g, pattern)
 
 
 @st.composite

@@ -11,7 +11,7 @@ from csslab.graphs import (bits, complement, complete_graph,
                            comparability_from_random_poset, contains_induced,
                            cycle_graph, empty_graph, from_edges, gen_gnp,
                            mask_of, net_graph, path_graph)
-from csslab import transversal
+from csslab import lp, transversal
 from csslab.lp import solve_lp
 from csslab.separator import disjoint_maximal_pairs, verify_cs_separator
 from csslab.transversal import (BicliquePairNotFound, ConflictDigraph,
@@ -352,6 +352,107 @@ def test_split_free_memo_lives_for_one_build(monkeypatch):
     second, _ = split_free_report(g, net_graph())
     assert len(calls) == 2 * per_build
     assert first.masks == second.masks
+
+
+def test_split_free_lp_calls_stay_few(monkeypatch):
+    # pairs whose hypergraphs have the same shape share their LPs; keyed on
+    # the labelled edges alone, these five builds make 698 solves
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    monkeypatch.setattr(transversal, "solve_lp", counted)
+    for seed in range(1, 6):
+        split_free_report(comparability_from_random_poset(20, seed), net_graph())
+    assert 0 < len(calls) <= 150
+
+
+# ---------------------------------------------------------------- memo shapes
+
+
+@st.composite
+def edge_sets(draw, max_n=7, max_m=8):
+    """(n, distinct edge masks over n vertices), the empty edge and the
+    edgeless case included."""
+    n = draw(st.integers(0, max_n))
+    return n, frozenset(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=max_m)))
+
+
+def signature(edges: frozenset, v: int) -> list[int]:
+    return sorted(e.bit_count() for e in edges if e >> v & 1)
+
+
+def relabel(edges: frozenset, image) -> frozenset:
+    return frozenset(mask_of(image[v] for v in bits(e)) for e in edges)
+
+
+def isomorphic_on_used_vertices(edges: frozenset, target: frozenset) -> bool:
+    """Whether some renumbering of the vertices ``edges`` use onto 0.. maps
+    ``edges`` to ``target``, by trying every one."""
+    used = list(bits(mask_of(v for e in edges for v in bits(e))))
+    return any(relabel(edges, dict(zip(used, perm))) == target
+               for perm in itertools.permutations(range(len(used))))
+
+
+def side_of(n: int, edges: frozenset) -> str:
+    """The side ``side_weights`` picks for a pair whose K-side hypergraph
+    has these edges: a clique on 0..n-1, and per edge a stable vertex
+    adjacent to the clique vertices outside it."""
+    es = sorted(edges)
+    links = list(itertools.combinations(range(n), 2))
+    links += [(v, n + i) for i, e in enumerate(es) for v in range(n) if not e >> v & 1]
+    g = from_edges(n + len(es), links)
+    return side_weights(conflict_digraph(g, (1 << n) - 1, ((1 << len(es)) - 1) << n)).side
+
+
+def memo_values(n: int, edges: frozenset):
+    h = Hypergraph(n, edges)
+    tau_star = fractional_transversality(h)[0] if 0 not in edges else None
+    return side_of(n, edges), tau_star, vc_dimension(h, cap=n + 1)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(edge_sets(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_shape_ignores_labels_that_its_signature_orders(instance, extra, rnd):
+    # relabel into n + extra vertices, keeping the order of the vertices
+    # with equal signatures: the tie-break by index sees the same order
+    n, edges = instance
+    image = dict(enumerate(rnd.sample(range(n + extra), n)))
+    classes: dict = {}
+    for v in range(n):
+        classes.setdefault(tuple(signature(edges, v)), []).append(v)
+    for members in classes.values():
+        for v, w in zip(members, sorted(image[v] for v in members)):
+            image[v] = w
+    assert transversal._shape(relabel(edges, image)) == transversal._shape(edges)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(edge_sets(max_n=6))
+def test_shape_is_an_isomorphic_copy_on_the_used_vertices(instance):
+    _, edges = instance
+    shape = transversal._shape(edges)
+    used = mask_of(v for e in edges for v in bits(e)).bit_count()
+    assert mask_of(v for e in shape for v in bits(e)) == (1 << used) - 1
+    assert isomorphic_on_used_vertices(edges, shape)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(edge_sets())
+@example((0, frozenset()))
+@example((3, frozenset()))
+@example((0, frozenset({0})))
+@example((2, frozenset({0, 0b11})))
+def test_equal_shapes_give_equal_memo_values(instance):
+    # every edge set has the values of its shape, so two edge sets of one
+    # shape have equal side, tau* and VC dimension
+    n, edges = instance
+    shape = transversal._shape(edges)
+    used = mask_of(v for e in shape for v in bits(e)).bit_length()
+    assert memo_values(n, edges) == memo_values(used, shape)
 
 
 def test_split_free_advisory_bounds():
