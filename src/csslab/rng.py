@@ -61,8 +61,11 @@ class SplitMix64:
         threshold.
 
         Consumes exactly n draws; callers document their consumption order in
-        terms of this primitive or ``bernoulli_mask``.
+        terms of this primitive or ``bernoulli_mask``.  A negative n raises
+        ``ValueError`` and consumes nothing.
         """
+        if n < 0:
+            raise ValueError(f"draw count must be nonnegative, got {n}")
         start = self._state
         self._state = (start + n * _GAMMA) & MASK64
         if threshold <= 0:

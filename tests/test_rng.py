@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from csslab.rng import TWO64, SplitMix64
 
 from oracles import scalar_bernoulli_mask
@@ -31,3 +33,15 @@ def test_bernoulli_flags_match_scalar_draws():
                 assert [v for v in range(n) if flags[v]] == \
                     [v for v in range(n) if want >> v & 1], (seed, n, threshold)
                 assert fast.next_u64() == slow.next_u64(), (seed, n, threshold)
+
+
+def test_negative_draw_count_raises_and_consumes_nothing():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match="-3"):
+        rng.bernoulli_mask(-3, 1 << 63)
+    with pytest.raises(ValueError, match="-3"):
+        rng.bernoulli_flags(-3, 1 << 63)
+    # a count of 0 is legal and draws nothing
+    assert rng.bernoulli_mask(0, 1 << 63) == 0
+    assert rng.bernoulli_flags(0, 1 << 63).shape == (0,)
+    assert rng.next_u64() == SplitMix64(1).next_u64()

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csslab.graphs import (bits, complement, complete_graph, cycle_graph,
                            empty_graph, from_edges, gen_gnp, is_clique, is_stable,
@@ -204,6 +205,23 @@ def test_random_separator_matches_oracle_on_two_word_rows():
         assert got == build_outcome(greedy_separator, g, 0.5, 11, max_rounds), max_rounds
 
 
+@pytest.mark.parametrize("graph_seed,seed", [(2, 21), (5, 22), (11, 23)])
+def test_random_separator_matches_oracle_at_the_benchmark_shape(graph_seed, seed):
+    # G(22, 1/2) as in the gnp-random workload: more than 64 stable columns
+    # put each uncovered row in two words and cap the doubling batches at
+    # _BLOCK_CELLS // (32 * columns) < 64 rounds, so a build of more than
+    # 100 rounds runs capped batches; caps 40 and 100 fall inside the batch
+    # of 32 and the first capped batch
+    g = gen_gnp(22, 0.5, graph_seed)
+    assert len({s for _, s in disjoint_maximal_pairs(g)}) > 64
+    got = build_outcome(build_random_separator, g, 0.5, seed)
+    assert got[1]["rounds"] > 100
+    assert got == build_outcome(greedy_separator, g, 0.5, seed)
+    for max_rounds in (40, 100):
+        got = build_outcome(build_random_separator, g, 0.5, seed, max_rounds)
+        assert got == build_outcome(greedy_separator, g, 0.5, seed, max_rounds), max_rounds
+
+
 def clique_beside_five_cycle():
     """K_65 and a disjoint C_5 on vertices spread over two 64-bit words:
     n = 70 with 325 disjoint maximal pairs, each a cycle edge against a
@@ -222,6 +240,25 @@ def test_random_separator_beyond_one_word():
     assert fam == greedy_separator(g, 0.5, seed=3)
     assert verify_cs_separator(g, fam).ok
     assert max(fam.masks) >> 64
+
+
+def int_rows(flags):
+    """Reference packing: bit j of row i is cell (i, j)."""
+    return [sum(1 << j for j, cell in enumerate(row) if cell) for row in flags.tolist()]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(0, 40),
+                              st.sampled_from([7, 8, 63, 64, 65, 127, 128, 129])
+                              | st.integers(1, 130))))
+def test_packing_helpers_match_int_rows(flags):
+    # widths cover non-multiples of 8 and both sides of 64 and 128
+    want = int_rows(flags)
+    w = (flags.shape[1] + 63) // 64
+    words = separator._word_rows(flags, w)
+    assert words.dtype == "<u8" and words.shape == (len(flags), w)
+    assert [int.from_bytes(row.tobytes(), "little") for row in words] == want
+    assert separator._bit_rows(flags) == want
 
 
 # ---------------------------------------------------------------- rectangle verifier
