@@ -1,10 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 when every requested check passes, 1 on a certificate
-violation (the witness lands in the report), 2 on usage errors.  Every build
-subcommand verifies its own output in-process before writing it, except
+violation (the witness lands in the report), 2 on usage and input errors.
+Argparse reports usage errors; every other bad input, an input past an
+exhaustive check's cap included (``verify ccp-covering`` and ``verify
+stubborn-covering`` above 8 vertices, ``roundtrip theorem16-loop`` above 6),
+raises ``ValueError`` or ``OSError``, which ``main`` prints as one
+``error: ...`` line.  Every build subcommand verifies its own output
+in-process and writes it only if it passes; a failed packing, covering or
+fooling-set check, built or read, reports ``violation`` and ``detail``.
 ``build quasipoly-covering`` above 8 vertices, past the exhaustive check's
-cap: it writes the covering unchecked and says so in its report
+cap, writes the covering unchecked and says so in its report
 (``metric uncovered_solutions unchecked``).
 
 ``COMMANDS`` maps each ``(command, kind)`` to the roles of its input files, in
@@ -97,6 +103,16 @@ def _finish(report: RunReport, ok: bool, out_text: str | None = None,
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
+def _certificate_verdict(report: RunReport, result, text: str | None = None,
+                         out: str | None = None) -> int:
+    """Tail of every packing, covering and fooling-set check: report the
+    violation and its detail on failure; write ``text`` only on success."""
+    if not result.ok:
+        report.metric("violation", result.violation)
+        report.metric("detail", " ".join(map(str, result.detail)))
+    return _finish(report, result.ok, text, out)
+
+
 def _separator_verdict(report: RunReport, g, fam) -> bool:
     """Verify ``fam`` as a CS-separator of ``g``; report its size, the pairs
     checked and, on failure, the first uncovered pair."""
@@ -111,9 +127,8 @@ def _separator_verdict(report: RunReport, g, fam) -> bool:
 
 def _write_separator(args, report: RunReport, g, fam) -> int:
     """Tail of every separator builder: write the family only if it verifies."""
-    if not _separator_verdict(report, g, fam):
-        return _finish(report, False)
-    return _finish(report, True, formats.emit_cut_family(fam), args.out)
+    return _finish(report, _separator_verdict(report, g, fam),
+                   formats.emit_cut_family(fam), args.out)
 
 
 def _uncovered_stubborn(report: RunReport, inst, covering) -> list:
@@ -208,23 +223,17 @@ def _build_pk_free(args, report, g):
 @_command("build", "fooling", "graph")
 def _build_fooling(args, report, g):
     fs = packing.build_fooling_set(g)
-    check = packing.verify_fooling_set(fs)
     report.metric("fooling_size", len(fs.pairs))
-    if not check.ok:
-        report.metric("violation", check.violation)
-        return _finish(report, False)
-    return _finish(report, True, formats.emit_fooling(fs), args.out)
+    return _certificate_verdict(report, packing.verify_fooling_set(fs),
+                                formats.emit_fooling(fs), args.out)
 
 
 @_command("build", "star-partition")
 def _build_star_partition(args, report):
     cert = packing.star_partition(args.n)
-    check = packing.verify_packing(cert)
     report.metric("bicliques", len(cert.bicliques))
-    if not check.ok:
-        report.metric("violation", check.violation)
-        return _finish(report, False)
-    return _finish(report, True, formats.emit_packing(cert), args.out)
+    return _certificate_verdict(report, packing.verify_packing(cert),
+                                formats.emit_packing(cert), args.out)
 
 
 @_command("build", "quasipoly-covering", "ccp")
@@ -253,11 +262,7 @@ def _verify_on_graph(kind: str, role: str, check) -> None:
     returns its verification result."""
     @_command("verify", kind, "graph", role)
     def handler(args, report, g, cert):
-        result = check(cert)
-        if not result.ok:
-            report.metric("violation", result.violation)
-            report.metric("detail", " ".join(map(str, result.detail)))
-        return _finish(report, result.ok)
+        return _certificate_verdict(report, check(cert))
 
 
 _verify_on_graph("packing", "packing", lambda cert: packing.verify_packing(cert))
@@ -272,7 +277,7 @@ def _check_covering_input(covering, n: int) -> None:
         if len(la) != n:
             raise ValueError(f"assignment {i} has {len(la)} lists for {n} vertices")
     if n > 8:
-        raise SystemExit("exhaustive covering verification capped at 8 vertices")
+        raise ValueError("exhaustive covering verification capped at 8 vertices")
 
 
 @_command("verify", "ccp-covering", "ccp", "ccp-covering")
@@ -321,7 +326,7 @@ def _reduce_pairs_packing(args, report, g):
     report.metric("pairs", len(pairs))
     report.metric("colors", len(set(colors)))
     report.metric("family_size", len(fam))
-    return _finish(report, ok, formats.emit_cut_family(fam) if ok else None, args.out)
+    return _finish(report, ok, formats.emit_cut_family(fam), args.out)
 
 
 @_command("reduce", "separator-to-coloring", "graph", "packing", "cuts")
@@ -336,7 +341,7 @@ def _reduce_ccp_to_separator(args, report, g, covering):
     fam = csp.ccp_covering_to_separator(g, covering)
     ok = separator.verify_cs_separator(g, fam).ok
     report.metric("family_size", len(fam))
-    return _finish(report, ok, formats.emit_cut_family(fam) if ok else None, args.out)
+    return _finish(report, ok, formats.emit_cut_family(fam), args.out)
 
 
 @_command("reduce", "separator-to-stubborn", "stubborn", "cuts")
@@ -386,7 +391,7 @@ def _roundtrip_theorem7(args, report, g):
 def _roundtrip_theorem16_loop(args, report, inst):
     g = inst.graph
     if g.n > 6:
-        raise SystemExit("equivalence loop is exhaustive; capped at 6 vertices")
+        raise ValueError("equivalence loop is exhaustive; capped at 6 vertices")
     full = separator.extend_to_full_separator(
         g, separator.build_random_separator(g, 0.5, args.seed))
     f2 = csp.square_cut_family(full)
@@ -532,10 +537,7 @@ def main(argv=None) -> int:
         for role, text in zip(roles, texts):
             inputs.append(_PARSE[role](text, inputs[0] if inputs else None))
         return handler(args, report, *inputs)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (formats.FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

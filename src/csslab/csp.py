@@ -49,6 +49,8 @@ class CcpInstance:
     __slots__ = ("n", "colors", "classes")
 
     def __init__(self, n: int, colors):
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         colors = tuple(colors)
         if len(colors) != n * (n - 1) // 2:
             raise ValueError("color vector length must be n(n-1)/2")

@@ -19,6 +19,10 @@ spellings up in one table per file and reads only the other tokens with
   lists <n>                 per vertex one line of sorted color tokens
   stubborn <n>              edge lines, then a ``lists <n>`` section
   coverings                 ``lists`` blocks joined by ``--`` lines
+
+The mask-row bodies (cuts, hgraph, and the tagged sides of packing, covering
+and fooling) are written by ``_emit_rows`` and read by its twin
+``_parse_rows``, one routine each way.
 """
 
 from __future__ import annotations
@@ -170,21 +174,24 @@ def _emit_rows(header: str, masks, tags: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_rows(text: str, keyword: str, noun: str):
-    """The vertex count of a ``<keyword> <n> <m>`` file and an iterator over
-    its ``m`` rows as ``(line number, mask)``; rows past the count are
-    rejected once the iterator is exhausted.  ``noun`` names one row in
-    errors."""
-    rows, (n, m) = _split_header(text, keyword, 2)
-    if len(rows) < m + 1:
-        raise FormatError(f"expected {m} {noun} lines", len(rows))
-    names = _names(n, len(text))
-
-    def masks():
-        for lineno in range(2, m + 2):
-            yield lineno, mask_of(_ints(rows[lineno - 1].split(), n, lineno, names))
-        _reject_rows_past(rows, m + 1)
-    return n, masks()
+def _parse_rows(rows, n: int, count: int, noun: str, tags: str = ""):
+    """The reader twin of ``_emit_rows``: ``(line number, mask)`` for each of
+    the ``count`` rows after the header ``rows[0]`` of an ``n``-vertex file,
+    each led by ``<tag>:`` with the tags in turn when given.  Once they are
+    exhausted, a non-blank row past them is rejected.  ``noun`` names one row
+    in errors."""
+    if len(rows) < count + 1:
+        raise FormatError(f"expected {count} {noun} lines", len(rows))
+    names = _names(n, sum(map(len, rows)))
+    heads = itertools.cycle([f"{tag}:" for tag in tags])
+    for lineno, row in enumerate(rows[1:count + 1], start=2):
+        if tags:
+            head = next(heads)
+            if not row.startswith(head):
+                raise FormatError(f"expected a '{head}' line", lineno)
+            row = row[len(head):]
+        yield lineno, mask_of(_ints(row.split(), n, lineno, names))
+    _reject_rows_past(rows, count + 1)
 
 
 def emit_cut_family(f: CutFamily) -> str:
@@ -192,9 +199,9 @@ def emit_cut_family(f: CutFamily) -> str:
 
 
 def parse_cut_family(text: str) -> CutFamily:
-    n, rows = _parse_rows(text, "cuts", "cut")
+    rows, (n, m) = _split_header(text, "cuts", 2)
     masks = {}
-    for lineno, mask in rows:
+    for lineno, mask in _parse_rows(rows, n, m, "cut"):
         if mask in masks:
             raise FormatError("duplicate cut", lineno)
         masks[mask] = None
@@ -206,8 +213,8 @@ def emit_hypergraph(h: Hypergraph) -> str:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    n, rows = _parse_rows(text, "hgraph", "hyperedge")
-    return Hypergraph(n, [mask for _, mask in rows])
+    rows, (n, m) = _split_header(text, "hgraph", 2)
+    return Hypergraph(n, [mask for _, mask in _parse_rows(rows, n, m, "hyperedge")])
 
 
 # -- packings, coverings and fooling sets -------------------------------------------
@@ -215,21 +222,12 @@ def parse_hypergraph(text: str) -> Hypergraph:
 
 def _parse_blocks(rows, n: int, k: int, host: Graph, tags: str,
                   noun: str) -> list[tuple[int, int]]:
-    """The ``k`` (first, second) mask blocks of tagged ``_emit_rows`` output
+    """The ``k`` (first, second) mask pairs of tagged ``_emit_rows`` output
     whose header, ``rows[0]``, declared ``n`` vertices; ``noun`` names the
     file's certificate in errors."""
     if n != host.n:
         raise FormatError(f"{noun} is for {n} vertices, host has {host.n}", 1)
-    if len(rows) < 1 + 2 * k:
-        raise FormatError(f"expected {2 * k} side lines", len(rows))
-    names = _names(n, sum(map(len, rows)))
-    sides = []
-    for lineno in range(2, 2 + 2 * k):
-        tag, row = tags[lineno % 2], rows[lineno - 1]
-        if not row.startswith(f"{tag}:"):
-            raise FormatError(f"expected a '{tag}:' line", lineno)
-        sides.append(mask_of(_ints(row[len(tag) + 1:].split(), n, lineno, names)))
-    _reject_rows_past(rows, 1 + 2 * k)
+    sides = [mask for _, mask in _parse_rows(rows, n, 2 * k, "side", tags)]
     return list(zip(sides[::2], sides[1::2]))
 
 

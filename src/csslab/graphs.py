@@ -478,4 +478,5 @@ def greedy_coloring(g: Graph) -> tuple[int, ...]:
 
 
 def is_proper_coloring(g: Graph, colors) -> bool:
-    return all(colors[u] != colors[v] for u, v in g.edges())
+    """One color per vertex, and the ends of every edge differ."""
+    return len(colors) == g.n and all(colors[u] != colors[v] for u, v in g.edges())

@@ -387,6 +387,8 @@ def pair_coloring_to_separator(g: Graph, pairs, coloring) -> CutFamily:
     """Each color class of the pair graph yields one cut: the union of its
     cliques against the rest.  Within a class the clique union must miss the
     stable-set union."""
+    if len(coloring) != len(pairs):
+        raise ValueError(f"coloring has {len(coloring)} colors for {len(pairs)} pairs")
     by_color: dict[int, tuple[int, int]] = {}
     for idx, (k, s) in enumerate(pairs):
         kc, sc = by_color.get(coloring[idx], (0, 0))

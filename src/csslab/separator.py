@@ -50,6 +50,8 @@ class CutFamily:
     __slots__ = ("host_n", "masks")
 
     def __init__(self, host_n: int, masks):
+        if host_n < 0:
+            raise ValueError("vertex count must be nonnegative")
         masks = tuple(masks)
         if any(m >> host_n for m in masks):
             raise ValueError("cut side references vertices outside the host")

@@ -122,6 +122,8 @@ class Hypergraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges):
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         edges = tuple(edges)
         if any(e >> n for e in edges):
             raise ValueError("hyperedge references vertices out of range")

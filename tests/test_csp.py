@@ -172,6 +172,13 @@ def test_two_list_encoding_rejects_colors_outside_0_to_2():
             two_list_to_2sat(inst, (frozenset({0, 1}), bad))
 
 
+def test_ccp_instance_rejects_a_negative_vertex_count():
+    # (-1)(-2)/2 = 1 pair, so CcpInstance(-1, (0,)) once constructed and
+    # all_3ccp_solutions on it raised IndexError
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        CcpInstance(-1, (0,))
+
+
 def test_two_sat_instance_rejects_negative_variable_count():
     # TwoSatInstance(-2, ()) once solved to ()
     with pytest.raises(ValueError, match="variable count -2 is negative"):

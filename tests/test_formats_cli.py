@@ -278,6 +278,34 @@ def test_cli_theorem16_loop(tmp_path, capsys):
     assert "metric stubborn_uncovered 0" in out
 
 
+def test_cli_theorem16_loop_past_its_cap_is_bad_input(tmp_path, capsys):
+    f = tmp_path / "inst.txt"
+    f.write_text(emit_stubborn(trivial_stubborn(gen_gnp(7, 0.5, 12))))
+    assert run_cli(tmp_path, "roundtrip", "theorem16-loop", f) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: equivalence loop is exhaustive; capped at 6 vertices\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("builder, broken, argv, failure", [
+    # two copies of one pair cross neither way
+    ("build_fooling_set", lambda g: FoolingSet(g, ((0b01, 0b10), (0b01, 0b10))),
+     ["fooling", "{g}"], "metric violation uncrossed-pairs\nmetric detail 0 1\n"),
+    # no biclique covers edge (0, 1)
+    ("star_partition", lambda n: PackingCertificate(complete_graph(n), ()),
+     ["star-partition", "--n", "4"], "metric violation uncovered-edge\nmetric detail 0 1\n"),
+], ids=["fooling", "star-partition"])
+def test_cli_failed_build_check_reports_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                           builder, broken, argv, failure):
+    g = tmp_path / "g.txt"
+    g.write_text(emit_graph(complete_graph(3)))
+    out_file = tmp_path / "cert.txt"
+    monkeypatch.setattr(cli.packing, builder, broken)
+    assert run_cli(tmp_path, "build", *[a.format(g=g) for a in argv], "--out", out_file) == 1
+    assert not out_file.exists()
+    assert failure + "outcome fail\n" in capsys.readouterr().out
+
+
 def test_cli_bound_checks(tmp_path, capsys):
     assert run_cli(tmp_path, "bound-check", "appendix-a",
                    "--n", 10 ** 6, "--p", 0.5) == 0

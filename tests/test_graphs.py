@@ -376,6 +376,15 @@ def test_greedy_coloring_proper():
         assert is_proper_coloring(g, greedy_coloring(g))
 
 
+def test_proper_coloring_gives_one_color_per_vertex():
+    # a longer coloring once passed, a shorter one raised IndexError
+    k4 = complete_graph(4)
+    assert is_proper_coloring(k4, (0, 1, 2, 3))
+    for colors in ((0, 1, 2, 3, 4), (0, 1, 2), ()):
+        assert not is_proper_coloring(k4, colors)
+    assert not is_proper_coloring(empty_graph(2), (0,))
+
+
 def test_greedy_coloring_matches_set_first_fit():
     for seed in range(40):
         g = gen_gnp(seed % 25, (0.1, 0.5, 0.9)[seed % 3], 300 + seed)

@@ -266,6 +266,16 @@ def test_pairs_packing_routes_to_separator():
         assert len(fam) <= len(set(colors))
 
 
+def test_pair_coloring_needs_one_color_per_pair():
+    # a short coloring once raised IndexError, and a long one passed
+    g = cycle_graph(5)
+    _, pairs, _ = pairs_packing(g)
+    for colors in ((0,), (0,) * (len(pairs) + 1)):
+        with pytest.raises(ValueError,
+                           match=f"coloring has {len(colors)} colors for {len(pairs)} pairs"):
+            pair_coloring_to_separator(g, pairs, colors)
+
+
 def test_pairs_packing_aux_is_the_crossing_relation():
     hosts = [from_edges(n, [e for i, e in enumerate(itertools.combinations(range(n), 2))
                             if m >> i & 1])
@@ -377,6 +387,13 @@ def test_compose_rejects_improper_base():
 
     with pytest.raises(ValueError):
         compose_coloring(g, cov, bad)
+
+
+def test_compose_rejects_a_base_coloring_of_the_wrong_length():
+    # two colors for K4 once raised IndexError inside the properness check
+    g = complete_graph(4)
+    with pytest.raises(ValueError, match="base colorer returned an improper coloring"):
+        compose_coloring(g, as_covering(star_partition(4), 1), lambda h, part: (0, 1))
 
 
 def test_min_bpt_bruteforce_chain():

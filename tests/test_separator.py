@@ -50,6 +50,14 @@ def test_cut_family_rejects_duplicates_and_mismatch():
         CutFamily(2, [0b100])
 
 
+def test_cut_family_rejects_a_negative_host():
+    # CutFamily(-1, ()) once constructed, and with a mask raised a bare
+    # "negative shift count"
+    for masks in ((), (0,)):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            CutFamily(-1, masks)
+
+
 # ---------------------------------------------------------------- verify
 
 

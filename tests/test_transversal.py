@@ -237,6 +237,14 @@ def test_hypergraph_rejects_masks_outside_its_vertices():
             Hypergraph(3, [0b1, bad])
 
 
+def test_hypergraph_rejects_a_negative_vertex_count():
+    # Hypergraph(-2, ()) once constructed, and with a mask raised a bare
+    # "negative shift count"
+    for edges in ((), (0,)):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            Hypergraph(-2, edges)
+
+
 def brute_vc(h):
     masks = h.edges
     best = 0
