@@ -73,9 +73,8 @@ class CcpInstance:
 
 
 def random_ccp_instance(n: int, seed: int) -> CcpInstance:
-    rng = SplitMix64(seed)
-    m = n * (n - 1) // 2
-    return CcpInstance(n, tuple(rng.next_u64() % 3 for _ in range(m)))
+    draws = SplitMix64(seed).draws(n * (n - 1) // 2)
+    return CcpInstance(n, tuple((draws % 3).tolist()))
 
 
 def ccp_of_graph(g: Graph) -> CcpInstance:

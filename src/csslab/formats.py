@@ -252,14 +252,9 @@ def parse_covering(text: str, host: Graph) -> BicliqueCovering:
     if not rows:
         raise FormatError("empty covering file")
     parts = rows[0].split()
-    if len(parts) != 5 or parts[0] != "covering" or parts[3] != "t":
+    if len(parts) != 5 or parts[3] != "t":
         raise FormatError("covering header looks like 'covering <n> <k> t <t>'", 1)
-    try:
-        n, k, t = int(parts[1]), int(parts[2]), int(parts[4])
-    except ValueError:
-        raise FormatError("non-integer in covering header", 1)
-    if k < 0:
-        raise FormatError("negative value in covering header", 1)
+    n, k, t = _header(" ".join(parts[:3] + parts[4:]), 1, "covering", 3)
     blocks = _parse_blocks(rows, n, k, host, "AB", "covering")
     return BicliqueCovering(host, tuple(blocks), t)
 

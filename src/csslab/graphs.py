@@ -92,16 +92,13 @@ class Graph:
 
 def from_edges(n: int, edges) -> Graph:
     adj = [0] * n
-    seen = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range")
         if u == v:
             raise ValueError(f"self-loop ({u}, {v})")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
+        if adj[u] >> v & 1:
+            raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, adj, validate=False)
@@ -143,14 +140,12 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("p must lie in [0, 1]")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = SplitMix64(seed)
-    threshold = bernoulli_threshold(p)
+    flags = SplitMix64(seed).bernoulli_flags(n * (n - 1) // 2, bernoulli_threshold(p))
     adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.next_u64() < threshold:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+    for (u, v), edge in zip(itertools.combinations(range(n), 2), flags.tolist()):
+        if edge:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     return Graph(n, adj, validate=False)
 
 
@@ -160,9 +155,11 @@ def comparability_from_random_poset(n: int, seed: int) -> Graph:
     Each vertex gets two 64-bit keys; u < v in the order iff both keys are
     smaller (ties broken by index, which almost never matters).
     """
-    rng = SplitMix64(seed)
-    xs = [(rng.next_u64(), i) for i in range(n)]
-    ys = [(rng.next_u64(), i) for i in range(n)]
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    keys = SplitMix64(seed).draws(2 * n).tolist()
+    xs = list(zip(keys[:n], range(n)))
+    ys = list(zip(keys[n:], range(n)))
     adj = [0] * n
     for u in range(n):
         for v in range(u + 1, n):

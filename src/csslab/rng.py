@@ -6,9 +6,10 @@ reimplemented in any language.  State update adds the golden-gamma constant;
 the output mix is the standard two-multiply finalizer.
 
 SplitMix64 is counter-based: the k-th state after seed s is s + k*gamma
-mod 2^64, so ``bernoulli_flags`` makes any number of draws in one vectorised
-pass with the same values, in the same order, as that many ``next_u64``
-calls; ``bernoulli_mask`` packs those flags into an int.  A greedy round of
+mod 2^64, so ``draws(n)`` computes the next n outputs in one vectorised
+pass, and it is the only way to read the stream.  Each instance sampler
+makes one ``draws`` call (through ``bernoulli_flags`` for G(n, p)), and
+``bernoulli_mask`` packs ``bernoulli_flags`` into an int.  A greedy round of
 the random separator builder uses the bits of one ``bernoulli_mask(32*n)``
 call, candidate-major and vertex-minor: candidate i is bits i*n .. i*n+n-1.
 The builder draws several rounds' bits in one call, which gives the same
@@ -22,13 +23,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 TWO64 = 1 << 64
-
-
-def mix64(z: int) -> int:
-    """SplitMix64 output function on a 64-bit word."""
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
 
 
 def bernoulli_threshold(p: float) -> int:
@@ -52,26 +46,15 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & MASK64
-        return mix64(self._state)
+    def draws(self, n: int) -> np.ndarray:
+        """The next n outputs of the stream as a uint64 array.
 
-    def bernoulli_flags(self, n: int, threshold: int) -> np.ndarray:
-        """Bool array over n draws, flag v set iff the v-th draw is below
-        threshold.
-
-        Consumes exactly n draws; callers document their consumption order in
-        terms of this primitive or ``bernoulli_mask``.  A negative n raises
-        ``ValueError`` and consumes nothing.
+        A negative n raises ``ValueError`` and consumes nothing.
         """
         if n < 0:
             raise ValueError(f"draw count must be nonnegative, got {n}")
         start = self._state
         self._state = (start + n * _GAMMA) & MASK64
-        if threshold <= 0:
-            return np.zeros(n, dtype=bool)
-        if threshold >= TWO64:  # does not fit a uint64, and every draw is below it
-            return np.ones(n, dtype=bool)
         # uint64 arrays wrap silently, which is the mod 2^64 wanted here
         z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(start)
         z ^= z >> 30
@@ -79,7 +62,15 @@ class SplitMix64:
         z ^= z >> 27
         z *= _MIX2
         z ^= z >> 31
-        return z < threshold
+        return z
+
+    def bernoulli_flags(self, n: int, threshold: int) -> np.ndarray:
+        """Bool array over ``draws(n)``, flag v set iff draw v is below
+        threshold."""
+        z = self.draws(n)
+        if threshold >= TWO64:  # does not fit a uint64, and every draw is below it
+            return np.ones(n, dtype=bool)
+        return z < max(threshold, 0)
 
     def bernoulli_mask(self, n: int, threshold: int) -> int:
         """``bernoulli_flags`` packed into a bitmask: bit v is flag v."""

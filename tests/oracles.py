@@ -4,18 +4,18 @@ against, and fixture builders that only tests use."""
 import itertools
 from fractions import Fraction
 
-from csslab.csp import (MalformedCovering, NotReallyThreeColorable, StubbornInstance,
-                        TwoSatInstance, _derived_graph, _translate, really_3colorable,
-                        stubborn_assignment_compatible, trivial_stubborn,
+from csslab.csp import (CcpInstance, MalformedCovering, NotReallyThreeColorable,
+                        StubbornInstance, TwoSatInstance, _derived_graph, _translate,
+                        really_3colorable, stubborn_assignment_compatible, trivial_stubborn,
                         verify_3ccp_solution, verify_stubborn_solution)
 from csslab.formats import (_PART_TOKENS, FormatError, _header, _reject_rows_past,
                             _split_header)
-from csslab.graphs import (bits, complement, from_edges, greedy_coloring, induced,
+from csslab.graphs import (Graph, bits, complement, from_edges, greedy_coloring, induced,
                            mask_of, split_partitions)
 from csslab.lp import LpResult
 from csslab.packing import (BicliqueCovering, PackingCertificate, VerifyResult,
                             _first_bad_biclique)
-from csslab.rng import SplitMix64, bernoulli_threshold
+from csslab.rng import bernoulli_threshold
 from csslab.separator import (CutFamily, SeparationReport, SeparatorBuildError,
                               disjoint_maximal_pairs, family_from_masks)
 from csslab.transversal import (Hypergraph, PairPipelineReport, build_hypergraph,
@@ -332,13 +332,61 @@ def scan_greedy_transversal(n: int, edge_sets) -> frozenset:
     return frozenset(chosen)
 
 
-def scalar_bernoulli_mask(rng: SplitMix64, n: int, threshold: int) -> int:
+# -- the SplitMix64 stream one output at a time, and the samplers on it ------
+
+
+class ScalarSplitMix64:
+    """SplitMix64 written out from its published constants, one output per
+    call: the reference that ``SplitMix64.draws`` is checked against."""
+
+    def __init__(self, seed: int):
+        self.state = seed % 2**64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+
+def scalar_bernoulli_mask(rng: ScalarSplitMix64, n: int, threshold: int) -> int:
     """One ``next_u64`` per vertex: bit v set iff the v-th draw is below threshold."""
     mask = 0
     for v in range(n):
         if rng.next_u64() < threshold:
             mask |= 1 << v
     return mask
+
+
+def scalar_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) with one scalar draw per pair u < v, in lexicographic order."""
+    rng = ScalarSplitMix64(seed)
+    threshold = bernoulli_threshold(p)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.next_u64() < threshold:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(n, adj)
+
+
+def scalar_poset_comparability(n: int, seed: int) -> Graph:
+    """Comparability graph of the dominance order on n scalar x-keys, then
+    n scalar y-keys, ties broken by index."""
+    rng = ScalarSplitMix64(seed)
+    xs = [(rng.next_u64(), i) for i in range(n)]
+    ys = [(rng.next_u64(), i) for i in range(n)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (xs[u] < xs[v]) == (ys[u] < ys[v])]
+    return from_edges(n, edges)
+
+
+def scalar_ccp_instance(n: int, seed: int) -> CcpInstance:
+    """One scalar draw mod 3 per pair u < v, in lexicographic order."""
+    rng = ScalarSplitMix64(seed)
+    return CcpInstance(n, [rng.next_u64() % 3 for _ in range(n * (n - 1) // 2)])
 
 
 def greedy_separator(g, p: float, seed: int, max_rounds: int | None = None, *,
@@ -356,7 +404,7 @@ def greedy_separator(g, p: float, seed: int, max_rounds: int | None = None, *,
         stats_out.update(rounds=0, cap=cap, pairs=len(pairs))
     if not pairs:
         return CutFamily(g.n, ())
-    rng = SplitMix64(seed)
+    rng = ScalarSplitMix64(seed)
     threshold = bernoulli_threshold(p)
     chosen = []
     rounds = 0

@@ -151,7 +151,8 @@ def test_cli_rejects_rows_past_declared_count(tmp_path, capsys):
 def test_negative_header_counts_rejected():
     for parse, text in ((parse_cut_family, "cuts 3 -1\n"),
                         (lambda t: parse_packing(t, cycle_graph(3)), "packing 3 -1\n"),
-                        (lambda t: parse_covering(t, cycle_graph(3)), "covering 3 -1 t 1\n")):
+                        (lambda t: parse_covering(t, cycle_graph(3)), "covering 3 -1 t 1\n"),
+                        (lambda t: parse_covering(t, cycle_graph(3)), "covering 3 1 t -1\n")):
         with pytest.raises(FormatError, match="^line 1: negative"):
             parse(text)
 
