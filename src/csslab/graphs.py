@@ -348,9 +348,10 @@ def contains_induced(g: Graph, pattern: Graph) -> tuple[int, ...] | None:
         placed |= 1 << v
         remaining.discard(v)
 
-    # level i's candidates: unused vertices with room for order[i]'s
-    # neighbours and non-neighbours, adjacent to the images of its earlier
-    # pattern neighbours and not adjacent to the others
+    # level i starts from the vertices with room for order[i]'s neighbours
+    # and non-neighbours; placing order[i] at x keeps at each later level the
+    # vertices adjacent to x exactly as in the pattern, and is skipped if that
+    # empties a level.  Candidates are tried in increasing order
     adj = g.adj
     host_degree = [a.bit_count() for a in adj]
     room = []
@@ -358,25 +359,30 @@ def contains_induced(g: Graph, pattern: Graph) -> tuple[int, ...] | None:
         d = pattern.degree(u)
         room.append(mask_of(v for v, dv in enumerate(host_degree)
                             if dv >= d and g.n - dv >= k - d))
-    links = [[(pu, pattern.adj[order[i]] >> pu & 1) for pu in order[:i]] for i in range(k)]
+    links = [[pattern.adj[order[j]] >> order[i] & 1 for j in range(i + 1, k)] for i in range(k)]
     assign = [-1] * k
 
-    def extend(i: int, used: int) -> bool:
+    def extend(i: int, cands: list[int]) -> bool:
         if i == k:
             return True
-        cands = room[i] & ~used
-        for pu, edge in links[i]:
-            nb = adj[assign[pu]]
-            cands &= nb if edge else ~nb
-        while cands:
-            low = cands & -cands
-            assign[order[i]] = low.bit_length() - 1
-            if extend(i + 1, used | low):
-                return True
-            cands ^= low
+        here, later = cands[0], cands[1:]
+        while here:
+            low = here & -here
+            nb = adj[low.bit_length() - 1]
+            narrowed = []
+            for m, edge in zip(later, links[i]):
+                m &= nb if edge else ~nb ^ low
+                if not m:
+                    break
+                narrowed.append(m)
+            else:
+                assign[order[i]] = low.bit_length() - 1
+                if extend(i + 1, narrowed):
+                    return True
+            here ^= low
         return False
 
-    if extend(0, 0):
+    if extend(0, room):
         return tuple(assign)
     return None
 

@@ -43,7 +43,9 @@ class LpResult:
 
 
 def _scaled_to_integers(rows) -> tuple[int, list[list[int]]]:
-    """(D, rows times D) with D the least common denominator of all entries."""
+    """(D, rows times D), D the entries' least common denominator; int rows come back as is."""
+    if all(type(v) is int for row in rows for v in row):
+        return 1, rows
     rows = [[v if type(v) is int else Fraction(v) for v in row] for row in rows]
     den = lcm(*(v.denominator for row in rows for v in row))
     return den, [[v.numerator * (den // v.denominator) for v in row] for row in rows]
@@ -94,8 +96,10 @@ class _Tableau:
         tab, basis = self.rows, self.basis
         while True:
             obj = tab[-1]
-            col = next((j for j in range(len(obj) - 1) if obj[j] < 0), None)
-            if col is None:
+            for col, v in enumerate(obj[:-1]):
+                if v < 0:
+                    break
+            else:
                 return True
             best = None
             for r in range(len(basis)):
@@ -129,18 +133,19 @@ def solve_lp(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), maximize=False) -> LpResult:
     ncols = nx + nub
     nart = sum(r >= nub or row[-1] < 0 for r, row in enumerate(cons))
     # a row whose slack is absent or negated starts on its own artificial
-    tab, basis, art = [], [], ncols
-    for r, (*a, b) in enumerate(cons):
-        row = a + [0] * (nub + nart) + [b]
+    tab, basis, art = cons, [], ncols
+    pad = [0] * (nub + nart)
+    for r, row in enumerate(cons):
+        row[-1:-1] = pad
+        b = row[-1]
         slack = nx + r if r < nub else None
         if slack is not None:
             row[slack] = 1
         if b < 0:
-            row = [-v for v in row]
+            row = tab[r] = [-v for v in row]
         if slack is None or b < 0:
             slack, art = art, art + 1
             row[slack] = 1
-        tab.append(row)
         basis.append(slack)
 
     # phase 1: minimize the sum of the artificials

@@ -58,7 +58,7 @@ def conflict_digraph(g: Graph, k: int, s: int) -> ConflictDigraph:
     out = [0] * (nk + len(ss))
     for i, x in enumerate(ks):
         for j, y in enumerate(ss):
-            if g.has_edge(x, y):
+            if g.adj[x] >> y & 1:
                 out[i] |= 1 << (nk + j)
             else:
                 out[nk + j] |= 1 << i
@@ -125,7 +125,7 @@ class Hypergraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         edges = tuple(edges)
-        if any(e >> n for e in edges):
+        if edges and (min(edges) < 0 or max(edges) >> n):
             raise ValueError("hyperedge references vertices out of range")
         self.n = n
         self.edges = edges
@@ -142,20 +142,16 @@ def build_hypergraph(g: Graph, base: int,
     if base & opposite:
         raise ValueError("base and opposite sets intersect")
     ids = tuple(bits(base))
-    edges = [mask_of(i for i, v in enumerate(ids) if not g.adj[x] >> v & 1)
-             for x in bits(opposite)]
+    local = {1 << v: 1 << i for i, v in enumerate(ids)}  # base bit -> index bit
+    edges = []
+    for x in bits(opposite):
+        away, e = base & ~g.adj[x], 0
+        while away:
+            low = away & -away
+            e |= local[low]
+            away ^= low
+        edges.append(e)
     return Hypergraph(len(ids), edges), ids
-
-
-def _canonical(h: Hypergraph) -> tuple[frozenset, frozenset]:
-    """(distinct edges, inclusion-minimal edges).  Dropping duplicate edges
-    and edges that contain another edge leaves the covering program's
-    optimum, and so the side choice and tau*, unchanged: the split-free
-    memo keys those two on the minimal edges, and the VC dimension on the
-    distinct ones (through ``_memoised``)."""
-    edges = frozenset(h.edges)
-    minimal = frozenset(e for e in edges if not any(f != e and f & e == f for f in edges))
-    return edges, minimal
 
 
 def _shape(edges: frozenset) -> frozenset:
@@ -184,22 +180,6 @@ def _shape(edges: frozenset) -> frozenset:
     return frozenset(shape)
 
 
-def _memoised(memo: dict, kind: str, edges: frozenset, compute):
-    """``compute()`` for the edge set ``edges``, or the value already found
-    for ``edges`` or for another edge set of the same ``_shape``.  Only for
-    values that are isomorphism invariants blind to vertices in no edge: the
-    shape is itself an edge set with the value of ``edges``, so both live
-    under ``(kind, edge set)``.  The shape is computed only when ``edges``
-    misses."""
-    key = (kind, edges)
-    if key not in memo:
-        shape = (kind, _shape(edges))
-        if shape not in memo:
-            memo[shape] = compute()
-        memo[key] = memo[shape]
-    return memo[key]
-
-
 def fractional_transversality(h: Hypergraph) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact optimum of the fractional covering program together with an
     optimal weight vector."""
@@ -221,12 +201,19 @@ def greedy_transversal(h: Hypergraph) -> int:
         raise ValueError("empty hyperedge cannot be hit")
     inc = [0] * h.n
     for i, e in enumerate(h.edges):
-        for v in bits(e):
-            inc[v] |= 1 << i
+        bit = 1 << i
+        while e:
+            low = e & -e
+            inc[low.bit_length() - 1] |= bit
+            e ^= low
     uncovered = (1 << len(h.edges)) - 1
     chosen = 0
     while uncovered:
-        best = max(range(h.n), key=lambda v: (inc[v] & uncovered).bit_count())
+        best, most = 0, -1
+        for v, row in enumerate(inc):
+            hits = (row & uncovered).bit_count()
+            if hits > most:
+                best, most = v, hits
         chosen |= 1 << best
         uncovered &= ~inc[best]
     return chosen
@@ -267,21 +254,15 @@ def vc_dimension(h: Hypergraph, cap: int) -> VcResult:
     if not h.edges:
         return VcResult(0, True, True)
     best = 0
-    size = 1
-    while size <= min(cap, h.n):
-        if len(h.edges) < (1 << size):
-            break  # not enough traces to shatter anything this large
-        found = False
-        for combo in itertools.combinations(range(h.n), size):
-            a = mask_of(combo)
-            traces = {e & a for e in h.edges}
-            if len(traces) == (1 << size):
-                found = True
-                break
-        if not found:
+    single = [1 << v for v in range(h.n)]
+    for size in range(1, min(cap, h.n) + 1):
+        # stop at too few edges for 2^size traces, or no shattered set (the
+        # sum of distinct bits is their mask)
+        if len(h.edges) < (1 << size) or not any(
+                len({e & a for e in h.edges}) == 1 << size
+                for a in map(sum, itertools.combinations(single, size))):
             break
         best = size
-        size += 1
     if best >= cap:
         return VcResult(cap, False, False)
     return VcResult(best, True, False)
@@ -305,6 +286,52 @@ def transversal_budget(phi: int) -> float:
     return 64.0 * phi * (math.log2(phi) + 2.0)
 
 
+def _solved(memo: dict, kind: str, shape: frozenset, solve):
+    """``solve`` once per build and kind on the hypergraph of ``shape`` over
+    the vertices 0..m-1 it uses (the largest mask holds m-1); vertices in no
+    edge change neither tau* nor the VC dimension."""
+    if (kind, shape) not in memo:
+        memo[kind, shape] = solve(Hypergraph(max(shape, default=0).bit_length(), shape))
+    return memo[kind, shape]
+
+
+def _set_values(memo: dict, key, edges: frozenset, side: str, side_of) -> tuple:
+    """(side, tau*, VC dimension) of the hypergraph of side ``side`` with the
+    distinct edges ``edges``, once per build and ``key``; the last two are
+    None unless ``side_of(minimal edges, their _shape)`` picks ``side``.  The
+    minimal edges decide the side and tau*, which are kept per minimal set."""
+    if key not in memo:
+        kept: list[int] = []
+        for e in sorted(edges, key=int.bit_count):
+            if all(f & e != f for f in kept):
+                kept.append(e)
+        minimal = frozenset(kept)
+        if ("minimal", side, minimal) not in memo:
+            shape = _shape(minimal)
+            picked = side_of(minimal, shape)
+            memo["minimal", side, minimal] = picked, shape, _solved(
+                memo, "tau*", shape, lambda h: fractional_transversality(h)[0]
+            ) if picked == side else None
+        picked, shape, tau_star = memo["minimal", side, minimal]
+        memo[key] = (picked, None, None) if picked != side else (
+            picked, tau_star, _solved(memo, "vc", shape if edges == minimal else _shape(edges),
+                                      lambda h: vc_dimension(h, cap=h.n + 1)))
+    return memo[key]
+
+
+def _side(memo: dict, g: Graph, ids: tuple[int, ...], edge_of: dict, s: int,
+          minimal: frozenset, shape: frozenset) -> str:
+    """The side of a pair (K, S) with K-side minimal edges ``minimal``, once
+    per build and ``shape``: ``side_weights`` on the clique vertices in some
+    minimal edge against one stable vertex per minimal edge.  Exact, as side
+    K is feasible iff tau*(H_K) <= 2; the game argument gives S otherwise."""
+    if ("side", shape) not in memo:
+        k_used = mask_of(ids[i] for e in minimal for i in bits(e))
+        s_min = mask_of(next(x for x in bits(s) if edge_of[x] == e) for e in minimal)
+        memo["side", shape] = side_weights(conflict_digraph(g, k_used, s_min)).side
+    return memo["side", shape]
+
+
 def separate_pair_split_free(g: Graph, k: int, s: int,
                              budget: float, *, memo: dict | None = None
                              ) -> PairPipelineReport:
@@ -312,40 +339,63 @@ def separate_pair_split_free(g: Graph, k: int, s: int,
     masks and return the separating cut with its certificates.  The stable
     side runs on complement(g), and its cut is complemented back to g.
 
-    ``memo`` carries the side, tau* and VC dimension already found during
-    one build, keyed on the hypergraph's edges and, when those miss, on
-    their ``_shape``: two pairs whose minimal edges (for the side and tau*)
-    or distinct edges (for the VC dimension) are isomorphic get the same
-    values, even on other vertices.  The side is keyed on the K-side
-    hypergraph, as side K is chosen exactly when its tau* is at most 2.
-    Without a memo the pair gets one of its own.  The transversal and both
-    exact checks run for every pair."""
+    ``memo`` holds what one build has found: per clique, each outside
+    vertex's hyperedge (a pair's K-side edges are a gather over S); per
+    sorted K-side edge tuple (side, tau*, VC, transversal); per distinct edge
+    set (side, tau*, VC); per ``_shape`` of minimal edges (side, tau*) or of
+    distinct edges (VC), the value solved on the shape, which isomorphic
+    edge sets share.  Without a memo the pair gets its own."""
     if memo is None:
         memo = {}
-    h, ids = build_hypergraph(g, k, s)
-    edges, minimal = _canonical(h)
-    side = _memoised(memo, "side", minimal,
-                     lambda: side_weights(conflict_digraph(g, k, s)).side)
+    if k & s:
+        raise ValueError("base and opposite sets intersect")
+    clique = memo.get(("clique", k))
+    if clique is None:
+        if not is_clique(g, k):
+            raise ValueError(f"{list(bits(k))} is not a clique")
+        h, ids = build_hypergraph(g, k, g.full_mask & ~k)
+        clique = memo["clique", k] = ids, dict(zip(bits(g.full_mask & ~k), h.edges))
+    ids, edge_of = clique
+    edges, rest = [], s
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        if g.adj[x] & s:
+            raise ValueError(f"{list(bits(s))} is not a stable set")
+        edges.append(edge_of[x])
+        rest ^= low
+    edges = tuple(sorted(edges))  # what follows depends on the multiset alone
+    entry = memo.get(edges)
+    if entry is None:
+        distinct = frozenset(edges)
+        side, tau_star, vc = _set_values(
+            memo, distinct, distinct, "K",
+            lambda minimal, shape: _side(memo, g, ids, edge_of, s, minimal, shape))
+        entry = memo[edges] = (side, tau_star, vc, greedy_transversal(
+            Hypergraph(len(ids), edges)) if side == "K" else None)
+    side, tau_star, vc, transversal = entry
     h_g = g
     if side == "S":
         h_g = complement(g)
         h, ids = build_hypergraph(h_g, s, k)
-        edges, minimal = _canonical(h)
-    tau_star = _memoised(memo, "tau*", minimal, lambda: fractional_transversality(h)[0])
-    transversal = greedy_transversal(h)
+        _, tau_star, vc = _set_values(memo, ("S", h.edges), frozenset(h.edges), "S",
+                                      lambda *_: "S")
+        transversal = greedy_transversal(h)
     tau = transversal.bit_count()
     if tau > budget:
         raise RuntimeError(
             f"transversal size {tau} exceeds the budget {budget:.1f}; "
             "input graph is probably not in the stated class")
     u = h_g.full_mask
-    for i in bits(transversal):
-        u &= h_g.adj[ids[i]] | (1 << ids[i])
+    while transversal:
+        low = transversal & -transversal
+        v = ids[low.bit_length() - 1]
+        u &= h_g.adj[v] | 1 << v
+        transversal ^= low
     if side == "S":
         u = g.full_mask & ~u
     if not separates(u, k, s):
         raise RuntimeError("pipeline produced a non-separating cut: implementation bug")
-    vc = _memoised(memo, "vc", edges, lambda: vc_dimension(h, cap=h.n + 1))
     return PairPipelineReport(k, s, side, tau, tau_star, vc, u)
 
 
@@ -364,14 +414,10 @@ def split_free_report(g: Graph, gamma: Graph
     if hit is not None:
         raise ValueError(f"graph contains the forbidden pattern at {hit}")
     budget = transversal_budget(phi)
-    reports = []
-    masks = []
     memo: dict = {}
-    for k, s in disjoint_maximal_pairs(g):
-        rep = separate_pair_split_free(g, k, s, budget, memo=memo)
-        reports.append(rep)
-        masks.append(rep.cut_mask)
-    return family_from_masks(g.n, masks), reports
+    reports = [separate_pair_split_free(g, k, s, budget, memo=memo)
+               for k, s in disjoint_maximal_pairs(g)]
+    return family_from_masks(g.n, [rep.cut_mask for rep in reports]), reports
 
 
 def build_split_free_separator(g: Graph, gamma: Graph) -> CutFamily:
@@ -402,6 +448,8 @@ def build_pk_free_separator(g: Graph, k: int, t_k: float) -> CutFamily:
     needs t_k <= 1/2, which makes c = ``path_free_constant(t_k)`` at least
     1, and there are at most 2 (n / PK_BASE_SIZE)^c <= n^c leaves.  The
     build raises when the leaves outnumber max(1, n^c)."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if not 0.0 < t_k < 1.0:
         raise ValueError("t_k must lie strictly inside (0, 1)")
     pk = path_graph(k)

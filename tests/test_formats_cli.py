@@ -546,6 +546,8 @@ def test_cli_reduce_tour(tmp_path, capsys):
     ["CSSLAB_SEED=abc", "verify", "separator", "{g}", "{cuts}"],  # seed variable, no --seed
     ["CSSLAB_SEED=abc", "bound-check", "appendix-a"],      # seed variable, no --seed
     ["reduce", "stubborn-to-ccp", "{ccp5}"],               # vertex 0 not really 3-colorable
+    ["build", "pk-free", "{g}", "--k", "0"],               # no path to exclude
+    ["build", "pk-free", "{g}", "--k", "-1"],              # negative path length
 ])
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
     if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell

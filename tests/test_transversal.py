@@ -329,9 +329,25 @@ def test_split_free_reports_match_unmemoised_pipeline(n, seed):
                        for rep in reports]
 
 
+def minimal_edges(edges) -> frozenset:
+    return frozenset(e for e in edges if not any(f != e and f & e == f for f in edges))
+
+
+def reduced_side(g, k: int, s: int) -> str:
+    """The side the build picks for (k, s), on its reduced instance: the
+    clique vertices in some minimal K-side edge against one stable vertex
+    per minimal edge."""
+    rest = g.full_mask & ~k
+    h, ids = build_hypergraph(g, k, rest)
+    edge_of = dict(zip(bits(rest), h.edges))
+    minimal = minimal_edges({edge_of[x] for x in bits(s)})
+    return transversal._side({}, g, ids, edge_of, s, minimal, transversal._shape(minimal))
+
+
 def test_shared_memo_matches_unmemoised_pipeline_on_random_graphs():
     # G(12, 1/2) holds nets, so the build's loop runs here by hand: every
-    # disjoint maximal pair through one memo, as split_free_report does
+    # disjoint maximal pair through one memo, as split_free_report does, and
+    # the side of each on its reduced instance
     budget = transversal_budget(3)
     sides = set()
     for seed in range(4):
@@ -341,8 +357,45 @@ def test_shared_memo_matches_unmemoised_pipeline_on_random_graphs():
             rep = separate_pair_split_free(g, k, s, budget, memo=memo)
             assert rep == unmemoised_pair_pipeline(g, k, s, budget)
             assert rep == separate_pair_split_free(g, k, s, budget)
+            assert reduced_side(g, k, s) == rep.side
             sides.add(rep.side)
     assert sides == {"K", "S"}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_split_free_matches_unmemoised_pipeline_on_comparability_n30(seed):
+    # a scale where pairs share cliques, edge tuples, edge sets and shapes
+    # many times over (3,150 and 2,682 pairs)
+    g = comparability_from_random_poset(30, seed)
+    fam, reports = split_free_report(g, net_graph())
+    budget = transversal_budget(3)
+    assert [(rep.clique, rep.stable) for rep in reports] == disjoint_maximal_pairs(g)
+    assert reports == [unmemoised_pair_pipeline(g, rep.clique, rep.stable, budget)
+                       for rep in reports]
+    assert verify_cs_separator(g, fam).ok
+
+
+def test_split_free_comparability_n40_pins_pairs_cuts_and_lp_calls(monkeypatch):
+    # 49,366 pipelines yield 208 distinct cuts and share 70 exact LP solves:
+    # one side and one tau* program per shape of minimal edges
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    monkeypatch.setattr(transversal, "solve_lp", counted)
+    fam, reports = split_free_report(comparability_from_random_poset(40, 1), net_graph())
+    assert (len(reports), len(fam), len(calls)) == (49366, 208, 70)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 2 ** 31 - 1))
+def test_reduced_side_instance_picks_the_pairs_side(n, p, seed):
+    g = gen_gnp(n, p, seed)
+    for k, s in disjoint_maximal_pairs(g):
+        assert reduced_side(g, k, s) == side_weights(conflict_digraph(g, k, s)).side
 
 
 def test_split_free_memo_lives_for_one_build(monkeypatch):
@@ -488,6 +541,14 @@ def test_pk_free_base_case_full_cuts():
     fam = build_pk_free_separator(g, k=5, t_k=0.25)
     assert len(fam) == 16
     assert verify_cs_separator(g, fam).ok
+
+
+@pytest.mark.parametrize("k", [0, -1, -5])
+def test_pk_free_rejects_a_path_length_below_one(k):
+    # a path has at least one vertex: the empty path k = 0 lies "at ()" in
+    # every graph, and k < 0 is no vertex count
+    with pytest.raises(ValueError, match=r"^k must be at least 1$"):
+        build_pk_free_separator(gen_gnp(6, 0.5, 1), k=k, t_k=0.25)
 
 
 def test_pk_free_two_cliques_single_level(monkeypatch):
