@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from csslab.formats import emit_cut_family
 from csslab.graphs import (bits, complement, complete_graph, cycle_graph,
                            empty_graph, from_edges, gen_gnp, is_clique, is_stable,
                            mask_of)
@@ -389,6 +391,19 @@ def test_random_separator_pinned_regression():
     assert verify_cs_separator(g, fam).ok
     assert len(fam) <= 2 * 20 ** 7
     assert len(fam) == 133  # regression lock for the pinned seed
+
+
+@pytest.mark.parametrize("n,cuts,digest", [
+    (40, 1455, "6577aadd3ec8d491b7ebbe7733469faa905dde9bf3ad2e39f195b545a499a7a8"),
+    # 2,359,405 disjoint pairs: _BLOCK_CELLS holds every batch to one round
+    (60, 6320, "374d8559693c8f6ef12eeeb5c44aa0ab9efae9db65a2f61193eecd28fb25400b"),
+])
+def test_random_separator_pinned_at_scale(n, cuts, digest):
+    # regression locks on G(n, 1/2) at seed 7: the cut count and the sha256
+    # of the emitted family
+    fam = build_random_separator(gen_gnp(n, 0.5, 7), 0.5, seed=7)
+    assert len(fam) == cuts
+    assert hashlib.sha256(emit_cut_family(fam).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- closed-form bound
