@@ -18,7 +18,9 @@ failure is the lexicographically first uncovered disjoint pair.
 The random builder runs the greedy set cover on the same matrix: it holds
 the uncovered disjoint cells as bit rows, one per clique, and scores each
 candidate cut by the uncovered cells of its rectangle, so it never tests a
-candidate against the pairs one by one.
+candidate against the pairs one by one.  It finds a rectangle's rows and
+columns by table lookups, one per byte of the cut, not by testing the cut
+against each clique and stable set.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -144,7 +147,7 @@ def verify_cs_separator(g: Graph, family: CutFamily) -> SeparationReport:
     stables = maximal_stables(g)
     masks = family.masks
     nc, nm = len(cliques), len(masks)
-    words = _words(cliques + list(masks) + stables, (g.n + 63) // 64)
+    words = _byte_rows(cliques + list(masks) + stables, 8 * ((g.n + 63) // 64)).view("<u8")
     k_words, a_words, s_words = words[:nc], words[nc:nc + nm], words[nc + nm:]
     # each cut's stable sets outside A, one int per cut
     outside = []
@@ -190,20 +193,48 @@ def extend_to_full_separator(g: Graph, family: CutFamily) -> CutFamily:
     return family_from_masks(g.n, masks)
 
 
-def _words(masks, w: int) -> np.ndarray:
-    """Masks as rows of ``w`` uint64 words; word j holds bits 64j..64j+63."""
-    buf = b"".join(m.to_bytes(8 * w, "little") for m in masks)
-    return np.frombuffer(buf, dtype="<u8").reshape(-1, w)
+def _byte_rows(masks, nbytes: int) -> np.ndarray:
+    """Masks as rows of ``nbytes`` bytes; byte j holds bits 8j..8j+7."""
+    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
 
 
-def _word_rows(flags: np.ndarray, w: int) -> np.ndarray:
-    """Rows of a bool matrix as rows of ``w`` uint64 words; bit j of row i
-    is cell (i, j).  The rows are padded to 64 w cells before packing: on
-    the builder's rows of 22 and about 70 cells, ``np.packbits`` ran about
-    1.5x faster on whole words than on rows that end inside a byte."""
-    padded = np.zeros((len(flags), 64 * w), dtype=bool)
-    padded[:, :flags.shape[1]] = flags
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+# the values of a byte's low nibble and of its high nibble, and the bits
+# of the nibble each value leaves out
+_NIBBLES = (np.arange(16, dtype=np.uint8) << np.array([[0], [4]], dtype=np.uint8))[..., None]
+_NIBBLE_GAPS = _NIBBLES ^ np.array([[[15]], [[240]]], dtype=np.uint8)
+
+
+def _cut_tables(cliques: np.ndarray, stables: np.ndarray) -> list[np.ndarray]:
+    """Four-Russians lookup tables (Arlazarov, Dinic, Kronrod and Faradzev
+    1970) of cliques and stable sets given as ``_byte_rows``.  Entry [j, x]
+    holds, as uint64 words with one bit per member, the cliques whose byte
+    j lies within x, or the stable sets whose byte j misses x, so the AND
+    of the entries at a cut's bytes (``_lookup``) is the cliques inside the
+    cut, or the stable sets outside it.  Entry [j, 16 h + l] is the AND of
+    the members fitting high nibble h and those fitting low nibble l, found
+    by one broadcast test per family: the same few numpy calls at any size,
+    with temporaries of an eighth of the tables' bits as bytes."""
+    nbytes = cliques.shape[1]
+    split = 64 * ((len(cliques) + 63) // 64)
+    cells = np.zeros((nbytes, 2, 16, split + 64 * ((len(stables) + 63) // 64)), dtype=bool)
+    np.equal(_NIBBLE_GAPS & cliques.T[:, None, None, :], 0, out=cells[..., :len(cliques)])
+    np.equal(_NIBBLES & stables.T[:, None, None, :], 0, out=cells[..., split:split + len(stables)])
+    halves = np.packbits(cells, axis=3, bitorder="little").view("<u8")
+    tables = []
+    for half in halves[..., :split // 64], halves[..., split // 64:]:
+        table = half[:, 1, :, None] & half[:, 0, None, :]
+        tables.append(table.reshape(nbytes, 256, half.shape[3]))
+    return tables
+
+
+def _lookup(table: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """AND of the ``_cut_tables`` entries [j, byte j] for each row of
+    ``at``, a vertex set given as ``_byte_rows``."""
+    out = table[0].take(at[:, 0], 0)
+    for j in range(1, at.shape[1]):
+        out &= table[j].take(at[:, j], 0)
+    return out
 
 
 def build_random_separator(g: Graph, p: float, seed: int,
@@ -223,24 +254,26 @@ def build_random_separator(g: Graph, p: float, seed: int,
     per clique, one bit per stable set.  A candidate covers the cells of
     the cliques inside it against the stable sets outside it, so its score
     is the popcount of those rows ANDed with its outside row, and a kept
-    cut clears its outside bits in the rows of its inside cliques.  Rounds
-    are scored in batches: the batch's candidates are drawn at once and
-    matched against every clique and stable set, and then its rounds run
-    one after another on the uncovered rows.  Batches start at one round
-    and double while the candidate x clique and candidate x stable set
-    matrices stay within ``_BLOCK_CELLS``.
+    cut clears its outside bits in the rows of its inside cliques.
 
-    A batch lists its incidences, the (candidate, clique inside A) pairs
-    in candidate order, as flat arrays: the clique, the candidate's outside
-    row and the candidate's slot 0..31 in its round.  A round is then one
-    contiguous slice of them, scored by one row take of the uncovered rows,
-    one AND, one popcount, a column add per word and one ``np.bincount``
-    over the slots.  Every step stays on a numpy fast path; on the
-    per-batch shapes of G(22, 1/2) the slow forms cost about 10x
-    (``a[idx]`` against ``a.take(idx, 0)``, ``.sum(axis=1)`` against
-    column adds), 2.5-4.5x (2-D ``.nonzero()`` against ``np.flatnonzero``
-    and ``np.divmod``) and 1.5x (``np.packbits`` on rows ending inside a
-    byte, see ``_word_rows``).
+    Both sides of that test are ``_cut_tables`` lookups at the cut's
+    ceil(n / 8) bytes, over the cliques and stable sets with a disjoint
+    cell; the initial uncovered rows are the stable lookups at each
+    clique's bytes.  Cliques whose cells are all covered are masked out of
+    the clique lookups; the rows a batch's kept cuts changed are checked
+    for remaining cells before the next batch.
+
+    Rounds are scored in batches: the batch's candidates are drawn at once
+    and looked up, and then its rounds run one after another on the
+    uncovered rows.  Batches start at one round and double while 32 times
+    the batch's rounds times the larger of the live clique and the stable
+    set counts stays within ``_BLOCK_CELLS``.  A batch lists its
+    incidences, the (candidate, clique inside A) pairs, candidate-major and
+    clique ascending, as flat arrays: the clique, the candidate's outside
+    row and its slot 0..31 in its round.  A round is one contiguous slice
+    of them, scored by one row take of the uncovered rows, one AND, one
+    popcount, a column add per word and one ``np.bincount`` over the
+    slots, and the kept cut's incidences are a contiguous slice within it.
 
     A round uses the bits of one ``bernoulli_mask(32 n)`` draw; candidate i
     is its bits i n .. i n + n - 1 (candidate-major, vertex-minor).  A batch
@@ -267,61 +300,76 @@ def build_random_separator(g: Graph, p: float, seed: int,
         raise ValueError(f"p={p} makes every candidate cut empty or full, "
                          "which covers no disjoint pair")
     n = g.n
-    w = (n + 63) // 64
-    # one row per clique with a disjoint cell, one column per stable set
-    # that has one
-    rows: dict[int, int] = {}
-    column: dict[int, int] = {}
-    for k, s in pairs:
-        rows[k] = rows.get(k, 0) | 1 << column.setdefault(s, len(column))
-    k_words = _words(rows, w)
-    s_words = _words(column, w)
-    uncovered = _words(rows.values(), (len(column) + 63) // 64).copy()
+    nbytes = (n + 7) // 8
+    # the rows: the cliques with a disjoint cell; the columns: the stable
+    # sets with one
+    cliques = dict.fromkeys(map(itemgetter(0), pairs))
+    stables = dict.fromkeys(map(itemgetter(1), pairs))
+    nk, ns = len(cliques), len(stables)
+    members = _byte_rows([*cliques, *stables], nbytes)
+    k_bytes = members[:nk]
+    k_table, s_table = _cut_tables(k_bytes, members[nk:])
+    uncovered = _lookup(s_table, k_bytes)
+    # the live cliques, those with uncovered cells, padded to whole words
+    live = np.zeros(64 * k_table.shape[2], dtype=bool)
+    live[:nk] = True
     full = (1 << n) - 1
     remaining = len(pairs)
     chosen: list[int] = []
     rounds = 0
     batch = 1
+    # the rows the kept cuts of the last batch changed
+    touched: list[np.ndarray] = []
     while remaining and rounds < cap:
-        live = np.flatnonzero(uncovered.any(axis=1))
-        if len(live) < len(uncovered):  # cliques whose cells are all covered score nothing
-            uncovered, k_words = uncovered.take(live, 0), k_words.take(live, 0)
+        if touched:
+            rows = np.concatenate(touched)
+            live[rows] = uncovered.take(rows, 0).any(axis=1)
+            touched.clear()
         b = min(batch, cap - rounds)
+        # the next batch grows from the live cliques at this batch's start
+        limit = max(1, _BLOCK_CELLS // (32 * max(int(np.count_nonzero(live)), ns)))
         # drawn as a mask and unpacked, since bench/tracer.py counts the
         # draws at ``bernoulli_mask``
         draw = rng.bernoulli_mask(32 * n * b, threshold)
         flags = np.unpackbits(np.frombuffer(draw.to_bytes(4 * n * b, "little"), np.uint8),
                               bitorder="little")
-        cands = _word_rows(flags.reshape(32 * b, n), w)
-        outside = _word_rows(_apart(cands, s_words), uncovered.shape[1])
-        # the incidences (candidate, clique inside its A), candidate-major: a
-        # clique lies inside A when it misses ~A; the clique words have no
-        # bits past n, so ~A's high bits do not matter
-        cand_of, clique = np.divmod(np.flatnonzero(_apart(~cands, k_words)), len(k_words))
+        a_bytes = np.packbits(flags.reshape(32 * b, n), axis=1, bitorder="little")
+        outside = _lookup(s_table, a_bytes)
+        inside = _lookup(k_table, a_bytes)
+        inside &= np.packbits(live, bitorder="little").view("<u8")
+        cand_of, clique = np.divmod(np.flatnonzero(np.unpackbits(
+            inside.view(np.uint8), axis=1, count=nk, bitorder="little").view(bool)), nk)
         cand_out = outside.take(cand_of, 0)
         slot = cand_of % 32
-        bounds = np.searchsorted(cand_of, np.arange(0, 32 * b + 1, 32)).tolist()
+        # each candidate's first incidence, and each round's as ints
+        first = np.searchsorted(cand_of, np.arange(32 * b + 1))
+        bounds = first[::32].tolist()
         for r in range(b):
             rounds += 1
             lo, hi = bounds[r], bounds[r + 1]
             k = clique[lo:hi]
-            meet = uncovered.take(k, 0) & cand_out[lo:hi]
+            before = uncovered.take(k, 0)
+            meet = before & cand_out[lo:hi]
             ones = np.bitwise_count(meet)
-            gain = ones[:, 0].astype(np.intp)
+            gain = ones[:, 0]
             for j in range(1, ones.shape[1]):
-                gain += ones[:, j]
+                gain = np.add(gain, ones[:, j], dtype=np.intp)
             counts = np.bincount(slot[lo:hi], weights=gain, minlength=32)
             best = int(counts.argmax())
-            if counts[best] == 0:
+            top = counts[best]
+            if not top:
                 continue
-            # the kept cut's meets are exactly the cells it covers
-            kept = slot[lo:hi] == best
-            uncovered[k[kept]] ^= meet[kept]
-            remaining -= int(counts[best])
+            # the kept cut's meets, one contiguous run, are exactly the
+            # cells it covers
+            kept = slice(first[32 * r + best] - lo, first[32 * r + best + 1] - lo)
+            rows = k[kept]
+            uncovered[rows] = before[kept] ^ meet[kept]
+            touched.append(rows)
+            remaining -= int(top)
             chosen.append(draw >> n * (32 * r + best) & full)
             if not remaining:
                 break
-        batch = min(2 * batch, max(1, _BLOCK_CELLS // (32 * max(len(k_words), len(s_words)))))
+        batch = min(2 * batch, limit)
     if stats_out is not None:
         stats_out["rounds"] = rounds
     if remaining:

@@ -396,7 +396,9 @@ def greedy_separator(g, p: float, seed: int, max_rounds: int | None = None, *,
     Same contract as ``build_random_separator``, ``stats_out`` included:
     each round draws 32 candidates of n draws each, candidate after
     candidate, and keeps the first one covering the most uncovered disjoint
-    maximal pairs.
+    maximal pairs.  The uncovered pairs are held as one int per clique, bit
+    j for the j-th stable set met in the pair list, so a round walks the
+    cliques and stable sets once per candidate, not the pairs.
     """
     pairs = disjoint_maximal_pairs(g)
     cap = 2 * g.n ** 7 if max_rounds is None else max_rounds
@@ -404,27 +406,37 @@ def greedy_separator(g, p: float, seed: int, max_rounds: int | None = None, *,
         stats_out.update(rounds=0, cap=cap, pairs=len(pairs))
     if not pairs:
         return CutFamily(g.n, ())
+    stables = list(dict.fromkeys(s for _, s in pairs))
+    column = {s: j for j, s in enumerate(stables)}
+    uncovered = {}
+    for k, s in pairs:
+        uncovered[k] = uncovered.get(k, 0) | 1 << column[s]
     rng = ScalarSplitMix64(seed)
     threshold = bernoulli_threshold(p)
+    remaining = len(pairs)
     chosen = []
     rounds = 0
-    while pairs and rounds < cap:
+    while remaining and rounds < cap:
         rounds += 1
-        cands = [scalar_bernoulli_mask(rng, g.n, threshold) for _ in range(32)]
-        best, best_covered = -1, None
-        for i, a in enumerate(cands):
-            cov = [j for j, (k, s) in enumerate(pairs) if k & ~a == 0 and s & a == 0]
-            if best_covered is None or len(cov) > len(best_covered):
-                best, best_covered = i, cov
-        if not best_covered:
+        best = best_gain = best_outside = None
+        for _ in range(32):
+            a = scalar_bernoulli_mask(rng, g.n, threshold)
+            outside = sum(1 << j for j, s in enumerate(stables) if s & a == 0)
+            gain = sum((row & outside).bit_count()
+                       for k, row in uncovered.items() if k & ~a == 0)
+            if best_gain is None or gain > best_gain:
+                best, best_gain, best_outside = a, gain, outside
+        if not best_gain:
             continue
-        chosen.append(cands[best])
-        drop = set(best_covered)
-        pairs = [pr for j, pr in enumerate(pairs) if j not in drop]
+        for k in uncovered:
+            if k & ~best == 0:
+                uncovered[k] &= ~best_outside
+        remaining -= best_gain
+        chosen.append(best)
     if stats_out is not None:
         stats_out["rounds"] = rounds
-    if pairs:
-        raise SeparatorBuildError(len(pairs), rounds)
+    if remaining:
+        raise SeparatorBuildError(remaining, rounds)
     return family_from_masks(g.n, chosen)
 
 

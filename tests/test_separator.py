@@ -19,6 +19,7 @@ from csslab.separator import (AppendixBoundReport, CutFamily, SeparationReport,
                               separates, verify_cs_separator)
 from csslab import separator
 from csslab.graphs import _all_clique_masks
+from csslab.rng import SplitMix64
 
 from oracles import all_cuts_family, greedy_separator, pair_list_verify
 
@@ -195,7 +196,9 @@ def test_random_separator_matches_greedy_oracle(g, p, seed, max_rounds):
 BATCH_EDGE_CAPS = (1, 2, 3, 4, 5, 7, 8, 9, 31, 33, 65)
 
 
-@pytest.mark.parametrize("n", [14, 15, 16])
+# candidates are looked up a byte of vertices at a time: n = 8k ends a
+# byte and n = 8k + 1 starts one with a single vertex
+@pytest.mark.parametrize("n", [8, 9, 14, 15, 16, 17, 24, 25])
 def test_random_separator_matches_oracle_across_batch_edges(n):
     for seed in range(3):
         g = gen_gnp(n, 0.5, 100 * n + seed)
@@ -203,6 +206,15 @@ def test_random_separator_matches_oracle_across_batch_edges(n):
             got = build_outcome(build_random_separator, g, 0.5, seed, max_rounds)
             assert got == build_outcome(greedy_separator, g, 0.5, seed, max_rounds), \
                 (n, seed, max_rounds)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_random_separator_matches_oracle_across_a_word_edge(n):
+    # cuts of 63..65 vertices end a byte and a 64-bit word or start new
+    # ones; every batch is one round at this size, so cap 2 runs two
+    g = gen_gnp(n, 0.5, 500 + n)
+    got = build_outcome(build_random_separator, g, 0.5, n, 2)
+    assert got == build_outcome(greedy_separator, g, 0.5, n, 2)
 
 
 def test_random_separator_matches_oracle_on_two_word_rows():
@@ -230,6 +242,20 @@ def test_random_separator_matches_oracle_at_the_benchmark_shape(graph_seed, seed
     for max_rounds in (40, 100):
         got = build_outcome(build_random_separator, g, 0.5, seed, max_rounds)
         assert got == build_outcome(greedy_separator, g, 0.5, seed, max_rounds), max_rounds
+
+
+@pytest.mark.parametrize("graph_seed,seed,draws,calls", [(2, 21, 154880, 9),
+                                                        (5, 22, 182336, 10)])
+def test_random_separator_batch_schedule_pinned(monkeypatch, graph_seed, seed, draws, calls):
+    # a batch draws all its rounds at once, so the stream runs up to one
+    # batch past the last round: the draw count locks the batch sizes
+    g = gen_gnp(22, 0.5, graph_seed)
+    sizes = []
+    mask = SplitMix64.bernoulli_mask
+    monkeypatch.setattr(SplitMix64, "bernoulli_mask",
+                        lambda rng, n, threshold: sizes.append(n) or mask(rng, n, threshold))
+    build_random_separator(g, 0.5, seed)
+    assert (sum(sizes), len(sizes)) == (draws, calls)
 
 
 def clique_beside_five_cycle():
@@ -263,12 +289,48 @@ def int_rows(flags):
                               | st.integers(1, 130))))
 def test_packing_helpers_match_int_rows(flags):
     # widths cover non-multiples of 8 and both sides of 64 and 128
-    want = int_rows(flags)
-    w = (flags.shape[1] + 63) // 64
-    words = separator._word_rows(flags, w)
-    assert words.dtype == "<u8" and words.shape == (len(flags), w)
-    assert [int.from_bytes(row.tobytes(), "little") for row in words] == want
-    assert separator._bit_rows(flags) == want
+    assert separator._bit_rows(flags) == int_rows(flags)
+
+
+# counts on both sides of byte and word edges
+EDGE_COUNTS = st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200])
+
+
+@st.composite
+def masks_on(draw, n, max_size):
+    """Masks of an n-vertex host, half of them of at most 3 vertices."""
+    size = draw(EDGE_COUNTS.filter(lambda c: c <= max_size) | st.integers(0, max_size))
+    rnd = draw(st.randoms(use_true_random=False))
+    return [rnd.getrandbits(n) if rnd.random() < 0.5
+            else sum(1 << v for v in {rnd.randrange(n) for _ in range(rnd.randrange(4))})
+            for _ in range(size)]
+
+
+@st.composite
+def table_cases(draw):
+    n = draw(EDGE_COUNTS.filter(lambda c: 1 <= c <= 130) | st.integers(1, 130))
+    return n, draw(masks_on(n, 200)), draw(masks_on(n, 200)), draw(masks_on(n, 9))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(table_cases())
+def test_cut_table_lookups_match_int_reference(case):
+    # 0..200 cliques and 0..200 stable sets on 1..130 vertices, so member
+    # and vertex counts fall on both sides of byte and word edges: a lookup
+    # at a cut's bytes gives the cliques inside the cut and the stable sets
+    # outside it
+    n, cliques, stables, cuts = case
+    nbytes = (n + 7) // 8
+    tables = separator._cut_tables(separator._byte_rows(cliques, nbytes),
+                                   separator._byte_rows(stables, nbytes))
+    at = separator._byte_rows(cuts, nbytes)
+    for members, table, test in ((cliques, tables[0], lambda m, a: m & ~a == 0),
+                                 (stables, tables[1], lambda m, a: m & a == 0)):
+        assert table.dtype == "<u8" and table.shape == (nbytes, 256, (len(members) + 63) // 64)
+        rows = separator._lookup(table, at)
+        assert rows.shape == (len(cuts), table.shape[2])
+        want = [sum(1 << i for i, m in enumerate(members) if test(m, a)) for a in cuts]
+        assert [int.from_bytes(row.tobytes(), "little") for row in rows] == want
 
 
 # ---------------------------------------------------------------- rectangle verifier
