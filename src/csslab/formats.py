@@ -6,8 +6,8 @@ vertex and token lists sorted ascending, each index spelled ``str(v)``.
 Parsers accept member rows and lists in any order and with repeated
 members (edge lines still need u < v), and any vertex spelling ``int()``
 reads (``+3``, ``03``, other Unicode digits): each looks the canonical
-spellings up in one table per file and reads only the other tokens with
-``int()``.
+spellings up in one table per file and reads only the lines holding
+other tokens with ``int()``.
 
   graph <n>                 one ``e <u> <v>`` line per edge, u < v
   cuts <n> <m>              m lines, each the sorted A-side (possibly empty)
@@ -58,17 +58,10 @@ def _names(n: int, size: int) -> dict[str, int]:
     """The token table of an ``n``-vertex file of ``size`` characters:
     ``str(v) -> v`` for v below n and below ``size // 2``, the most distinct
     tokens such a file can hold, so that the table's cost is linear in the
-    file's length whatever n its header declares.  A token missing from the
-    table goes through ``_vertex``."""
+    file's length whatever n its header declares.  A line with a token
+    missing from the table is read again from its start through ``_vertex``,
+    so its value and its first error are those of ``int()`` alone."""
     return {str(v): v for v in range(min(n, size // 2))}
-
-
-def _ints(parts, n: int, lineno: int, names: dict[str, int]) -> list[int]:
-    """The vertices the tokens ``parts`` name."""
-    try:
-        return [names[p] for p in parts]
-    except KeyError:
-        return [_vertex(p, n, lineno) for p in parts]
 
 
 def _header(line: str, lineno: int, keyword: str, argc: int) -> list[int]:
@@ -123,7 +116,10 @@ def _parse_edges(rows, start: int, n: int, names) -> tuple[Graph, int]:
         lineno = pos + 1
         if len(parts) != 3:
             raise FormatError("edge lines look like 'e <u> <v>'", lineno)
-        u, v = _ints(parts[1:], n, lineno, names)
+        try:
+            u, v = names[parts[1]], names[parts[2]]
+        except KeyError:
+            u, v = _vertex(parts[1], n, lineno), _vertex(parts[2], n, lineno)
         if u == v:
             raise FormatError(f"self-loop at {u}", lineno)
         if u > v:
@@ -190,7 +186,14 @@ def _parse_rows(rows, n: int, count: int, noun: str, tags: str = ""):
             if not row.startswith(head):
                 raise FormatError(f"expected a '{head}' line", lineno)
             row = row[len(head):]
-        yield lineno, mask_of(_ints(row.split(), n, lineno, names))
+        parts = row.split()
+        mask = 0
+        try:
+            for tok in parts:
+                mask |= 1 << names[tok]
+        except KeyError:
+            mask = mask_of(_vertex(tok, n, lineno) for tok in parts)
+        yield lineno, mask
     _reject_rows_past(rows, count + 1)
 
 
@@ -290,7 +293,10 @@ def parse_ccp(text: str) -> CcpInstance:
         parts = row.split()
         if len(parts) != 3:
             raise FormatError("edge color lines look like '<u> <v> <A|B|C>'", i)
-        u, v = _ints(parts[:2], n, i, names)
+        try:
+            u, v = names[parts[0]], names[parts[1]]
+        except KeyError:
+            u, v = _vertex(parts[0], n, i), _vertex(parts[1], n, i)
         if u >= v:
             raise FormatError("edges must be written with u < v", i)
         if parts[2] not in COLOR_NAMES:

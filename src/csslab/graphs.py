@@ -230,10 +230,12 @@ def maximal_cliques(g: Graph) -> list[int]:
         return []
     out = []
     adj = g.adj
-
-    def expand(r: int, p: int, x: int):
-        # pivot: the lowest vertex of p | x with most neighbors inside p;
-        # expand is only called with p nonempty
+    # the (r, p, x) calls still to expand, each with p nonempty: an explicit
+    # stack, so the depth is not bounded by Python's recursion limit
+    stack = [(0, g.full_mask, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        # pivot: the lowest vertex of p | x with most neighbors inside p
         best_cnt = -1
         rest = p | x
         while rest:
@@ -250,14 +252,12 @@ def maximal_cliques(g: Graph) -> list[int]:
             # a child with nothing left to add is maximal iff no vertex of x
             # extends it
             if p & nv:
-                expand(r | bv, p & nv, x & nv)
+                stack.append((r | bv, p & nv, x & nv))
             elif not x & nv:
                 out.append(r | bv)
             cand ^= bv
             p ^= bv
             x |= bv
-
-    expand(0, g.full_mask, 0)
     width = (g.n + 7) // 8
     return sorted(out, key=lambda m: m.to_bytes(width, "little").translate(_REVERSED_BITS),
                   reverse=True)

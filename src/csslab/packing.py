@@ -144,20 +144,23 @@ def verify_fooling_set(fs: FoolingSet) -> VerifyResult:
 def build_fooling_set(g: Graph) -> FoolingSet:
     """Fooling set of size n + 1 by recursion: split on the lowest vertex v,
     extend the neighborhood side's cliques and the non-neighborhood side's
-    stable sets with v."""
+    stable sets with v, and list the neighborhood side's pairs first.
 
-    def rec(vmask: int) -> list[tuple[int, int]]:
-        if vmask == 0:
-            return [(0, 0)]
+    The recursion runs on an explicit stack of (vertices left, clique,
+    stable set), so its depth is not bounded by Python's recursion limit."""
+    pairs = []
+    stack = [(g.full_mask, 0, 0)]
+    while stack:
+        vmask, k, s = stack.pop()
+        if not vmask:
+            pairs.append((k, s))
+            continue
         v = (vmask & -vmask).bit_length() - 1
         bv = 1 << v
-        nb = g.adj[v] & vmask
-        nonnb = vmask & ~g.adj[v] & ~bv
-        part1 = [(k | bv, s) for k, s in rec(nb)]
-        part2 = [(k, s | bv) for k, s in rec(nonnb)]
-        return part1 + part2
-
-    return FoolingSet(g, tuple(rec(g.full_mask)))
+        # the neighborhood side goes on top, so it is listed first
+        stack.append((vmask & ~g.adj[v] & ~bv, k, s | bv))
+        stack.append((g.adj[v] & vmask, k | bv, s))
+    return FoolingSet(g, tuple(pairs))
 
 
 def _transpose(n: int, pairs) -> list[tuple[int, int]]:

@@ -56,7 +56,7 @@ class CutFamily:
         if host_n < 0:
             raise ValueError("vertex count must be nonnegative")
         masks = tuple(masks)
-        if any(m >> host_n for m in masks):
+        if masks and (min(masks) < 0 or max(masks) >> host_n):
             raise ValueError("cut side references vertices outside the host")
         if len(set(masks)) != len(masks):
             raise ValueError("duplicate cut in family")
@@ -195,7 +195,7 @@ def extend_to_full_separator(g: Graph, family: CutFamily) -> CutFamily:
 
 def _byte_rows(masks, nbytes: int) -> np.ndarray:
     """Masks as rows of ``nbytes`` bytes; byte j holds bits 8j..8j+7."""
-    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    buf = b"".join([m.to_bytes(nbytes, "little") for m in masks])
     return np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
 
 

@@ -11,7 +11,7 @@ from csslab.csp import (CcpInstance, MalformedCovering, NotReallyThreeColorable,
 from csslab.formats import (_PART_TOKENS, FormatError, _header, _reject_rows_past,
                             _split_header)
 from csslab.graphs import (Graph, bits, complement, from_edges, greedy_coloring, induced,
-                           mask_of, split_partitions)
+                           mask_of, maximal_cliques, maximal_stables, split_partitions)
 from csslab.lp import LpResult
 from csslab.packing import (BicliqueCovering, PackingCertificate, VerifyResult,
                             _first_bad_biclique)
@@ -266,6 +266,25 @@ def set_greedy_coloring(g) -> tuple[int, ...]:
     return tuple(colors)
 
 
+def recursive_fooling_pairs(g) -> list[tuple[int, int]]:
+    """The pairs of ``build_fooling_set`` by plain recursion: split on the
+    lowest vertex v, extend the neighborhood side's cliques and the
+    non-neighborhood side's stable sets with v, neighborhood side first."""
+
+    def rec(vmask: int) -> list[tuple[int, int]]:
+        if vmask == 0:
+            return [(0, 0)]
+        v = (vmask & -vmask).bit_length() - 1
+        bv = 1 << v
+        nb = g.adj[v] & vmask
+        nonnb = vmask & ~g.adj[v] & ~bv
+        part1 = [(k | bv, s) for k, s in rec(nb)]
+        part2 = [(k, s | bv) for k, s in rec(nonnb)]
+        return part1 + part2
+
+    return rec(g.full_mask)
+
+
 def pair_walk_verify_packing(cert) -> VerifyResult:
     """``verify_packing`` with the coverage check walking ``g.edges()`` and
     testing both directions of each edge: the reference for its verdict and
@@ -397,23 +416,32 @@ def greedy_separator(g, p: float, seed: int, max_rounds: int | None = None, *,
     each round draws 32 candidates of n draws each, candidate after
     candidate, and keeps the first one covering the most uncovered disjoint
     maximal pairs.  The uncovered pairs are held as one int per clique, bit
-    j for the j-th stable set met in the pair list, so a round walks the
-    cliques and stable sets once per candidate, not the pairs.
+    j for the j-th maximal stable set, built from the stable sets through
+    each vertex, so a round walks the cliques and stable sets once per
+    candidate and the pairs are never listed.
     """
-    pairs = disjoint_maximal_pairs(g)
+    cliques, stables = maximal_cliques(g), maximal_stables(g)
+    through = [0] * g.n
+    for j, s in enumerate(stables):
+        for v in bits(s):
+            through[v] |= 1 << j
+    every = (1 << len(stables)) - 1
+    uncovered = {}
+    for k in cliques:
+        met = 0
+        for v in bits(k):
+            met |= through[v]
+        if row := every & ~met:
+            uncovered[k] = row
+    pairs = sum(row.bit_count() for row in uncovered.values())
     cap = 2 * g.n ** 7 if max_rounds is None else max_rounds
     if stats_out is not None:
-        stats_out.update(rounds=0, cap=cap, pairs=len(pairs))
+        stats_out.update(rounds=0, cap=cap, pairs=pairs)
     if not pairs:
         return CutFamily(g.n, ())
-    stables = list(dict.fromkeys(s for _, s in pairs))
-    column = {s: j for j, s in enumerate(stables)}
-    uncovered = {}
-    for k, s in pairs:
-        uncovered[k] = uncovered.get(k, 0) | 1 << column[s]
     rng = ScalarSplitMix64(seed)
     threshold = bernoulli_threshold(p)
-    remaining = len(pairs)
+    remaining = pairs
     chosen = []
     rounds = 0
     while remaining and rounds < cap:

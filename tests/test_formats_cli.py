@@ -409,6 +409,22 @@ def test_cli_pk_free_tiny_t_k_builds_the_base_case(tmp_path):
     assert cuts[0] == cuts[1] == cuts[2] == emit_cut_family(CutFamily(4, range(16)))
 
 
+def test_cli_verify_separator_on_a_deep_clique(tmp_path):
+    """On K_1100 the maximal-clique enumeration goes 1100 levels deep, past
+    Python's default recursion limit; the one maximal clique meets every
+    maximal stable set, so the empty family passes with no pair to check."""
+    g, cuts = tmp_path / "k1100.txt", tmp_path / "cuts.txt"
+    g.write_text(emit_graph(complete_graph(1100)))
+    cuts.write_text("cuts 1100 0\n")
+    src = str(Path(csslab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "csslab.cli", "verify", "separator",
+                          str(g), str(cuts)], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+    assert "metric pairs_checked 0\n" in run.stdout
+
+
 def test_cli_quasipoly_and_ccp_route(tmp_path, capsys):
     ccp = tmp_path / "inst.txt"
     cover = tmp_path / "cover.txt"

@@ -287,6 +287,12 @@ def test_enumerators_on_complete_and_edgeless_graphs_past_word_boundaries():
         assert maximal_cliques(empty_graph(n)) == maximal_stables(complete_graph(n)) == singletons
 
 
+def test_enumerator_depth_is_not_bounded_by_the_recursion_limit():
+    """Bron-Kerbosch on K_1500 goes 1500 calls deep, past Python's default
+    recursion limit of 1000."""
+    assert maximal_cliques(complete_graph(1500)) == [(1 << 1500) - 1]
+
+
 def clique_join(k: int, top):
     """A clique on the vertices below k joined to the graph ``top`` on the
     vertices from k on: every maximal clique holds the whole low clique, so

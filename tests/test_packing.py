@@ -21,7 +21,7 @@ from csslab.separator import (CutFamily, build_random_separator,
                               extend_to_full_separator, verify_cs_separator)
 
 from oracles import (as_covering, greedy_base_colorer, pair_walk_verify_packing,
-                     pairs_cross)
+                     pairs_cross, recursive_fooling_pairs)
 
 
 def crossed_biclique_graph():
@@ -147,6 +147,24 @@ def test_build_fooling_set_sizes():
         assert len(fs.pairs) == g.n + 1
         assert verify_fooling_set(fs).ok
     assert brute_fooling_exists(complete_graph(3), 4)
+
+
+def test_build_fooling_set_matches_recursive_oracle():
+    rnd = random.Random(7)
+    for n in range(13):
+        for p in (0.2, 0.5, 0.8):
+            g = gen_gnp(n, p, rnd.randrange(1 << 30))
+            assert list(build_fooling_set(g).pairs) == recursive_fooling_pairs(g)
+
+
+@pytest.mark.parametrize("g", [complete_graph(1500), empty_graph(1500)],
+                         ids=["complete", "edgeless"])
+def test_build_fooling_set_past_the_recursion_limit(g):
+    """The split recurses once per vertex on these graphs, deeper than
+    Python's default recursion limit of 1000."""
+    fs = build_fooling_set(g)
+    assert len(fs.pairs) == 1501
+    assert verify_fooling_set(fs).ok
 
 
 def test_fooling_to_packing_smallest():
