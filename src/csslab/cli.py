@@ -540,6 +540,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:  # its message is empty
+        print("error: out of memory: the input is too large to hold", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -351,7 +351,10 @@ def contains_induced(g: Graph, pattern: Graph) -> tuple[int, ...] | None:
     # level i starts from the vertices with room for order[i]'s neighbours
     # and non-neighbours; placing order[i] at x keeps at each later level the
     # vertices adjacent to x exactly as in the pattern, and is skipped if that
-    # empties a level.  Candidates are tried in increasing order
+    # empties a level.  Candidates are tried in increasing order.  The search
+    # keeps the untried candidates and later levels of the levels below i on
+    # an explicit stack, so its depth is not bounded by Python's recursion
+    # limit
     adj = g.adj
     host_degree = [a.bit_count() for a in adj]
     room = []
@@ -361,13 +364,12 @@ def contains_induced(g: Graph, pattern: Graph) -> tuple[int, ...] | None:
                             if dv >= d and g.n - dv >= k - d))
     links = [[pattern.adj[order[j]] >> order[i] & 1 for j in range(i + 1, k)] for i in range(k)]
     assign = [-1] * k
-
-    def extend(i: int, cands: list[int]) -> bool:
-        if i == k:
-            return True
-        here, later = cands[0], cands[1:]
+    i, here, later = 0, room[0], room[1:]
+    below = []
+    while True:
         while here:
             low = here & -here
+            here ^= low
             nb = adj[low.bit_length() - 1]
             narrowed = []
             for m, edge in zip(later, links[i]):
@@ -377,14 +379,14 @@ def contains_induced(g: Graph, pattern: Graph) -> tuple[int, ...] | None:
                 narrowed.append(m)
             else:
                 assign[order[i]] = low.bit_length() - 1
-                if extend(i + 1, narrowed):
-                    return True
-            here ^= low
-        return False
-
-    if extend(0, room):
-        return tuple(assign)
-    return None
+                if i + 1 == k:
+                    return tuple(assign)
+                below.append((here, later))
+                i, here, later = i + 1, narrowed[0], narrowed[1:]
+        if not below:
+            return None
+        here, later = below.pop()
+        i -= 1
 
 
 # -- completely (non-)adjacent pairs ---------------------------------------

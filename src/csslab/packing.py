@@ -48,6 +48,24 @@ class VerifyResult:
 # -- verifiers ----------------------------------------------------------------
 
 
+def _require(check: VerifyResult, what: str, error=ValueError) -> None:
+    """Raise ``error`` naming ``what`` and the violation when ``check``
+    failed: ValueError for an input, RuntimeError for a constructed output."""
+    if not check.ok:
+        raise error(f"{what} invalid: {check.violation} {check.detail}")
+
+
+def _cover_lists(bicliques) -> dict[tuple[int, int], list[int]]:
+    """Each covered edge (u < v) mapped to the indices of the bicliques
+    covering it, in increasing order."""
+    lists: dict[tuple[int, int], list[int]] = {}
+    for idx, (left, right) in enumerate(bicliques):
+        for a in bits(left):
+            for b in bits(right):
+                lists.setdefault((a, b) if a < b else (b, a), []).append(idx)
+    return lists
+
+
 def _first_bad_biclique(g: Graph, sides) -> VerifyResult | None:
     """The first (left, right) in ``sides`` that names a vertex outside
     ``g``, whose sides meet, or that misses an edge between them; None when
@@ -103,14 +121,9 @@ def verify_covering(cov: BicliqueCovering) -> VerifyResult:
     bad = _first_bad_biclique(g, cov.bicliques)
     if bad is not None:
         return bad
-    counts: dict[tuple[int, int], int] = {}
-    for left, right in cov.bicliques:
-        for a in bits(left):
-            for b in bits(right):
-                key = (a, b) if a < b else (b, a)
-                counts[key] = counts.get(key, 0) + 1
+    covers = _cover_lists(cov.bicliques)
     for u, v in g.edges():
-        c = counts.get((u, v), 0)
+        c = len(covers.get((u, v), ()))
         if c == 0:
             return VerifyResult(False, "uncovered-edge", (u, v))
         if c > cov.t:
@@ -186,14 +199,10 @@ def fooling_to_packing(fs: FoolingSet) -> PackingCertificate:
     """Oriented packing of the complete graph on the fooling pairs: vertex x
     contributes the biclique (pairs whose clique holds x, pairs whose stable
     set holds x)."""
-    check = verify_fooling_set(fs)
-    if not check.ok:
-        raise ValueError(f"input fooling set invalid: {check.violation} {check.detail}")
+    _require(verify_fooling_set(fs), "input fooling set")
     cert = PackingCertificate(complete_graph(len(fs.pairs)),
                               _vertex_bicliques(fs.host.n, fs.pairs))
-    out = verify_packing(cert)
-    if not out.ok:
-        raise RuntimeError(f"constructed packing invalid: {out.violation} {out.detail}")
+    _require(verify_packing(cert), "constructed packing", RuntimeError)
     return cert
 
 
@@ -212,17 +221,13 @@ def certificate_aux_pairs(cert: PackingCertificate
 def packing_to_fooling(cert: PackingCertificate) -> tuple[Graph, FoolingSet]:
     """From a packing of a complete graph, recover a fooling set of the same
     size on the auxiliary graph of the certificate."""
-    check = verify_packing(cert)
-    if not check.ok:
-        raise ValueError(f"certificate invalid: {check.violation} {check.detail}")
+    _require(verify_packing(cert), "certificate")
     g = cert.host
     if g != complete_graph(g.n):
         raise ValueError("certificate host must be a complete graph")
     aux, pairs = certificate_aux_pairs(cert)
     fs = FoolingSet(aux, tuple(pairs))
-    out = verify_fooling_set(fs)
-    if not out.ok:
-        raise RuntimeError(f"constructed fooling set invalid: {out.violation} {out.detail}")
+    _require(verify_fooling_set(fs), "constructed fooling set", RuntimeError)
     return aux, fs
 
 
@@ -233,9 +238,7 @@ def star_partition(n: int) -> PackingCertificate:
     """Edge partition of the complete graph into n - 1 oriented stars."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    host = complete_graph(n)
-    bicliques = [(1 << i, host.full_mask >> (i + 1) << (i + 1)) for i in range(n - 1)]
-    return PackingCertificate(host, tuple(bicliques))
+    return star_cover(complete_graph(n))
 
 
 def star_cover(g: Graph) -> PackingCertificate:
@@ -341,9 +344,7 @@ def separator_to_coloring(g: Graph, cert: PackingCertificate,
     """Color every vertex by the first cut separating its associated
     (clique, stable set) pair in the certificate's auxiliary graph.  The
     coloring is proper; uses at most one color per cut."""
-    check = verify_packing(cert)
-    if not check.ok:
-        raise ValueError(f"certificate invalid: {check.violation} {check.detail}")
+    _require(verify_packing(cert), "certificate")
     aux, pairs = certificate_aux_pairs(cert)
     if family.host_n != aux.n:
         raise ValueError("cut family lives on the wrong host")
@@ -380,9 +381,7 @@ def pairs_packing(g: Graph) -> tuple[Graph, list[tuple[int, int]],
             adj[j] |= a
     aux = Graph(len(pairs), adj, validate=False)
     cert = PackingCertificate(aux, bicliques)
-    out = verify_packing(cert)
-    if not out.ok:
-        raise RuntimeError(f"pair packing invalid: {out.violation} {out.detail}")
+    _require(verify_packing(cert), "pair packing", RuntimeError)
     return aux, pairs, cert
 
 
@@ -410,7 +409,6 @@ def pair_coloring_to_separator(g: Graph, pairs, coloring) -> CutFamily:
 class RefinedPartition:
     subgraph: Graph                       # edges covered exactly t times
     partition: BicliqueCovering           # 1-covering of the subgraph
-    labels: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def refine_t_covering(g: Graph, cov: BicliqueCovering) -> RefinedPartition:
@@ -424,26 +422,18 @@ def refine_t_covering(g: Graph, cov: BicliqueCovering) -> RefinedPartition:
     order) is what makes every class complete: with vertex-order signs, an
     edge whose left-side endpoint happens to carry the higher index flips its
     sign vector and leaves its class with a hole."""
-    check = verify_covering(cov)
-    if not check.ok:
-        raise ValueError(f"covering invalid: {check.violation} {check.detail}")
+    _require(verify_covering(cov), "covering")
     t = cov.t
-    cover_lists: dict[tuple[int, int], list[int]] = {}
-    for idx, (left, right) in enumerate(cov.bicliques):
-        for a in bits(left):
-            for b in bits(right):
-                key = (a, b) if a < b else (b, a)
-                cover_lists.setdefault(key, []).append(idx)
+    cover_lists = _cover_lists(cov.bicliques)
     exact_edges = [e for e in g.edges() if len(cover_lists.get(e, ())) == t]
     sub = from_edges(g.n, exact_edges)
     classes: dict[tuple, list[tuple[int, int]]] = {}
     for (u, v) in exact_edges:
-        idxs = tuple(sorted(cover_lists[(u, v)]))
+        idxs = tuple(cover_lists[(u, v)])
         anchor = u if cov.bicliques[idxs[0]][0] >> u & 1 else v
         signs = tuple(-1 if cov.bicliques[i][0] >> anchor & 1 else 1 for i in idxs)
         classes.setdefault((idxs, signs), []).append((u, v))
     bicliques = []
-    labels = []
     for label in sorted(classes):
         first_left = cov.bicliques[label[0][0]][0]
         lows = highs = 0
@@ -456,21 +446,16 @@ def refine_t_covering(g: Graph, cov: BicliqueCovering) -> RefinedPartition:
         if lows & highs or len(classes[label]) != lows.bit_count() * highs.bit_count():
             raise RuntimeError("label class is not complete bipartite: implementation bug")
         bicliques.append((lows, highs))
-        labels.append(label)
     part = BicliqueCovering(sub, tuple(bicliques), 1)
-    out = verify_covering(part)
-    if not out.ok:
-        raise RuntimeError(f"refined partition invalid: {out.violation} {out.detail}")
-    return RefinedPartition(sub, part, tuple(labels))
+    _require(verify_covering(part), "refined partition", RuntimeError)
+    return RefinedPartition(sub, part)
 
 
 def compose_coloring(g: Graph, cov: BicliqueCovering, base_colorer) -> tuple[int, ...]:
     """Proper coloring of g built by recursion on the multiplicity cap: color
     the exactly-t subgraph through its label partition, then recurse on every
     color class, whose restricted covering has multiplicity below t."""
-    check = verify_covering(cov)
-    if not check.ok:
-        raise ValueError(f"covering invalid: {check.violation} {check.detail}")
+    _require(verify_covering(cov), "covering")
     if cov.t == 1:
         colors = tuple(base_colorer(g, cov))
         if not is_proper_coloring(g, colors):

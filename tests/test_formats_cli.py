@@ -16,7 +16,7 @@ from csslab.csp import (CcpInstance, StubbornInstance, all_3ccp_solutions,
                         random_ccp_instance, separator_to_stubborn_covering,
                         square_cut_family, trivial_stubborn)
 from csslab.graphs import (complete_graph, cycle_graph, from_edges, gen_gnp,
-                           net_graph)
+                           net_graph, path_graph)
 from csslab.packing import (BicliqueCovering, FoolingSet, PackingCertificate,
                             build_fooling_set, star_partition, verify_packing)
 from csslab.separator import (CutFamily, build_random_separator,
@@ -215,6 +215,22 @@ def test_bad_list_tokens_are_named_by_their_alphabet():
 def test_empty_lists_are_named_by_their_alphabet(parse, text, message):
     with pytest.raises(FormatError, match=message):
         parse(text)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_ccp, "ccp 2\n1 0 A\n", "^line 2: edges must be written with u < v$"),
+    (parse_ccp, "ccp 2\n0 0 A\n", "^line 2: edges must be written with u < v$"),
+    (parse_graph, "graph 2\ne 0\n", "^line 2: edge lines look like 'e <u> <v>'$"),
+    (parse_stubborn, "stubborn 2\nlists 1\nA1\n", "^list section size disagrees with the header$"),
+])
+def test_malformed_instance_lines_are_named(parse, text, message):
+    with pytest.raises(FormatError, match=message):
+        parse(text)
+
+
+def test_ccp_vertex_tokens_read_as_integers():
+    # "+1" is not in the token table, so the line is read again with int()
+    assert parse_ccp("ccp 2\n0 +1 A\n").colors == parse_ccp("ccp 2\n0 1 A\n").colors == (0,)
 
 
 def test_fixture_files():
@@ -544,6 +560,15 @@ def test_cli_reduce_tour(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the whole stderr of some bad-input cases below: one line, starting so
+ONE_LINE_ERRORS = {
+    ("build", "pk-free", "{path}", "--k", "1100"):
+        "error: graph contains an induced 1100-vertex path at (0, 1, 2, ",
+    ("verify", "separator", "{huge}", "{huge}"):
+        "error: out of memory: the input is too large to hold\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "quasipoly-covering"],                       # missing instance
     ["verify", "separator", "{g}"],                        # missing certificate
@@ -564,6 +589,8 @@ def test_cli_reduce_tour(tmp_path, capsys):
     ["reduce", "stubborn-to-ccp", "{ccp5}"],               # vertex 0 not really 3-colorable
     ["build", "pk-free", "{g}", "--k", "0"],               # no path to exclude
     ["build", "pk-free", "{g}", "--k", "-1"],              # negative path length
+    ["build", "pk-free", "{path}", "--k", "1100"],         # deeper than the recursion limit
+    ["verify", "separator", "{huge}", "{huge}"],           # header too large to allocate
 ])
 def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
     if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell
@@ -585,10 +612,18 @@ def test_cli_bad_input_exits_2_without_traceback(tmp_path, capsys, monkeypatch, 
     ccp5 = tmp_path / "ccp5.txt"
     ccp5.write_text("ccp 5\n0 1 B\n0 2 B\n0 3 B\n0 4 B\n1 2 A\n1 3 C\n1 4 C\n"
                     "2 3 C\n2 4 C\n3 4 A\n")
+    path = tmp_path / "path.txt"
+    path.write_text(emit_graph(path_graph(1200)))
+    huge = tmp_path / "huge.txt"  # its adjacency list fails to allocate at once
+    huge.write_text("graph 1000000000000000\n")
     assert main([a.format(g=g, cuts=cuts, dir=tmp_path, stub=stub, h=h, ccp0=ccp0,
-                          ccp5=ccp5)
+                          ccp5=ccp5, path=path, huge=huge)
                  for a in argv]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    one_line = ONE_LINE_ERRORS.get(tuple(argv))
+    if one_line is not None:
+        assert err.startswith(one_line) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["ccp-covering", "stubborn-covering"])

@@ -110,6 +110,48 @@ def test_verifiers_report_vertices_outside_the_host():
     assert verify_fooling_set(FoolingSet(k3, ((1 << 5, 0),))).violation == out
 
 
+K2, K3, ARC = complete_graph(2), complete_graph(3), (0b01, 0b10)
+
+
+@pytest.mark.parametrize("run, expected", [
+    pytest.param(lambda: verify_packing(PackingCertificate(K3, ((0b011, 0b010),))),
+                 VerifyResult(False, "sides-intersect", (0,)), id="sides-intersect"),
+    pytest.param(lambda: verify_covering(BicliqueCovering(K2, (ARC,), 0)),
+                 VerifyResult(False, "bad-multiplicity-cap", (0,)), id="bad-multiplicity-cap"),
+    pytest.param(lambda: verify_covering(BicliqueCovering(K3, ((0b001, 0b010),), 1)),
+                 VerifyResult(False, "uncovered-edge", (0, 2)), id="covering-uncovered-edge"),
+    pytest.param(lambda: verify_covering(BicliqueCovering(K2, (ARC, ARC[::-1]), 1)),
+                 VerifyResult(False, "over-covered-edge", (0, 1, 2)), id="over-covered-edge"),
+    pytest.param(lambda: verify_fooling_set(FoolingSet(K2, ((0b01, 0b01),))),
+                 VerifyResult(False, "pair-intersects", (0,)), id="pair-intersects"),
+    pytest.param(lambda: verify_fooling_set(FoolingSet(empty_graph(2), ((0b11, 0),))),
+                 VerifyResult(False, "not-a-clique", (0,)), id="not-a-clique"),
+    pytest.param(lambda: verify_fooling_set(FoolingSet(K2, ((0, 0b11),))),
+                 VerifyResult(False, "not-stable", (0,)), id="not-stable"),
+    pytest.param(lambda: fooling_to_packing(FoolingSet(K2, (ARC, ARC))),
+                 "input fooling set invalid: uncrossed-pairs (0, 1)", id="fooling_to_packing"),
+    pytest.param(lambda: packing_to_fooling(PackingCertificate(K2, (ARC, ARC))),
+                 "certificate invalid: doubly-covered-arc (0, 1)", id="packing_to_fooling"),
+    pytest.param(lambda: separator_to_coloring(K2, PackingCertificate(K2, ()),
+                                               CutFamily(1, ())),
+                 "certificate invalid: uncovered-edge (0, 1)", id="separator_to_coloring"),
+    pytest.param(lambda: refine_t_covering(K2, BicliqueCovering(K2, (ARC,), 0)),
+                 "covering invalid: bad-multiplicity-cap (0,)", id="refine_t_covering"),
+    pytest.param(lambda: compose_coloring(K2, BicliqueCovering(K2, (), 2), greedy_base_colorer),
+                 "covering invalid: uncovered-edge (0, 1)", id="compose_coloring"),
+])
+def test_each_violation_and_input_check_is_pinned(run, expected):
+    """Every verifier violation the other tests leave out, and the check each
+    transformer runs on its input: a VerifyResult, or the ValueError message
+    ``<what> invalid: <violation> <detail>``."""
+    if isinstance(expected, VerifyResult):
+        assert run() == expected
+    else:
+        with pytest.raises(ValueError) as err:
+            run()
+        assert err.type is ValueError and str(err.value) == expected
+
+
 # ---------------------------------------------------------------- fooling sets
 
 
@@ -216,6 +258,15 @@ def test_star_partition_examples():
                 key = (min(a, b), max(a, b))
                 covered[key] = covered.get(key, 0) + 1
     assert covered == {e: 1 for e in complete_graph(4).edges()}
+
+
+def test_star_partition_is_the_star_cover_of_the_complete_graph():
+    for n in range(13):
+        assert star_partition(n) == star_cover(complete_graph(n))
+        assert star_partition(n).bicliques == tuple(
+            (1 << i, ((1 << n) - 1) >> (i + 1) << (i + 1)) for i in range(n - 1))
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        star_partition(-1)
 
 
 def test_min_bp_bruteforce_values():

@@ -302,6 +302,18 @@ def test_split_free_rejects_nonsplit_pattern():
         build_split_free_separator(complete_graph(3), cycle_graph(5))
 
 
+@pytest.mark.parametrize("k, s, budget, error, message", [
+    (0b011, 0b010, 10, ValueError, "^base and opposite sets intersect$"),
+    (0b101, 0b010, 10, ValueError, r"^\[0, 2\] is not a clique$"),
+    (0b011, 0b1100, 10, ValueError, r"^\[2, 3\] is not a stable set$"),
+    (0b0011, 0b1000, 0, RuntimeError, r"^transversal size 1 exceeds the budget 0\.0; "),
+])
+def test_pair_pipeline_rejects_bad_pairs_and_an_exceeded_budget(k, s, budget, error, message):
+    with pytest.raises(error, match=message) as err:
+        separate_pair_split_free(path_graph(4), k, s, budget)
+    assert err.type is error
+
+
 def test_split_free_pipeline_certificates():
     phi = 3
     budget = transversal_budget(phi)
